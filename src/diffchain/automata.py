@@ -1,19 +1,18 @@
-"""Complete DFAs over plain and marked alphabets, with the operations needed
-to interpret one layer of quantification.
+"""Complete DFAs: boolean operations, canonical minimization, transition
+monoids and a JSON form.
 
-A "marked" letter pairs a base letter with the set of position variables that
-point at it; a word over the marked alphabet is a valid structure when every
-variable marks exactly one position.  Projection forgets the marks, the
-erasing map keeps only marked positions, and the universal/existential images
-along projection are computed with standard automata constructions
-(complement, relabel-then-determinize, product).
+Letters are plain strings or ``Marked`` letters, a base letter with the set
+of position variables that point at it (``base=None`` is the erased letter).
+The closure kernel uses the erased letter for an unpinned position; the
+marked-alphabet constructions of the paper live in ``diffchain.oracle`` as
+its reference route.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Hashable, Iterable, Mapping, Sequence
+from typing import Hashable, Iterable, Sequence
 
 from .errors import AlphabetMismatchError, CapacityError
 
@@ -31,8 +30,8 @@ class Marked:
     """A product-alphabet letter: a base letter plus the variables marking it.
 
     ``base is None`` encodes the erased letter (a position whose base letter
-    has been forgotten); it only appears in alphabets built with
-    ``with_erased=True``.
+    has been forgotten): the erasing map of ``diffchain.oracle`` produces it,
+    and the closure's pattern automaton reads it for an unpinned position.
     """
 
     base: str | None
@@ -55,54 +54,10 @@ def letter_key(letter: Letter):
     return (0, str(letter))
 
 
-def check_variables(variables: Sequence[str]) -> tuple[str, ...]:
-    variables = tuple(variables)
-    if not variables:
-        raise ValueError("need at least one variable")
-    if len(set(variables)) != len(variables):
-        raise ValueError("variable names must be distinct")
-    if not all(isinstance(v, str) and v for v in variables):
-        raise ValueError("variable names must be nonempty strings")
-    return variables
-
-
-def variables(count: int) -> tuple[str, ...]:
-    """Default variable names x1..xk."""
-    if count < 1:
-        raise ValueError("need at least one variable")
-    return tuple(f"x{i + 1}" for i in range(count))
-
-
-def mark_subsets(variables_: Sequence[str]) -> list[frozenset[str]]:
-    variables_ = tuple(variables_)
-    out = []
-    for bits in range(1 << len(variables_)):
-        out.append(frozenset(v for i, v in enumerate(variables_) if bits >> i & 1))
-    return sorted(out, key=lambda s: (len(s), sorted(s)))
-
-
-def marked_alphabet(
-    base_letters: Sequence[str], variables_: Sequence[str], with_erased: bool = False
-) -> tuple[Marked, ...]:
-    """All letters (base, mark set); optionally also the erased letters."""
-    base_letters = check_base_letters(base_letters)
-    variables_ = check_variables(variables_)
-    bases: list[str | None] = list(base_letters)
-    if with_erased:
-        bases.append(None)
-    letters = [Marked(b, s) for b in bases for s in mark_subsets(variables_)]
-    return tuple(sorted(letters, key=letter_key))
-
-
-def check_base_letters(base_letters: Sequence[str]) -> tuple[str, ...]:
-    base_letters = tuple(base_letters)
-    if not base_letters:
-        raise ValueError("alphabet must be nonempty")
-    if len(set(base_letters)) != len(base_letters):
-        raise ValueError("alphabet letters must be distinct")
-    if any(b == "eps" for b in base_letters):
-        raise ValueError("'eps' is reserved for the erased letter")
-    return base_letters
+def _plain_alphabet(d: Dfa) -> tuple[str, ...]:
+    if not all(isinstance(a, str) for a in d.alphabet):
+        raise AlphabetMismatchError("expected an automaton over plain letters")
+    return tuple(sorted(d.alphabet))
 
 
 # ----- the automaton -----------------------------------------------------
@@ -126,7 +81,7 @@ class Dfa:
     ):
         alphabet = tuple(alphabet)
         delta = tuple(tuple(row) for row in delta)
-        accepting = frozenset(accepting)
+        accepting = tuple(accepting)
         if not alphabet:
             raise ValueError("alphabet must be nonempty")
         if len(set(alphabet)) != len(alphabet):
@@ -137,12 +92,14 @@ class Dfa:
         for q, row in enumerate(delta):
             if len(row) != len(alphabet):
                 raise ValueError(f"state {q} has {len(row)} transitions, want {len(alphabet)}")
-            if not all(isinstance(t, int) and 0 <= t < n for t in row):
+            # exact type test: bool is an int subclass but not a state
+            if not all(type(t) is int and 0 <= t < n for t in row):
                 raise ValueError(f"state {q} has a transition outside 0..{n - 1}")
-        if not (0 <= start < n):
+        if not (type(start) is int and 0 <= start < n):
             raise ValueError("start state out of range")
-        if not accepting <= frozenset(range(n)):
+        if not all(type(q) is int and 0 <= q < n for q in accepting):
             raise ValueError("accepting states out of range")
+        accepting = frozenset(accepting)
         object.__setattr__(self, "alphabet", alphabet)
         object.__setattr__(self, "delta", delta)
         object.__setattr__(self, "start", start)
@@ -315,18 +272,18 @@ def minimize(d: Dfa) -> Dfa:
                 seen.add(t)
                 stack.append(t)
     states = sorted(seen)
-    cls = {q: (1 if q in d.accepting else 0) for q in states}
-    count = len(set(cls.values()))
+    rows = [[d.delta[q][c] for c in cols] for q in states]
+    cls = [1 if q in d.accepting else 0 for q in range(d.n_states)]
+    count = len({cls[q] for q in states})
     while True:
-        sigs = {
-            q: (cls[q], tuple(cls[d.delta[q][c]] for c in cols)) for q in states
-        }
+        get = cls.__getitem__
         remap: dict[tuple, int] = {}
-        new = {q: remap.setdefault(sigs[q], len(remap)) for q in states}
-        if len(remap) == count:
-            cls = new
-            break
+        new = cls[:]
+        for q, row in zip(states, rows):
+            new[q] = remap.setdefault((cls[q], *map(get, row)), len(remap))
         cls = new
+        if len(remap) == count:
+            break
         count = len(remap)
     # breadth-first renumbering of the quotient
     rep: dict[int, int] = {}
@@ -355,224 +312,6 @@ def equivalent(d1: Dfa, d2: Dfa) -> bool:
     if set(d1.alphabet) != set(d2.alphabet):
         raise AlphabetMismatchError("cannot compare automata over different alphabets")
     return minimize(d1) == minimize(d2)
-
-
-# ----- homomorphisms -----------------------------------------------------
-
-
-class Hom:
-    """A monoid homomorphism between free monoids, given on letters.
-
-    Each source letter maps to a word (possibly empty) over the target
-    alphabet.
-    """
-
-    __slots__ = ("source", "target", "_map")
-
-    def __init__(
-        self,
-        source: Sequence[Letter],
-        target: Sequence[Letter],
-        letter_map: Mapping[Letter, Sequence[Letter]],
-    ):
-        source = tuple(source)
-        target = tuple(target)
-        if len(set(source)) != len(source) or len(set(target)) != len(target):
-            raise ValueError("alphabet letters must be distinct")
-        if set(letter_map) != set(source):
-            raise AlphabetMismatchError("letter map must cover exactly the source alphabet")
-        mapped = {a: tuple(letter_map[a]) for a in source}
-        tset = set(target)
-        for a, w in mapped.items():
-            if not set(w) <= tset:
-                raise AlphabetMismatchError(f"image of {a!r} uses letters outside the target")
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "_map", mapped)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Hom is immutable")
-
-    def image(self, letter: Letter) -> tuple[Letter, ...]:
-        if letter not in self._map:
-            raise AlphabetMismatchError(f"letter {letter!r} not in source alphabet")
-        return self._map[letter]
-
-    def word_image(self, word: Iterable[Letter]) -> tuple[Letter, ...]:
-        out: list[Letter] = []
-        for a in word:
-            out.extend(self.image(a))
-        return tuple(out)
-
-
-class LpHom(Hom):
-    """A length-preserving homomorphism: every letter maps to one letter."""
-
-    def __init__(
-        self,
-        source: Sequence[Letter],
-        target: Sequence[Letter],
-        letter_map: Mapping[Letter, Letter],
-    ):
-        super().__init__(source, target, {a: (b,) for a, b in letter_map.items()})
-
-    def letter_image(self, letter: Letter) -> Letter:
-        return self.image(letter)[0]
-
-
-def inverse_hom_image(d: Dfa, h: Hom) -> Dfa:
-    """The automaton for the preimage of d's language under h.
-
-    Keeps d's state set: each source letter acts as its image word.
-    """
-    if set(h.target) != set(d.alphabet):
-        raise AlphabetMismatchError("hom target and automaton alphabet differ")
-    delta = [
-        [d.run(q, h.image(a)) for a in h.source] for q in range(d.n_states)
-    ]
-    return Dfa(h.source, delta, d.start, d.accepting)
-
-
-def forward_lp_image(d: Dfa, h: LpHom, state_cap: int = DEFAULT_STATE_CAP) -> Dfa:
-    """Image of d's language under a length-preserving homomorphism.
-
-    Relabels d into a nondeterministic machine over the target alphabet and
-    determinizes by the subset construction; raises CapacityError past
-    ``state_cap`` subset states.
-    """
-    if set(h.source) != set(d.alphabet):
-        raise AlphabetMismatchError("hom source and automaton alphabet differ")
-    letters = tuple(sorted(h.target, key=letter_key))
-    sources: dict[Letter, list[int]] = {b: [] for b in letters}
-    for a in h.source:
-        sources[h.letter_image(a)].append(d.letter_index(a))
-    start = frozenset([d.start])
-    number: dict[frozenset[int], int] = {start: 0}
-    order = [start]
-    delta: list[list[int]] = []
-    i = 0
-    while i < len(order):
-        subset = order[i]
-        row = []
-        for b in letters:
-            t = frozenset(d.delta[q][c] for q in subset for c in sources[b])
-            if t not in number:
-                if len(order) >= state_cap:
-                    raise CapacityError(f"subset construction passed {state_cap} states")
-                number[t] = len(order)
-                order.append(t)
-            row.append(number[t])
-        delta.append(row)
-        i += 1
-    accepting = [number[s] for s in order if s & d.accepting]
-    return Dfa(letters, delta, 0, accepting)
-
-
-# ----- structures and quantification -------------------------------------
-
-
-def structures_dfa(base_letters: Sequence[str], variables_: Sequence[str]) -> Dfa:
-    """Words over the marked alphabet where each variable marks exactly one
-    position: the states track the set of variables seen, plus a sink for
-    duplicates."""
-    base_letters = check_base_letters(base_letters)
-    variables_ = check_variables(variables_)
-    alphabet = marked_alphabet(base_letters, variables_)
-    subsets = mark_subsets(variables_)
-    index = {s: i for i, s in enumerate(subsets)}
-    sink = len(subsets)
-    delta = []
-    for seen in subsets:
-        row = []
-        for letter in alphabet:
-            if letter.marks & seen:
-                row.append(sink)
-            else:
-                row.append(index[seen | letter.marks])
-        delta.append(row)
-    delta.append([sink] * len(alphabet))
-    full = frozenset(variables_)
-    return Dfa(alphabet, delta, index[frozenset()], [index[full]])
-
-
-def projection_hom(base_letters: Sequence[str], variables_: Sequence[str]) -> LpHom:
-    """Forget the marks: (a, S) goes to a."""
-    source = marked_alphabet(base_letters, variables_)
-    target = tuple(sorted(check_base_letters(base_letters)))
-    return LpHom(source, target, {letter: letter.base for letter in source})
-
-
-def erasing_hom(base_letters: Sequence[str], variables_: Sequence[str]) -> LpHom:
-    """Keep marked positions, erase the base letter elsewhere.
-
-    Maps (a, S) to itself when S is nonempty and to the erased letter when S
-    is empty; the target alphabet includes the erased letters.
-    """
-    source = marked_alphabet(base_letters, variables_)
-    target = marked_alphabet(base_letters, variables_, with_erased=True)
-    blank = Marked(None, frozenset())
-    letter_map = {
-        letter: (letter if letter.marks else blank) for letter in source
-    }
-    return LpHom(source, target, letter_map)
-
-
-def tensor(d: Dfa, variables_: Sequence[str]) -> Dfa:
-    """All valid structures whose base word is accepted by d."""
-    base_letters = _plain_alphabet(d)
-    proj = projection_hom(base_letters, variables_)
-    lifted = inverse_hom_image(minimize(d), proj)
-    return minimize(intersect(lifted, structures_dfa(base_letters, variables_)))
-
-
-def exists_adjoint(
-    d: Dfa,
-    variables_: Sequence[str],
-    base_letters: Sequence[str],
-    state_cap: int = DEFAULT_STATE_CAP,
-) -> Dfa:
-    """Base words some structure of which lies in d's language."""
-    _check_marked_operand(d, base_letters, variables_)
-    s = structures_dfa(base_letters, variables_)
-    proj = projection_hom(base_letters, variables_)
-    return minimize(forward_lp_image(minimize(intersect(d, s)), proj, state_cap))
-
-
-def forall_adjoint(
-    d: Dfa,
-    variables_: Sequence[str],
-    base_letters: Sequence[str],
-    state_cap: int = DEFAULT_STATE_CAP,
-) -> Dfa:
-    """Nonempty base words all structures of which lie in d's language.
-
-    Computed as the complement of the projection of the failing structures,
-    then restricted to nonempty words.
-    """
-    _check_marked_operand(d, base_letters, variables_)
-    s = structures_dfa(base_letters, variables_)
-    proj = projection_hom(base_letters, variables_)
-    failing = minimize(intersect(complement(d), s))
-    covered = forward_lp_image(failing, proj, state_cap)
-    nonempty = dfa_nonempty_words(proj.target)
-    return minimize(intersect(complement(covered), nonempty))
-
-
-def _plain_alphabet(d: Dfa) -> tuple[str, ...]:
-    if not all(isinstance(a, str) for a in d.alphabet):
-        raise AlphabetMismatchError("expected an automaton over plain letters")
-    return tuple(sorted(d.alphabet))
-
-
-def _check_marked_operand(
-    d: Dfa, base_letters: Sequence[str], variables_: Sequence[str]
-) -> None:
-    want = set(marked_alphabet(base_letters, variables_))
-    if set(d.alphabet) != want:
-        raise AlphabetMismatchError(
-            "operand alphabet is not the marked alphabet of the given letters "
-            "and variables"
-        )
 
 
 # ----- transition monoid -------------------------------------------------
@@ -748,11 +487,13 @@ def dfa_from_json_obj(obj) -> Dfa:
         raise ValueError(f"automaton JSON misses keys {sorted(missing)}")
     alphabet = [_letter_from_json(a) for a in obj["alphabet"]]
     states = obj["states"]
-    if not isinstance(states, int) or states < 1:
+    if not isinstance(states, int) or isinstance(states, bool) or states < 1:
         raise ValueError("'states' must be a positive integer")
     delta = obj["delta"]
     if not isinstance(delta, list) or len(delta) != states:
         raise ValueError("'delta' must list one row per state")
+    if not all(isinstance(row, list) for row in delta):
+        raise ValueError("each row of 'delta' must be a list of state indices")
     accepting = obj["accepting"]
     if not isinstance(accepting, list) or not all(isinstance(x, int) for x in accepting):
         raise ValueError("'accepting' must be a list of state indices")

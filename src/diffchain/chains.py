@@ -75,9 +75,11 @@ def evaluate(chain: DiffChain) -> ElemSet:
     union: set[int] = set()
     for i in range(0, len(comps), 2):
         part = comps[i] - comps[i + 1]
-        assert not union & part, "difference pairs must be disjoint"
+        if union & part:
+            raise AssertionError("difference pairs must be disjoint")
         union |= part
-    assert nested == frozenset(union), "nested and disjoint readings must agree"
+    if nested != union:
+        raise AssertionError("nested and disjoint readings must agree")
     return nested
 
 
@@ -267,5 +269,6 @@ def closure_in_sublattice(
     least = carrier
     for s in above:
         least &= s
-    assert least in members and subset <= least
+    if least not in members or not subset <= least:
+        raise AssertionError("the meet above the subset must be a member containing it")
     return least

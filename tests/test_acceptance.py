@@ -12,7 +12,6 @@ import time
 
 from diffchain import (
     DiffChain,
-    LpHom,
     canonical_chain,
     chain_trace,
     coheyting_minus,
@@ -22,29 +21,30 @@ from diffchain import (
     difference,
     equivalent,
     evaluate,
-    forward_lp_image,
     intersect,
     is_isomorphic,
     is_pi1_k,
     join_irreducibles,
-    marked_alphabet,
     minimize,
     pi1_closure,
     subset_of,
-    tensor,
     union,
     upsets_of,
     verify_minimality,
-    forall_adjoint,
 )
 from diffchain.oracle import (
+    LpHom,
     all_posets_upto,
     brute_all_chains,
     brute_degree,
     brute_pi1_closure_member,
+    forall_adjoint,
+    forward_lp_image,
     lang_eq_upto,
+    marked_alphabet,
     monoid_forward_image,
     random_dfa,
+    tensor,
     words_upto,
 )
 

@@ -1,5 +1,6 @@
 """DFAs over plain and marked alphabets: boolean algebra, minimization,
-homomorphic images, structures, quantifier adjoints, transition monoids."""
+transition monoids, and the marked-alphabet toolkit of the reference route in
+``diffchain.oracle`` (homomorphic images, structures, quantifier adjoints)."""
 
 from __future__ import annotations
 
@@ -13,8 +14,6 @@ from diffchain import (
     CapacityError,
     Dfa,
     FinMonoid,
-    Hom,
-    LpHom,
     Marked,
     complement,
     dfa_all_words,
@@ -25,31 +24,33 @@ from diffchain import (
     dfa_to_json,
     difference,
     equivalent,
+    intersect,
+    is_empty_lang,
+    minimize,
+    shortest_word,
+    subset_of,
+    transition_monoid,
+    union,
+)
+from diffchain.automata import letter_key
+from diffchain.oracle import (
+    Hom,
+    LpHom,
+    check_base_letters,
+    check_variables,
     erasing_hom,
     exists_adjoint,
     forall_adjoint,
     forward_lp_image,
-    intersect,
     inverse_hom_image,
-    is_empty_lang,
-    marked_alphabet,
-    minimize,
-    projection_hom,
-    shortest_word,
-    structures_dfa,
-    subset_of,
-    tensor,
-    transition_monoid,
-    union,
-    variables,
-)
-from diffchain.automata import (
-    check_base_letters,
-    check_variables,
-    letter_key,
     mark_subsets,
+    marked_alphabet,
+    projection_hom,
+    structures_dfa,
+    tensor,
+    variables,
+    words_upto,
 )
-from diffchain.oracle import words_upto
 
 from helpers import (
     AB,
@@ -151,6 +152,10 @@ def test_dfa_validation():
         Dfa(AB, [[0, 0]], 1, [])
     with pytest.raises(ValueError):
         Dfa(AB, [[0, 0]], 0, [3])
+    with pytest.raises(ValueError):
+        Dfa(AB, [[False, 0]], 0, [])  # bool is not a state index
+    with pytest.raises(ValueError):
+        Dfa(AB, [[0, 0]], 0, [True])
 
 
 def test_dfa_is_immutable_and_hashable():
@@ -544,6 +549,10 @@ def test_dfa_json_rejects_malformed_documents():
     with pytest.raises(ValueError):
         dfa_from_json(
             '{"alphabet": ["a"], "states": 1, "start": "0", "accepting": [], "delta": [[0]]}'
+        )
+    with pytest.raises(ValueError):
+        dfa_from_json(
+            '{"alphabet": ["a"], "states": true, "start": 0, "accepting": [], "delta": [[0]]}'
         )
     with pytest.raises(ValueError):
         dfa_from_json(

@@ -129,6 +129,31 @@ def test_lang_eq(tmp_path, capsys):
     assert main(["lang", "eq", "--dfa", str(one)]) == 2
 
 
+def _malformed(**fields):
+    doc = {"alphabet": ["a"], "states": 2, "start": 0, "accepting": [1], "delta": [[1], [0]]}
+    doc.update(fields)
+    return doc
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        _malformed(delta=[5, [0]]),
+        _malformed(delta=[[True], [0]]),
+        _malformed(start=False),
+        _malformed(accepting=[True]),
+    ],
+    ids=["row-not-a-list", "bool-transition", "bool-start", "bool-accepting"],
+)
+def test_lang_closure_rejects_malformed_automata(tmp_path, capsys, doc):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["lang", "closure", "--dfa", str(path), "--k", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
+
 # ----- verify suites -----------------------------------------------------
 
 

@@ -9,6 +9,7 @@ import pytest
 
 from diffchain import (
     CapacityError,
+    Dfa,
     chain_trace,
     closure_chain_terms,
     decompose_bpi1,
@@ -27,7 +28,12 @@ from diffchain import (
 )
 from diffchain.automata import dfa_from_json_obj
 from diffchain.closure import trace_to_json
-from diffchain.oracle import brute_pi1_closure_member, random_dfa, words_upto
+from diffchain.oracle import (
+    brute_pi1_closure_member,
+    marked_pi1_closure,
+    random_dfa,
+    words_upto,
+)
 
 from helpers import (
     AB,
@@ -108,8 +114,25 @@ def test_closure_guards():
     with pytest.raises(CapacityError):
         pi1_closure(a_plus(), 4)  # above the default variable cap
     assert pi1_closure(a_plus(), 4, k_cap=4) is not None
-    with pytest.raises(CapacityError):
+    with pytest.raises(CapacityError, match=r"pattern automaton .*k=2"):
         pi1_closure(contains("a"), 2, state_cap=3)
+    # 18 raw pattern states fit under the cap; the projection needs 24
+    lopsided = Dfa(AB, [[2, 0], [0, 0], [1, 1]], 0, [1])
+    with pytest.raises(CapacityError, match=r"universal projection .*k=2"):
+        pi1_closure(lopsided, 2, state_cap=18)
+    assert pi1_closure(lopsided, 2, state_cap=24) is not None
+
+
+def test_closure_agrees_with_the_marked_route():
+    rng = random.Random(2718)
+    for case in range(300):
+        alphabet = AB if case % 2 else ("a", "b", "c")
+        k = 1 + case % 3
+        d = random_dfa(rng, 5, alphabet)
+        cl = pi1_closure(d, k)
+        assert cl == minimize(marked_pi1_closure(d, k)), (case, k)
+        for w in words_upto(alphabet, 4 if len(alphabet) == 2 else 3):
+            assert cl.accepts(w) == brute_pi1_closure_member(d, k, w), (case, k, w)
 
 
 # ----- chains of closures ------------------------------------------------
@@ -125,6 +148,16 @@ def test_chain_trace_for_contains_b():
     assert equivalent(second, difference(a_plus(), literal("a")))
     assert equivalent(trace.difference_union(), trace.target)
     assert equivalent(trace.nested_difference(), trace.target)
+
+
+def test_chain_trace_of_a_two_state_language_exhausts_at_two_variables():
+    # four pairs do not reach the target; each term is three states larger
+    d = Dfa(AB, [[1, 1], [0, 1]], 0, [0])
+    trace = chain_trace(d, 2, 4)
+    assert trace.status == "exhausted" and trace.pair_count is None
+    assert [c.n_states for c in trace.chain] == [7, 10, 13, 16, 19, 22, 25, 28]
+    for bigger, smaller in zip(trace.chain, trace.chain[1:]):
+        assert subset_of(smaller, bigger)
 
 
 def test_chain_trace_of_a_closed_language_is_one_pair():

@@ -9,20 +9,20 @@ import pytest
 from diffchain import (
     AlphabetMismatchError,
     FinPoset,
-    LpHom,
     canonical_chain,
     degrees,
     equivalent,
-    forward_lp_image,
     transition_monoid,
     upsets_of,
 )
 from diffchain.oracle import (
+    LpHom,
     all_posets,
     all_posets_upto,
     brute_all_chains,
     brute_degree,
     brute_pi1_closure_member,
+    forward_lp_image,
     iter_upset_chains,
     lang_eq_upto,
     monoid_forward_image,
