@@ -10,6 +10,7 @@ its complement, ending at the element.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable
 
 from .errors import (
@@ -18,47 +19,69 @@ from .errors import (
     NotUpsetError,
     TargetMismatchError,
 )
-from .lattice import ceiling
-from .poset import ElemSet, FinPoset
-
-EMPTY: ElemSet = frozenset()
+from .poset import EMPTY, ElemSet, FinPoset, bits, mask_of
 
 
-@dataclass(frozen=True)
 class DiffChain:
     """A decreasing chain of upsets, read as a nested set difference.
 
-    Odd positions (1st, 3rd, ...) contribute positively.  Construction
-    validates that every component is an upset and that the chain decreases
-    under inclusion.
+    Odd positions (1st, 3rd, ...) contribute positively.  The components are
+    stored as bitmasks in ``masks``; ``sets`` gives them as frozensets, built
+    on first access.  Construction validates that every component is an
+    upset and that the chain decreases under inclusion.
     """
 
-    poset: FinPoset
-    sets: tuple[ElemSet, ...]
+    def __init__(self, poset: FinPoset, sets: Iterable[Iterable[int]]):
+        self._set(poset, tuple(mask_of(s, poset.n) for s in sets))
 
-    def __post_init__(self):
-        object.__setattr__(self, "sets", tuple(frozenset(s) for s in self.sets))
-        prev: ElemSet | None = None
-        for i, s in enumerate(self.sets):
-            if not self.poset.is_upset(s):
+    @classmethod
+    def _of_masks(cls, poset: FinPoset, masks: tuple[int, ...]) -> "DiffChain":
+        chain = object.__new__(cls)
+        chain._set(poset, masks)
+        return chain
+
+    def _set(self, poset: FinPoset, masks: tuple[int, ...]) -> None:
+        carrier = prev = (1 << poset.n) - 1
+        for i, m in enumerate(masks):
+            # each component is checked as an upset inside its predecessor,
+            # which touches every element once over the whole chain
+            outer = prev if not m & ~prev else carrier
+            if not poset._upset_within(m, outer):
                 raise NotUpsetError(f"component {i + 1} is not an upset")
-            if prev is not None and not s <= prev:
+            if outer != prev:
                 raise NotDecreasingError(f"component {i + 1} is not below component {i}")
-            prev = s
+            prev = m
+        vars(self).update(poset=poset, masks=masks)
+
+    @cached_property
+    def sets(self) -> tuple[ElemSet, ...]:
+        return tuple(frozenset(bits(m)) for m in self.masks)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("DiffChain is immutable")
+
+    def __eq__(self, other):
+        if not isinstance(other, DiffChain):
+            return NotImplemented
+        return (self.poset, self.masks) == (other.poset, other.masks)
+
+    def __hash__(self):
+        return hash((self.poset, self.masks))
+
+    def __repr__(self):
+        return f"DiffChain(poset={self.poset!r}, sets={[bits(m) for m in self.masks]})"
 
     def __len__(self) -> int:
-        return len(self.sets)
+        return len(self.masks)
 
     @property
     def pairs(self) -> int:
         """Number of positive/negative pairs when padded to even length."""
-        return (len(self.sets) + 1) // 2
+        return (len(self.masks) + 1) // 2
 
     def padded(self) -> tuple[ElemSet, ...]:
         """The components, padded with the empty set to even length."""
-        if len(self.sets) % 2:
-            return self.sets + (EMPTY,)
-        return self.sets
+        return self.sets + (EMPTY,) * (len(self.masks) % 2)
 
 
 def evaluate(chain: DiffChain) -> ElemSet:
@@ -68,19 +91,23 @@ def evaluate(chain: DiffChain) -> ElemSet:
     pairwise differences G1-G2, G3-G4, ...; both readings are computed and
     compared.
     """
-    nested: ElemSet = EMPTY
-    for s in reversed(chain.sets):
-        nested = s - nested
-    comps = chain.padded()
-    union: set[int] = set()
+    nested = 0
+    for m in reversed(chain.masks):
+        nested = m & ~nested
+    comps = _padded(chain.masks)
+    union = 0
     for i in range(0, len(comps), 2):
-        part = comps[i] - comps[i + 1]
+        part = comps[i] & ~comps[i + 1]
         if union & part:
             raise AssertionError("difference pairs must be disjoint")
         union |= part
     if nested != union:
         raise AssertionError("nested and disjoint readings must agree")
-    return nested
+    return frozenset(bits(nested))
+
+
+def _padded(masks: tuple[int, ...]) -> tuple[int, ...]:
+    return masks + (0,) * (len(masks) % 2)
 
 
 # ----- alternation degree ------------------------------------------------
@@ -93,22 +120,26 @@ def degrees(poset: FinPoset, members: Iterable[int]) -> tuple[int, ...]:
     sequence p1 < ... < pr = x lies in ``members`` exactly at odd positions;
     it is 0 when x is not above any member.
     """
-    members = poset._check_subset(members)
+    members = mask_of(members, poset.n)
     deg = [0] * poset.n
-    for x in poset.linear_extension():
-        below = poset.down[x] - {x}
-        if x in members:
-            best = 0
-            for y in below:
-                if y not in members and deg[y] > best:
-                    best = deg[y]
-            deg[x] = best + 1
+    # best_in[x] / best_out[x]: greatest degree of a member / non-member at or
+    # below x, read off the Hasse lower covers.  A witness ending below x on
+    # x's own side can end at x instead, so x's degree is that side's maximum.
+    best_in = [0] * poset.n
+    best_out = [0] * poset.n
+    for x in poset.order:
+        inside = outside = 0
+        for y in poset.lower[x]:
+            if best_in[y] > inside:
+                inside = best_in[y]
+            if best_out[y] > outside:
+                outside = best_out[y]
+        if members >> x & 1:
+            deg[x] = best_in[x] = outside + 1
+            best_out[x] = outside
         else:
-            best = 0
-            for y in below:
-                if y in members and deg[y] > best:
-                    best = deg[y]
-            deg[x] = best + 1 if best else 0
+            deg[x] = best_out[x] = inside + 1 if inside else 0
+            best_in[x] = inside
     return tuple(deg)
 
 
@@ -124,46 +155,18 @@ def degree(poset: FinPoset, members: Iterable[int], x: int) -> int:
 def canonical_chain(poset: FinPoset, target: Iterable[int]) -> DiffChain:
     """The least decreasing chain of upsets whose difference is ``target``.
 
-    The first component closes the target upward; even components close up
-    what lies outside the target, odd components what lies inside it.  The
-    k-th component is exactly the set of elements of alternation degree >= k.
-    The empty target yields the empty chain.
+    The i-th component is the level set of elements of alternation degree
+    >= i, padded with the empty set to even length: the first closes the
+    target upward, even ones close up what lies outside the target, odd ones
+    what lies inside it.  The empty target yields the empty chain.
     """
-    target = poset._check_subset(target)
-    if not target:
-        return DiffChain(poset, ())
-    comps: list[ElemSet] = [poset.upset_closure(target)]
-    while True:
-        if len(comps) % 2:
-            comps.append(poset.upset_closure(comps[-1] - target))
-        else:
-            nxt = poset.upset_closure(comps[-1] & target)
-            if not nxt:
-                break
-            comps.append(nxt)
-    return DiffChain(poset, tuple(comps))
-
-
-def coheyting_chain(poset: FinPoset, target: Iterable[int]) -> DiffChain:
-    """The same chain, phrased through the lattice-side ceiling operator.
-
-    Starts from the ceiling of the target and alternates subtract-then-ceil
-    with meet-then-ceil until the odd step reaches bottom.  Exposed separately
-    from :func:`canonical_chain` so the two routes can be cross-checked.
-    """
-    target = poset._check_subset(target)
-    if not target:
-        return DiffChain(poset, ())
-    comps: list[ElemSet] = [ceiling(poset, target)]
-    while True:
-        if len(comps) % 2:
-            comps.append(ceiling(poset, comps[-1] - target))
-        else:
-            nxt = ceiling(poset, comps[-1] & target)
-            if not nxt:
-                break
-            comps.append(nxt)
-    return DiffChain(poset, tuple(comps))
+    deg = degrees(poset, target)
+    levels = [0] * (max(deg, default=0) + 1)
+    for x, d in enumerate(deg):
+        levels[d] |= 1 << x
+    for d in range(len(levels) - 2, 0, -1):
+        levels[d] |= levels[d + 1]
+    return DiffChain._of_masks(poset, _padded(tuple(levels[1:])))
 
 
 # ----- minimality --------------------------------------------------------
@@ -200,41 +203,27 @@ def verify_minimality(
     components fail to contain their canonical counterpart and which prefix
     unions of differences are not dominated by the canonical ones.
     """
-    target = poset._check_subset(target)
     if competitor.poset != poset:
         raise TargetMismatchError("competitor chain lives on a different poset")
-    if evaluate(competitor) != target:
+    value, target = evaluate(competitor), poset._check_subset(target)
+    if value != target:
         raise TargetMismatchError(
-            f"competitor evaluates to {sorted(evaluate(competitor))}, "
-            f"not {sorted(target)}"
+            f"competitor evaluates to {sorted(value)}, not {sorted(target)}"
         )
     canon = canonical_chain(poset, target)
-    comp = competitor.padded()
-    can = canon.padded()
-    component_failures = []
-    for i in range(len(comp)):
-        k_i = can[i] if i < len(can) else EMPTY
-        if not k_i <= comp[i]:
-            component_failures.append(i + 1)
+    comp = _padded(competitor.masks)
+    can = (_padded(canon.masks) + (0,) * len(comp))[: len(comp)]
+    component_failures = tuple(i + 1 for i, (k, c) in enumerate(zip(can, comp)) if k & ~c)
     prefix_failures = []
-    comp_union: set[int] = set()
-    can_union: set[int] = set()
-    for pair in range(len(comp) // 2):
-        comp_union |= comp[2 * pair] - comp[2 * pair + 1]
-        if pair < len(can) // 2:
-            can_union |= can[2 * pair] - can[2 * pair + 1]
-        if not comp_union <= can_union:
-            prefix_failures.append(pair + 1)
-    pairs_ok = competitor.pairs >= canon.pairs
-    ok = pairs_ok and not component_failures and not prefix_failures
-    return MinimalityReport(
-        ok=ok,
-        canonical=canon,
-        competitor_pairs=competitor.pairs,
-        canonical_pairs=canon.pairs,
-        component_failures=tuple(component_failures),
-        prefix_failures=tuple(prefix_failures),
-    )
+    comp_union = can_union = 0
+    for i in range(0, len(comp), 2):
+        comp_union |= comp[i] & ~comp[i + 1]
+        can_union |= can[i] & ~can[i + 1]
+        if comp_union & ~can_union:
+            prefix_failures.append(i // 2 + 1)
+    ok = competitor.pairs >= canon.pairs and not component_failures and not prefix_failures
+    return MinimalityReport(ok, canon, competitor.pairs, canon.pairs,
+                            component_failures, tuple(prefix_failures))
 
 
 # ----- closure in a sublattice -------------------------------------------
@@ -250,25 +239,24 @@ def closure_in_sublattice(
     NotSublatticeError.  The result is the meet of all members above
     ``subset``.
     """
-    subset = poset._check_subset(subset)
-    members = {frozenset(s) for s in family}
-    carrier = frozenset(range(poset.n))
-    for s in members:
-        if not poset.is_upset(s):
-            raise NotUpsetError(f"family member {sorted(s)} is not an upset")
-    if EMPTY not in members or carrier not in members:
+    subset = mask_of(subset, poset.n)
+    members = {mask_of(s, poset.n) for s in family}
+    carrier = (1 << poset.n) - 1
+    for m in members:
+        if not poset._upset_within(m, carrier):
+            raise NotUpsetError(f"family member {bits(m)} is not an upset")
+    if 0 not in members or carrier not in members:
         raise NotSublatticeError("family must contain the empty set and the carrier")
     for a in members:
         for b in members:
             if a | b not in members or a & b not in members:
                 raise NotSublatticeError(
-                    f"family not closed under union/intersection at "
-                    f"{sorted(a)}, {sorted(b)}"
+                    f"family not closed under union/intersection at {bits(a)}, {bits(b)}"
                 )
-    above = [s for s in members if subset <= s]
     least = carrier
-    for s in above:
-        least &= s
-    if least not in members or not subset <= least:
+    for m in members:
+        if not subset & ~m:
+            least &= m
+    if least not in members or subset & ~least:
         raise AssertionError("the meet above the subset must be a member containing it")
-    return least
+    return frozenset(bits(least))

@@ -14,10 +14,11 @@ import os
 import random
 import sys
 from pathlib import Path
+from typing import Iterable
 
 from . import automata, chains, closure, oracle
 from .errors import DiffChainError
-from .poset import poset_from_json, poset_to_dot
+from .poset import bits, poset_from_json, poset_to_dot
 
 DEFAULT_SEED = 271828
 
@@ -115,13 +116,17 @@ def _state_cap() -> int:
     return cap
 
 
-def _emit(text: str, out: str | None, dot_text: str | None, want_dot: bool) -> None:
+def _emit(lines: Iterable[str], out: str | None, dot_text: str | None, want_dot: bool) -> None:
+    """Write ``lines`` one by one to ``out`` (stdout when None)."""
     if want_dot and out is None:
         raise ValueError("--dot needs --out to know where to write")
     if out is None:
-        print(text)
+        for line in lines:
+            sys.stdout.write(line + "\n")
         return
-    Path(out).write_text(text + "\n", encoding="utf-8")
+    with open(out, "w", encoding="utf-8") as fh:
+        for line in lines:
+            fh.write(line + "\n")
     if want_dot and dot_text is not None:
         Path(out).with_suffix(".dot").write_text(dot_text, encoding="utf-8")
 
@@ -144,22 +149,46 @@ def _cmd_poset_chain(args) -> int:
     members = frozenset(_parse_members(args.members))
     chain = chains.canonical_chain(poset, members)
     degs = chains.degrees(poset, members)
-    obj = {
-        "V": sorted(members),
-        "m": chain.pairs,
-        "K": [sorted(component) for component in chain.sets],
-        "degrees": list(degs),
-    }
+    ok = chains.evaluate(chain) == members
     dot = poset_to_dot(poset, labels) if args.dot else None
-    _emit(json.dumps(obj, indent=2), args.out, dot, args.dot)
-    return 0 if chains.evaluate(chain) == members else 1
+    _emit(_chain_lines(members, chain, degs), args.out, dot, args.dot)
+    return 0 if ok else 1
+
+
+def _chain_lines(members, chain, degs):
+    """The chain report as JSON, one top-level key per line and one chain
+    component per line, so no part needs the pure-Python indenting encoder."""
+    yield "{"
+    yield f'  "V": {json.dumps(sorted(members))},'
+    yield f'  "m": {chain.pairs},'
+    yield '  "K": ['
+    comps = _sorted_components(chain)
+    for i, comp in enumerate(comps):
+        yield f"    {json.dumps(comp)}{',' if i + 1 < len(comps) else ''}"
+    yield "  ],"
+    yield f'  "degrees": {json.dumps(list(degs))}'
+    yield "}"
+
+
+def _sorted_components(chain) -> list[list[int]]:
+    """Sorted members of each component, built innermost first: each adds
+    its difference to the next one, so every element is enumerated once."""
+    comps: list[list[int]] = []
+    inner: list[int] = []
+    prev = 0
+    for m in reversed(chain.masks):
+        inner = sorted(inner + bits(m & ~prev))
+        comps.append(inner)
+        prev = m
+    comps.reverse()
+    return comps
 
 
 def _cmd_lang_closure(args) -> int:
     dfa = automata.dfa_from_json(Path(args.dfa).read_text(encoding="utf-8"))
     closed = closure.pi1_closure(dfa, args.k, state_cap=_state_cap())
     dot = automata.dfa_to_dot(closed) if args.dot else None
-    _emit(automata.dfa_to_json(closed), args.out, dot, args.dot)
+    _emit([automata.dfa_to_json(closed)], args.out, dot, args.dot)
     return 0
 
 
@@ -168,7 +197,7 @@ def _cmd_lang_decompose(args) -> int:
     trace = closure.decompose_bpi1(
         dfa, max_k=args.max_k, max_m=args.max_m, state_cap=_state_cap()
     )
-    _emit(closure.trace_to_json(trace), args.out, None, False)
+    _emit([closure.trace_to_json(trace)], args.out, None, False)
     return 0 if trace.succeeded else 1
 
 

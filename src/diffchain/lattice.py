@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 from .errors import CapacityError, NotUpsetError
-from .poset import ElemSet, FinPoset
+from .poset import ElemSet, FinPoset, bits, mask_of
 
 DEFAULT_UPSET_CAP = 1 << 20
 
@@ -43,28 +43,19 @@ class UpsetLattice:
 def upsets_of(poset: FinPoset, cap: int = DEFAULT_UPSET_CAP) -> UpsetLattice:
     """Materialize every upset of ``poset``.
 
-    Raises CapacityError as soon as more than ``cap`` upsets would be
-    produced.
+    Adds the elements maximal-first: the upsets inside the elements added so
+    far are kept, and each gains ``x`` when it already holds everything
+    strictly above ``x``.  Raises CapacityError as soon as more than ``cap``
+    upsets would be produced.
     """
-    order = poset.linear_extension()[::-1]  # maximal elements first
-    found: list[set[int]] = []
-    current: set[int] = set()
-
-    def grow(idx: int) -> None:
-        if idx == len(order):
-            if len(found) >= cap:
-                raise CapacityError(f"more than {cap} upsets")
-            found.append(set(current))
-            return
-        x = order[idx]
-        grow(idx + 1)
-        if poset.up[x] - {x} <= current:
-            current.add(x)
-            grow(idx + 1)
-            current.remove(x)
-
-    grow(0)
-    members = sorted((frozenset(s) for s in found), key=lambda u: (len(u), sorted(u)))
+    found = [0]
+    for x in reversed(poset.order):
+        above = poset.upm[x] ^ 1 << x
+        grown = [u | 1 << x for u in found if not above & ~u]
+        if len(found) + len(grown) > cap:
+            raise CapacityError(f"more than {cap} upsets")
+        found += grown
+    members = sorted((frozenset(bits(u)) for u in found), key=lambda u: (len(u), sorted(u)))
     return UpsetLattice(poset, tuple(members))
 
 
@@ -75,39 +66,21 @@ def join_irreducibles(lattice: UpsetLattice) -> FinPoset:
     strictly below it (this excludes the empty set).  For an upset lattice
     the result is isomorphic to the underlying poset.
     """
-    masks = [_mask(u) for u in lattice.upsets]
-    irreducible: list[int] = []
-    for i, m in enumerate(masks):
+    masks = [mask_of(u, lattice.poset.n) for u in lattice.upsets]
+    members = []
+    for u, m in zip(lattice.upsets, masks):
         below = 0
         for other in masks:
-            if other != m and other & ~m == 0:
+            if other != m and not other & ~m:
                 below |= other
         if below != m:
-            irreducible.append(i)
-    members = sorted(
-        (lattice.upsets[i] for i in irreducible), key=lambda u: (len(u), sorted(u))
-    )
+            members.append(u)
+    members.sort(key=lambda u: (len(u), sorted(u)))
     # reverse inclusion: smaller upsets sit higher
-    up = [
-        frozenset(j for j, v in enumerate(members) if v <= u)
-        for u in members
-    ]
-    return FinPoset(up)
-
-
-def _mask(subset: ElemSet) -> int:
-    m = 0
-    for i in subset:
-        m |= 1 << i
-    return m
+    return FinPoset([frozenset(j for j, v in enumerate(members) if v <= u) for u in members])
 
 
 # ----- co-Heyting structure ----------------------------------------------
-
-
-def ceiling(poset: FinPoset, subset: Iterable[int]) -> ElemSet:
-    """Least upset containing ``subset``; distributes over unions."""
-    return poset.upset_closure(subset)
 
 
 def coheyting_minus(poset: FinPoset, a: Iterable[int], b: Iterable[int]) -> ElemSet:
@@ -135,9 +108,7 @@ def is_isomorphic(p: FinPoset, q: FinPoset) -> bool:
     if sorted(sig_p) != sorted(sig_q):
         return False
     # candidate images per element, most constrained first
-    cands = [
-        [j for j in range(q.n) if sig_q[j] == sig_p[i]] for i in range(p.n)
-    ]
+    cands = [[j for j in range(q.n) if sig_q[j] == sig_p[i]] for i in range(p.n)]
     order = sorted(range(p.n), key=lambda i: len(cands[i]))
     image: dict[int, int] = {}
     used: set[int] = set()
@@ -149,12 +120,9 @@ def is_isomorphic(p: FinPoset, q: FinPoset) -> bool:
         for j in cands[i]:
             if j in used:
                 continue
-            ok = all(
-                (i2 in p.up[i]) == (j2 in q.up[j])
-                and (i in p.up[i2]) == (j in q.up[j2])
-                for i2, j2 in image.items()
-            )
-            if ok:
+            if all((p.upm[i] >> i2 & 1) == (q.upm[j] >> j2 & 1)
+                   and (p.upm[i2] >> i & 1) == (q.upm[j2] >> j & 1)
+                   for i2, j2 in image.items()):
                 image[i] = j
                 used.add(j)
                 if place(k + 1):
@@ -173,28 +141,22 @@ def _joint_signatures(p: FinPoset, q: FinPoset) -> tuple[list[int], list[int]]:
     number of colors stops growing.
     """
     colors: dict = {}
-    sig_p = [
-        colors.setdefault((len(p.up[i]), len(p.down[i])), len(colors))
-        for i in range(p.n)
-    ]
-    sig_q = [
-        colors.setdefault((len(q.up[i]), len(q.down[i])), len(colors))
-        for i in range(q.n)
-    ]
+    sig_p, sig_q = (
+        [colors.setdefault((r.upm[i].bit_count(), r.downm[i].bit_count()), len(colors))
+         for i in range(r.n)]
+        for r in (p, q)
+    )
     count = len(colors)
     for _ in range(p.n):
         step: dict = {}
 
         def refine(r: FinPoset, sig: list[int]) -> list[int]:
             return [
-                step.setdefault(
-                    (
-                        sig[i],
-                        tuple(sorted(sig[j] for j in r.up[i] - {i})),
-                        tuple(sorted(sig[j] for j in r.down[i] - {i})),
-                    ),
-                    len(step),
-                )
+                step.setdefault((
+                    sig[i],
+                    tuple(sorted(sig[j] for j in bits(r.upm[i] ^ 1 << i))),
+                    tuple(sorted(sig[j] for j in bits(r.downm[i] ^ 1 << i))),
+                ), len(step))
                 for i in range(r.n)
             ]
 

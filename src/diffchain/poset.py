@@ -1,13 +1,15 @@
 """Finite posets on dense integer carriers, with upset-oriented set operations.
 
-Elements are the integers ``0..n-1``.  Subsets of the carrier are plain
-``frozenset[int]`` values; the poset validates membership on every operation
-that takes one.
+Elements are the integers ``0..n-1``.  Inside the package a subset is an int
+bitmask (bit i set when i is a member); at the API boundary subsets are
+plain ``frozenset[int]`` values, and the poset validates membership on every
+operation that takes one.
 """
 
 from __future__ import annotations
 
 import json
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import CycleError, RangeError
@@ -17,50 +19,45 @@ ElemSet = frozenset[int]
 EMPTY: ElemSet = frozenset()
 
 
-class FinPoset:
-    """A finite partial order, stored as per-element up- and down-sets.
+def bits(mask: int) -> list[int]:
+    """Indices of the set bits of ``mask``, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
-    ``up[i]`` is the principal upset of ``i`` (including ``i`` itself) and
-    ``down[i]`` the principal downset.  Instances are immutable and hashable;
-    two posets are equal when they have the same carrier size and the same
-    order relation.
+
+def mask_of(subset: Iterable[int], n: int) -> int:
+    """The bitmask of ``subset``, after checking it lies in ``0..n-1``."""
+    m = 0
+    for i in subset:
+        if not 0 <= i < n:
+            raise RangeError(f"element {i} leaves the carrier 0..{n - 1}")
+        m |= 1 << i
+    return m
+
+
+class FinPoset:
+    """A finite partial order, stored as per-element up- and down-masks.
+
+    ``upm[i]`` is the bitmask of the principal upset of ``i`` (including
+    ``i`` itself) and ``downm[i]`` that of its principal downset; ``order``
+    is a linear extension (minimal elements first) and ``lower[i]`` lists the
+    Hasse lower covers of ``i``.  ``up`` and ``down`` give the principal
+    sets as frozensets, built on first access.  Instances are immutable and
+    hashable; two posets are equal when they have the same carrier size and
+    the same order relation.
     """
 
-    __slots__ = ("n", "up", "down", "_hash")
-
-    def __init__(self, up: Sequence[frozenset[int]]):
-        n = len(up)
-        up = tuple(frozenset(s) for s in up)
-        for i, ups in enumerate(up):
-            if not all(0 <= j < n for j in ups):
-                raise RangeError(f"upset of {i} leaves the carrier 0..{n - 1}")
-            if i not in ups:
-                raise ValueError(f"order not reflexive at {i}")
-        down = tuple(frozenset(i for i in range(n) if j in up[i]) for j in range(n))
-        for i in range(n):
-            for j in up[i]:
-                if i != j and i in up[j]:
-                    raise CycleError(f"{i} and {j} are mutually comparable")
-                if not up[j] <= up[i]:
-                    raise ValueError(f"order not transitive at {i} <= {j}")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "up", up)
-        object.__setattr__(self, "down", down)
-        object.__setattr__(self, "_hash", hash((n, up)))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FinPoset is immutable")
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, FinPoset) and self.n == other.n and self.up == other.up
-        )
-
-    def __hash__(self):
-        return self._hash
-
-    def __repr__(self):
-        return f"FinPoset(n={self.n}, covers={sorted(self.covers())})"
+    def __init__(self, up: Sequence[Iterable[int]]):
+        upm = [mask_of(ups, len(up)) for ups in up]
+        self._build([bits(m & ~(1 << i)) for i, m in enumerate(upm)])
+        for i, m in enumerate(upm):
+            if self.upm[i] != m:  # a reflexive, transitive relation is its own closure
+                axiom = "transitive" if m >> i & 1 else "reflexive"
+                raise ValueError(f"order not {axiom} at {i}")
 
     @classmethod
     def from_covers(cls, covers: Iterable[tuple[int, int]], n: int) -> "FinPoset":
@@ -78,93 +75,148 @@ class FinPoset:
             if i == j:
                 raise CycleError(f"cover ({i}, {i}) is a self-loop")
             succ[i].add(j)
-        up: list[frozenset[int]] = [EMPTY] * n
-        state = [0] * n  # 0 unvisited, 1 on stack, 2 done
-        def reach(i: int) -> frozenset[int]:
-            if state[i] == 1:
-                raise CycleError(f"covers contain a cycle through {i}")
-            if state[i] == 2:
-                return up[i]
-            state[i] = 1
-            acc = {i}
+        poset = object.__new__(cls)
+        poset._build(succ)
+        return poset
+
+    def _build(self, succ: Sequence[Iterable[int]]) -> None:
+        """Masks, order and Hasse covers of the order generated by ``succ``
+        (each element's successors), proving it a partial order on the way."""
+        n = len(succ)
+        indeg = [0] * n
+        for s in succ:
+            for j in s:
+                indeg[j] += 1
+        # Kahn's algorithm: an element is ordered once all its predecessors
+        # are, so a complete order proves the relation acyclic
+        order = [i for i in range(n) if not indeg[i]]
+        for i in order:
             for j in succ[i]:
-                acc |= reach(j)
-            state[i] = 2
-            up[i] = frozenset(acc)
-            return up[i]
-        for i in range(n):
-            reach(i)
-        return cls(up)
+                indeg[j] -= 1
+                if not indeg[j]:
+                    order.append(j)
+        if len(order) < n:
+            raise CycleError(f"covers contain a cycle through {_on_cycle(succ, indeg)}")
+        upm = [0] * n
+        lower: list[list[int]] = [[] for _ in range(n)]
+        for i in reversed(order):
+            m = 1 << i
+            above = 0  # strictly above some successor, so no cover of i
+            for j in succ[i]:
+                m |= upm[j]
+                above |= upm[j] ^ 1 << j
+            upm[i] = m
+            for j in succ[i]:
+                if not above >> j & 1:
+                    lower[j].append(i)
+        # each up-mask holds its own element and, checked here in O(|succ|)
+        # mask operations, the up-masks of its successors: reflexive, transitive
+        for i, s in enumerate(succ):
+            if any(upm[j] & ~upm[i] for j in s):
+                raise ValueError(f"order not transitive at {i}")
+        downm = [0] * n
+        for x in order:
+            for y in lower[x]:
+                downm[x] |= downm[y]
+            downm[x] |= 1 << x
+        vars(self).update(
+            n=n, upm=tuple(upm), downm=tuple(downm), order=tuple(order),
+            lower=tuple(map(tuple, lower)), _hash=hash((n, tuple(upm))))
+
+    @cached_property
+    def up(self) -> tuple[ElemSet, ...]:
+        return tuple(frozenset(bits(m)) for m in self.upm)
+
+    @cached_property
+    def down(self) -> tuple[ElemSet, ...]:
+        return tuple(frozenset(bits(m)) for m in self.downm)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("FinPoset is immutable")
+
+    def __eq__(self, other):
+        return isinstance(other, FinPoset) and (self.n, self.upm) == (other.n, other.upm)
+
+    def __hash__(self):
+        return self._hash
+
+    def __repr__(self):
+        return f"FinPoset(n={self.n}, covers={self.covers()})"
 
     # ----- order queries -------------------------------------------------
 
     def leq(self, i: int, j: int) -> bool:
         self._check_elem(i)
         self._check_elem(j)
-        return j in self.up[i]
+        return bool(self.upm[i] >> j & 1)
 
     def covers(self) -> list[tuple[int, int]]:
         """The Hasse relation: pairs (i, j) with i < j and nothing between."""
-        out = []
-        for i in range(self.n):
-            strict = self.up[i] - {i}
-            for j in strict:
-                if not any(j in self.up[k] for k in strict if k != j):
-                    out.append((i, j))
-        return sorted(out)
+        return sorted((i, j) for j in range(self.n) for i in self.lower[j])
 
     def linear_extension(self) -> list[int]:
         """Element order compatible with the partial order (minimal first)."""
-        return sorted(range(self.n), key=lambda i: (len(self.down[i]), i))
+        return list(self.order)
 
     # ----- subset operations --------------------------------------------
 
     def _check_subset(self, subset: Iterable[int]) -> ElemSet:
         subset = frozenset(subset)
-        if not all(0 <= i < self.n for i in subset):
+        if subset and (min(subset) < 0 or max(subset) >= self.n):
             raise RangeError(f"subset {sorted(subset)} leaves the carrier 0..{self.n - 1}")
         return subset
 
+    def _upset_within(self, m: int, outer: int) -> bool:
+        """Whether ``m``, a subset of the upset ``outer``, is itself an upset:
+        nothing in ``outer - m`` may lie above a member of ``m``."""
+        return not self._span(self.downm, outer & ~m) & m
+
+    @staticmethod
+    def _span(masks: Sequence[int], m: int) -> int:
+        """The union of ``masks[i]`` over the members i of ``m``."""
+        acc = 0
+        for i in bits(m):
+            acc |= masks[i]
+        return acc
+
     def upset_closure(self, subset: Iterable[int]) -> ElemSet:
         """Least upward-closed set containing ``subset``."""
-        subset = self._check_subset(subset)
-        acc: set[int] = set()
-        for i in subset:
-            acc |= self.up[i]
-        return frozenset(acc)
+        return frozenset(bits(self._span(self.upm, mask_of(subset, self.n))))
 
     def downset_closure(self, subset: Iterable[int]) -> ElemSet:
-        subset = self._check_subset(subset)
-        acc: set[int] = set()
-        for i in subset:
-            acc |= self.down[i]
-        return frozenset(acc)
+        return frozenset(bits(self._span(self.downm, mask_of(subset, self.n))))
 
     def is_upset(self, subset: Iterable[int]) -> bool:
-        subset = self._check_subset(subset)
-        return all(self.up[i] <= subset for i in subset)
+        return self._upset_within(mask_of(subset, self.n), (1 << self.n) - 1)
 
     def min_elements(self, subset: Iterable[int]) -> ElemSet:
         """Minimal elements of ``subset`` in the induced order."""
-        subset = self._check_subset(subset)
-        return frozenset(i for i in subset if self.down[i] & subset == {i})
+        m = mask_of(subset, self.n)
+        return frozenset(i for i in bits(m) if self.downm[i] & m == 1 << i)
 
     def max_elements(self, subset: Iterable[int]) -> ElemSet:
-        subset = self._check_subset(subset)
-        return frozenset(i for i in subset if self.up[i] & subset == {i})
+        m = mask_of(subset, self.n)
+        return frozenset(i for i in bits(m) if self.upm[i] & m == 1 << i)
 
     def is_convex(self, subset: Iterable[int]) -> bool:
         """True when every element between two members is itself a member."""
-        subset = self._check_subset(subset)
-        for i in subset:
-            for j in subset:
-                if j in self.up[i] and not self.up[i] & self.down[j] <= subset:
-                    return False
-        return True
+        m = mask_of(subset, self.n)
+        return not self._span(self.upm, m) & self._span(self.downm, m) & ~m
 
     def _check_elem(self, i: int) -> None:
         if not (0 <= i < self.n):
             raise RangeError(f"element {i} leaves the carrier 0..{self.n - 1}")
+
+
+def _on_cycle(succ: Sequence[Iterable[int]], indeg: list[int]) -> int:
+    """An element on a cycle: every element Kahn's algorithm left unordered
+    has an unordered predecessor, so walking back through those repeats."""
+    pred = {j: i for i, s in enumerate(succ) if indeg[i] for j in s}
+    x, seen = min(pred), set()
+    while x not in seen:
+        seen.add(x)
+        x = pred[x]
+    return x
 
 
 # ----- serialization -----------------------------------------------------
@@ -183,20 +235,19 @@ def poset_from_json(text: str) -> tuple[FinPoset, list[str] | None]:
     obj = json.loads(text)
     if not isinstance(obj, dict) or "n" not in obj or "covers" not in obj:
         raise ValueError("poset JSON needs 'n' and 'covers' keys")
-    n = obj["n"]
-    covers = obj["covers"]
-    if not isinstance(n, int) or not isinstance(covers, list):
+    n, covers = obj["n"], obj["covers"]
+    if type(n) is not int or not isinstance(covers, list):  # bool is not an index
         raise ValueError("malformed poset JSON")
     pairs = []
     for c in covers:
-        if not (isinstance(c, list) and len(c) == 2 and all(isinstance(x, int) for x in c)):
+        if not (isinstance(c, list) and len(c) == 2 and all(type(x) is int for x in c)):
             raise ValueError(f"malformed cover pair {c!r}")
         pairs.append((c[0], c[1]))
     labels = obj.get("labels")
-    if labels is not None and (
-        not isinstance(labels, list) or not all(isinstance(s, str) for s in labels)
+    if labels is not None and not (
+        isinstance(labels, list) and len(labels) == n and all(isinstance(s, str) for s in labels)
     ):
-        raise ValueError("labels must be a list of strings")
+        raise ValueError(f"labels must be a list of {n} strings")
     return FinPoset.from_covers(pairs, n), labels
 
 
@@ -204,9 +255,7 @@ def poset_to_dot(poset: FinPoset, labels: Sequence[str] | None = None) -> str:
     """Hasse diagram in DOT format (cover edges only, drawn upward)."""
     name = labels if labels is not None else [str(i) for i in range(poset.n)]
     lines = ["digraph poset {", "  rankdir=BT;"]
-    for i in range(poset.n):
-        lines.append(f'  {i} [label="{name[i]}"];')
-    for i, j in poset.covers():
-        lines.append(f"  {i} -> {j};")
+    lines += [f'  {i} [label="{name[i]}"];' for i in range(poset.n)]
+    lines += [f"  {i} -> {j};" for i, j in poset.covers()]
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from diffchain import (
     FinPoset,
@@ -82,6 +85,118 @@ def test_poset_chain_rejects_bad_inputs(chain_poset_file, tmp_path, capsys):
     assert main(["poset", "chain", "--poset", str(chain_poset_file), "--set", "0,x"]) == 2
     assert main(["poset", "chain", "--poset", str(chain_poset_file), "--set", "9"]) == 2
     assert capsys.readouterr().err.count("error:") == 4
+
+
+def test_poset_chain_output_puts_each_component_on_one_line(chain_poset_file, capsys):
+    assert main(["poset", "chain", "--poset", str(chain_poset_file), "--set", "0,2"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == [
+        "{",
+        '  "V": [0, 2],',
+        '  "m": 2,',
+        '  "K": [',
+        "    [0, 1, 2],",
+        "    [1, 2],",
+        "    [2],",
+        "    []",
+        "  ],",
+        '  "degrees": [1, 2, 3]',
+        "}",
+    ]
+
+
+def poset_doc_file(tmp_path, doc):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"n": 3, "covers": [[0, 1]], "labels": ["a", "b"]},
+        {"n": True, "covers": []},
+        {"n": 2, "covers": [[False, True]]},
+    ],
+    ids=["label-count", "bool-n", "bool-cover"],
+)
+def test_poset_chain_rejects_malformed_posets(tmp_path, capsys, doc):
+    path = poset_doc_file(tmp_path, doc)
+    out = tmp_path / "chain.json"
+    argv = ["poset", "chain", "--poset", str(path), "--set", "0"]
+    assert main(argv + ["--out", str(out), "--dot"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_poset_chain_on_a_3000_element_chain(tmp_path, capsys):
+    n = 3000
+    path = poset_doc_file(tmp_path, {"n": n, "covers": [[i, i + 1] for i in range(n - 1)]})
+    assert main(["poset", "chain", "--poset", str(path), "--set", "0,1500"]) == 0
+    obj = json.loads(capsys.readouterr().out)
+    assert obj["m"] == 2 and [k[0] for k in obj["K"]] == [0, 1, 1500, 1501]
+    assert obj["degrees"][-1] == 4
+
+
+_INDEX = st.one_of(st.integers(-2, 7), st.booleans(), st.just("1"), st.none())
+_BAD_FIELDS = {
+    "n": st.one_of(st.integers(-2, 8), st.booleans(), st.just(2.0), st.none()),
+    "covers": st.one_of(
+        st.lists(st.lists(_INDEX, max_size=3), max_size=4), st.just({"0": 1})
+    ),
+    "labels": st.lists(st.one_of(st.text(max_size=2), st.integers()), max_size=7),
+}
+
+
+@st.composite
+def poset_documents(draw):
+    """Mostly well-formed poset documents (cycles allowed), with up to two
+    fields replaced by malformed values, sometimes a key missing, and
+    sometimes the whole object wrapped in a list."""
+    n = draw(st.integers(0, 6))
+    index = st.integers(0, max(n - 1, 0))
+    doc = {"n": n, "covers": draw(st.lists(st.lists(index, min_size=2, max_size=2), max_size=8))}
+    if draw(st.booleans()):
+        doc["labels"] = [str(i) for i in range(n)]
+    for key in draw(st.sets(st.sampled_from(sorted(_BAD_FIELDS)), max_size=2)):
+        doc[key] = draw(_BAD_FIELDS[key])
+    drop = draw(st.sampled_from([None] * 8 + ["n", "covers"]))
+    if drop:
+        del doc[drop]
+    return [doc] if draw(st.sampled_from([False] * 9 + [True])) else doc
+
+
+_MEMBERS = st.one_of(
+    st.lists(st.integers(-1, 7), max_size=5).map(lambda xs: ",".join(map(str, xs))),
+    st.text(alphabet="0123456789,- x", max_size=8),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    doc=poset_documents(),
+    members=_MEMBERS,
+    dot=st.booleans(),
+)
+def test_poset_chain_survives_fuzzed_documents(tmp_path_factory, doc, members, dot):
+    work = tmp_path_factory.mktemp("fuzz")
+    path = poset_doc_file(work, doc)
+    out = work / "chain.json"
+    argv = ["poset", "chain", "--poset", str(path), f"--set={members}"]
+    if dot:
+        argv += ["--out", str(out), "--dot"]
+    with contextlib.redirect_stdout(io.StringIO()) as stdout, \
+            contextlib.redirect_stderr(io.StringIO()) as stderr:
+        code = main(argv)
+    # exit 1 would mean the canonical chain misses its target
+    assert code in (0, 2)
+    if code == 2:
+        assert stderr.getvalue().startswith("error:")
+        assert stderr.getvalue().count("\n") == 1
+    else:
+        obj = json.loads(out.read_text(encoding="utf-8") if dot else stdout.getvalue())
+        assert len(obj["degrees"]) == doc["n"]
 
 
 # ----- language commands -------------------------------------------------

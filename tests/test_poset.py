@@ -9,6 +9,9 @@ from diffchain import (
     CycleError,
     FinPoset,
     RangeError,
+    canonical_chain,
+    degrees,
+    evaluate,
     poset_from_json,
     poset_to_dot,
     poset_to_json,
@@ -68,6 +71,30 @@ def test_from_covers_rejects_cycles():
         FinPoset.from_covers([(0, 0)], 1)
     with pytest.raises(CycleError):
         FinPoset.from_covers([(0, 1), (1, 2), (2, 0)], 3)
+
+
+def test_cycle_errors_name_an_element_on_the_cycle():
+    # 0 -> 1 -> 2 -> 1 plus a tail 2 -> 3: only 1 and 2 lie on the cycle
+    with pytest.raises(CycleError, match=r"cycle through [12]$"):
+        FinPoset.from_covers([(0, 1), (1, 2), (2, 1), (2, 3)], 4)
+    n = 3000
+    with pytest.raises(CycleError, match="cycle through"):
+        FinPoset.from_covers([(i, (i + 1) % n) for i in range(n)], n)
+
+
+@pytest.mark.parametrize("n", [3000, 10_000])
+def test_from_covers_builds_long_chains(n):
+    p = FinPoset.from_covers([(i, i + 1) for i in range(n - 1)], n)
+    assert p.leq(0, n - 1) and not p.leq(n - 1, 0)
+    assert p.covers()[-1] == (n - 2, n - 1)
+    assert p.upm[0] == (1 << n) - 1 and p.downm[0] == 1
+    target = {0, n // 2}
+    deg = degrees(p, target)
+    assert deg[: n // 2] == (1,) + (2,) * (n // 2 - 1)
+    assert deg[n // 2 :] == (3,) + (4,) * (n - n // 2 - 1)
+    chain = canonical_chain(p, target)
+    assert [min(s) for s in chain.sets] == [0, 1, n // 2, n // 2 + 1]
+    assert evaluate(chain) == frozenset(target)
 
 
 def test_from_covers_rejects_out_of_range():
@@ -235,6 +262,12 @@ def test_json_rejects_malformed_documents():
         poset_from_json('{"n": 2, "covers": [], "labels": [1, 2]}')
     with pytest.raises(ValueError):
         poset_to_json(chain3(), labels=["only one"])
+    with pytest.raises(ValueError, match="list of 3 strings"):
+        poset_from_json('{"n": 3, "covers": [], "labels": ["a", "b"]}')
+    with pytest.raises(ValueError):
+        poset_from_json('{"n": true, "covers": []}')
+    with pytest.raises(ValueError):
+        poset_from_json('{"n": 2, "covers": [[false, true]]}')
 
 
 def test_dot_output_lists_cover_edges_only():
