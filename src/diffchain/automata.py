@@ -256,9 +256,9 @@ def subset_of(d1: Dfa, d2: Dfa) -> bool:
 
 
 def minimize(d: Dfa) -> Dfa:
-    """Canonical minimal form: Moore refinement, then breadth-first state
-    numbering with letters in canonical order.  Equal languages over the same
-    letters give structurally equal results."""
+    """Canonical minimal form: Hopcroft partition refinement, then
+    breadth-first canonical numbering with letters in canonical order.
+    Equal languages over the same letters give structurally equal results."""
     letters = tuple(sorted(d.alphabet, key=letter_key))
     cols = [d.letter_index(a) for a in letters]
     # reachable part
@@ -272,19 +272,9 @@ def minimize(d: Dfa) -> Dfa:
                 seen.add(t)
                 stack.append(t)
     states = sorted(seen)
-    rows = [[d.delta[q][c] for c in cols] for q in states]
-    cls = [1 if q in d.accepting else 0 for q in range(d.n_states)]
-    count = len({cls[q] for q in states})
-    while True:
-        get = cls.__getitem__
-        remap: dict[tuple, int] = {}
-        new = cls[:]
-        for q, row in zip(states, rows):
-            new[q] = remap.setdefault((cls[q], *map(get, row)), len(remap))
-        cls = new
-        if len(remap) == count:
-            break
-        count = len(remap)
+    cls = [0] * d.n_states
+    for q, block in zip(states, _hopcroft_blocks(d, states)):
+        cls[q] = block
     # breadth-first renumbering of the quotient
     rep: dict[int, int] = {}
     for q in states:
@@ -306,6 +296,52 @@ def minimize(d: Dfa) -> Dfa:
         i += 1
     accepting = [number[c] for c in order if rep[c] in d.accepting]
     return Dfa(letters, delta, 0, accepting)
+
+
+def _hopcroft_blocks(d: Dfa, states: list[int]) -> list[int]:
+    """Block of each of ``states`` (a successor-closed list) in the coarsest
+    partition that separates accepting from rejecting states and is stable
+    under every letter.
+
+    Hopcroft (1971): a worklist of splitter blocks, each refining the
+    partition through per-letter predecessor lists.  When a block splits,
+    both halves wait if it was waiting, otherwise only the smaller one,
+    since stability under a block and one half gives it under the other.
+    """
+    local = {q: i for i, q in enumerate(states)}
+    preds: list[list[list[int]]] = [[[] for _ in states] for _ in d.alphabet]
+    for i, q in enumerate(states):
+        for pre, t in zip(preds, d.delta[q]):
+            pre[local[t]].append(i)
+    accepting = {i for i, q in enumerate(states) if q in d.accepting}
+    blocks = [accepting, set(range(len(states))) - accepting]
+    block_of = [0 if i in accepting else 1 for i in range(len(states))]
+    # the partition is stable under the block of all states, so one side of
+    # the first split suffices (an empty side splits nothing)
+    waiting = {0 if len(accepting) <= len(blocks[1]) else 1}
+    while waiting:
+        splitter = list(blocks[waiting.pop()])
+        for pre in preds:
+            # the members of each block with a successor in the splitter
+            hit: dict[int, list[int]] = {}
+            for t in splitter:
+                for i in pre[t]:
+                    b = block_of[i]
+                    if b in hit:
+                        hit[b].append(i)
+                    else:
+                        hit[b] = [i]
+            for b, moved in hit.items():
+                block = blocks[b]
+                if len(moved) == len(block):
+                    continue
+                block.difference_update(moved)
+                new = len(blocks)
+                blocks.append(set(moved))
+                for i in moved:
+                    block_of[i] = new
+                waiting.add(new if b in waiting or len(moved) <= len(block) else b)
+    return block_of
 
 
 def equivalent(d1: Dfa, d2: Dfa) -> bool:
@@ -485,6 +521,8 @@ def dfa_from_json_obj(obj) -> Dfa:
     missing = {"alphabet", "states", "start", "accepting", "delta"} - set(obj)
     if missing:
         raise ValueError(f"automaton JSON misses keys {sorted(missing)}")
+    if not isinstance(obj["alphabet"], list):
+        raise ValueError("'alphabet' must be a list of letters")
     alphabet = [_letter_from_json(a) for a in obj["alphabet"]]
     states = obj["states"]
     if not isinstance(states, int) or isinstance(states, bool) or states < 1:
@@ -503,7 +541,11 @@ def dfa_from_json_obj(obj) -> Dfa:
 
 
 def dfa_from_json(text: str) -> Dfa:
-    return dfa_from_json_obj(json.loads(text))
+    try:
+        obj = json.loads(text)
+    except RecursionError:
+        raise ValueError("automaton JSON is nested too deeply") from None
+    return dfa_from_json_obj(obj)
 
 
 def dfa_to_dot(d: Dfa) -> str:

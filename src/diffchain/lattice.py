@@ -112,26 +112,32 @@ def is_isomorphic(p: FinPoset, q: FinPoset) -> bool:
     order = sorted(range(p.n), key=lambda i: len(cands[i]))
     image: dict[int, int] = {}
     used: set[int] = set()
-
-    def place(k: int) -> bool:
-        if k == p.n:
-            return True
+    # backtracking with an explicit stack: tried[k] counts the candidates
+    # of order[k] already tried at the current branch
+    tried = [0] * p.n
+    k = 0
+    while k < p.n:
         i = order[k]
-        for j in cands[i]:
-            if j in used:
-                continue
-            if all((p.upm[i] >> i2 & 1) == (q.upm[j] >> j2 & 1)
-                   and (p.upm[i2] >> i & 1) == (q.upm[j2] >> j & 1)
-                   for i2, j2 in image.items()):
+        if i in image:  # back from a dead end deeper down
+            used.discard(image.pop(i))
+        for c in range(tried[k], len(cands[i])):
+            j = cands[i][c]
+            if j not in used and all(
+                (p.upm[i] >> i2 & 1) == (q.upm[j] >> j2 & 1)
+                and (p.upm[i2] >> i & 1) == (q.upm[j2] >> j & 1)
+                for i2, j2 in image.items()
+            ):
                 image[i] = j
                 used.add(j)
-                if place(k + 1):
-                    return True
-                del image[i]
-                used.discard(j)
-        return False
-
-    return place(0)
+                tried[k] = c + 1
+                k += 1
+                break
+        else:
+            if k == 0:
+                return False
+            tried[k] = 0
+            k -= 1
+    return True
 
 
 def _joint_signatures(p: FinPoset, q: FinPoset) -> tuple[list[int], list[int]]:

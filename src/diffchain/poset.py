@@ -232,7 +232,10 @@ def poset_to_json(poset: FinPoset, labels: Sequence[str] | None = None) -> str:
 
 
 def poset_from_json(text: str) -> tuple[FinPoset, list[str] | None]:
-    obj = json.loads(text)
+    try:
+        obj = json.loads(text)
+    except RecursionError:
+        raise ValueError("poset JSON is nested too deeply") from None
     if not isinstance(obj, dict) or "n" not in obj or "covers" not in obj:
         raise ValueError("poset JSON needs 'n' and 'covers' keys")
     n, covers = obj["n"], obj["covers"]

@@ -5,6 +5,7 @@ transition monoids, and the marked-alphabet toolkit of the reference route in
 from __future__ import annotations
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -286,6 +287,87 @@ def test_minimized_states_are_pairwise_distinguishable(d):
         for q in range(m.n_states)
     }
     assert len(set(profiles.values())) == m.n_states
+
+
+def _moore_minimize(d):
+    """Reference route: Moore refinement (every state's class and its
+    successors' classes, until the class count stops growing), then the
+    same reachable part and breadth-first numbering as ``minimize``."""
+    letters = tuple(sorted(d.alphabet, key=letter_key))
+    cols = [d.letter_index(a) for a in letters]
+    seen = {d.start}
+    stack = [d.start]
+    while stack:
+        q = stack.pop()
+        for c in cols:
+            if d.delta[q][c] not in seen:
+                seen.add(d.delta[q][c])
+                stack.append(d.delta[q][c])
+    states = sorted(seen)
+    cls = {q: q in d.accepting for q in states}
+    count = len(set(cls.values()))
+    while True:
+        keys = {q: (cls[q], *(cls[d.delta[q][c]] for c in cols)) for q in states}
+        names = {key: i for i, key in enumerate(dict.fromkeys(keys[q] for q in states))}
+        cls = {q: names[keys[q]] for q in states}
+        if len(names) == count:
+            break
+        count = len(names)
+    rep = {}
+    for q in states:
+        rep.setdefault(cls[q], q)
+    number = {cls[d.start]: 0}
+    order = [cls[d.start]]
+    delta = []
+    for block in order:
+        row = []
+        for c in cols:
+            t = cls[d.delta[rep[block]][c]]
+            if t not in number:
+                number[t] = len(order)
+                order.append(t)
+            row.append(number[t])
+        delta.append(row)
+    return Dfa(letters, delta, 0, [number[b] for b in order if rep[b] in d.accepting])
+
+
+def _minimize_corpus():
+    """Seeded automata for the Moore comparison: random ones with a random
+    start (so some states are unreachable) and their redundant products,
+    constant ones, one-state ones, marked-letter alphabets, and the pattern
+    and projection automata of the closure at k = 1..3."""
+    from diffchain.closure import _normalize, _pattern_automaton, _universal_projection
+    from diffchain.oracle import random_dfa
+
+    rng = random.Random(4)
+    marked = (Marked("b", {"x1"}), "a", Marked(None), Marked("a"))
+    for _ in range(120):
+        alphabet = rng.choice([("a",), AB, ("c", "a", "b"), marked])
+        d = random_dfa(rng, rng.choice([1, 3, 8, 40, 200]), alphabet)
+        d = Dfa(d.alphabet, d.delta, rng.randrange(d.n_states), d.accepting)
+        yield d
+        yield union(d, random_dfa(rng, 4, alphabet))
+        yield Dfa(d.alphabet, d.delta, d.start, range(d.n_states))
+        yield Dfa(d.alphabet, d.delta, d.start, [])
+    for alphabet in (AB, marked):
+        yield dfa_all_words(alphabet)
+        yield dfa_no_words(alphabet)
+        yield dfa_nonempty_words(alphabet)
+    targets = [a_plus_or_b_plus(), ab_repeat(), literal("aba")]
+    targets += [random_dfa(rng, 4, AB) for _ in range(6)]
+    targets += [random_dfa(rng, 5, ("a", "b", "c")) for _ in range(3)]
+    for target in map(_normalize, targets):
+        for k in (1, 2, 3):
+            pattern = _pattern_automaton(target, k, 10_000)
+            yield pattern
+            yield _universal_projection(minimize(pattern), target.alphabet, k, 10_000)
+
+
+def test_minimize_matches_moore_refinement():
+    corpus = list(_minimize_corpus())
+    assert len(corpus) > 500
+    for d in corpus:
+        assert minimize(d) == _moore_minimize(d), d
 
 
 def test_equivalent_examples():

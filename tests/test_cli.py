@@ -36,6 +36,16 @@ def dfa_file(tmp_path, name, dfa):
     return path
 
 
+# A JSON value nested 100 000 lists deep: ``json.loads`` hits the recursion
+# limit on it.  Documents carry this marker and get the raw text spliced in.
+_DEEP = "@deep@"
+_DEEP_TEXT = "[" * 100_000 + "]" * 100_000
+
+
+def _doc_text(doc) -> str:
+    return json.dumps(doc).replace(json.dumps(_DEEP), _DEEP_TEXT)
+
+
 # ----- poset chain -------------------------------------------------------
 
 
@@ -107,7 +117,7 @@ def test_poset_chain_output_puts_each_component_on_one_line(chain_poset_file, ca
 
 def poset_doc_file(tmp_path, doc):
     path = tmp_path / "doc.json"
-    path.write_text(json.dumps(doc), encoding="utf-8")
+    path.write_text(_doc_text(doc), encoding="utf-8")
     return path
 
 
@@ -117,8 +127,9 @@ def poset_doc_file(tmp_path, doc):
         {"n": 3, "covers": [[0, 1]], "labels": ["a", "b"]},
         {"n": True, "covers": []},
         {"n": 2, "covers": [[False, True]]},
+        {"n": 2, "covers": _DEEP},
     ],
-    ids=["label-count", "bool-n", "bool-cover"],
+    ids=["label-count", "bool-n", "bool-cover", "deep-covers"],
 )
 def test_poset_chain_rejects_malformed_posets(tmp_path, capsys, doc):
     path = poset_doc_file(tmp_path, doc)
@@ -257,16 +268,94 @@ def _malformed(**fields):
         _malformed(delta=[[True], [0]]),
         _malformed(start=False),
         _malformed(accepting=[True]),
+        _malformed(alphabet=5),
+        _malformed(delta=_DEEP),
     ],
-    ids=["row-not-a-list", "bool-transition", "bool-start", "bool-accepting"],
+    ids=[
+        "row-not-a-list", "bool-transition", "bool-start", "bool-accepting",
+        "alphabet-not-a-list", "deep-delta",
+    ],
 )
 def test_lang_closure_rejects_malformed_automata(tmp_path, capsys, doc):
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps(doc), encoding="utf-8")
+    path.write_text(_doc_text(doc), encoding="utf-8")
     assert main(["lang", "closure", "--dfa", str(path), "--k", "1"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
+
+_LETTER = st.one_of(
+    st.sampled_from(["a", "b", "c"]),
+    st.fixed_dictionaries({
+        "base": st.sampled_from(["a", "eps"]),
+        "vars": st.lists(st.sampled_from(["x1", "x2"]), max_size=2),
+    }),
+)
+_BAD_DFA_FIELDS = {
+    "alphabet": st.one_of(
+        st.integers(), st.just("ab"), st.none(), st.just({"a": 0}), st.just(_DEEP),
+        st.lists(st.one_of(_LETTER, st.integers(), st.booleans(), st.just({"base": "a"})),
+                 max_size=3),
+    ),
+    "states": st.one_of(st.integers(-1, 4), st.booleans(), st.just(2.0), st.just("2")),
+    "start": _INDEX,
+    "accepting": st.one_of(st.lists(_INDEX, max_size=3), st.integers(), st.just(_DEEP)),
+    "delta": st.one_of(
+        st.lists(st.one_of(st.lists(_INDEX, max_size=3), _INDEX), max_size=4),
+        st.just([[[0]], [0]]),
+        st.just(_DEEP),
+        st.just({"0": [0]}),
+    ),
+}
+
+
+@st.composite
+def dfa_documents(draw):
+    """Mostly well-formed automaton documents over one or two plain or marked
+    letters, with up to two fields replaced by malformed values (wrong types,
+    bool indices, ragged or deep rows, a non-list alphabet), sometimes a key
+    missing, and sometimes the whole object wrapped in a list."""
+    alphabet = draw(st.lists(_LETTER, min_size=1, max_size=2, unique_by=json.dumps))
+    n = draw(st.integers(1, 3))
+    index = st.integers(0, n - 1)
+    doc = {
+        "alphabet": alphabet,
+        "states": n,
+        "start": draw(index),
+        "accepting": draw(st.lists(index, max_size=n, unique=True)),
+        "delta": [[draw(index) for _ in alphabet] for _ in range(n)],
+    }
+    for key in draw(st.sets(st.sampled_from(sorted(_BAD_DFA_FIELDS)), max_size=2)):
+        doc[key] = draw(_BAD_DFA_FIELDS[key])
+    drop = draw(st.sampled_from([None] * 8 + sorted(_BAD_DFA_FIELDS)))
+    if drop:
+        del doc[drop]
+    return [doc] if draw(st.sampled_from([False] * 9 + [True])) else doc
+
+
+@settings(max_examples=200, deadline=None)
+@given(doc=dfa_documents(), decompose=st.booleans(), k=st.integers(1, 2))
+def test_lang_commands_survive_fuzzed_documents(tmp_path_factory, doc, decompose, k):
+    path = tmp_path_factory.mktemp("fuzz") / "dfa.json"
+    path.write_text(_doc_text(doc), encoding="utf-8")
+    if decompose:
+        argv = ["lang", "decompose", "--dfa", str(path), "--max-k", str(k), "--max-m", "2"]
+    else:
+        argv = ["lang", "closure", "--dfa", str(path), "--k", str(k)]
+    with contextlib.redirect_stdout(io.StringIO()) as stdout, \
+            contextlib.redirect_stderr(io.StringIO()) as stderr:
+        code = main(argv)
+    # exit 1 only for an exhausted decompose search
+    assert code in ((0, 1, 2) if decompose else (0, 2))
+    if code == 2:
+        assert stdout.getvalue() == ""
+        assert stderr.getvalue().startswith("error:")
+        assert stderr.getvalue().count("\n") == 1
+    else:
+        obj = json.loads(stdout.getvalue())
+        if not decompose:
+            assert obj["alphabet"] == sorted(doc["alphabet"])
 
 
 # ----- verify suites -----------------------------------------------------

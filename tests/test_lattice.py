@@ -14,6 +14,7 @@ from diffchain import (
     join_irreducibles,
     upsets_of,
 )
+from diffchain.lattice import _joint_signatures
 
 
 @st.composite
@@ -188,6 +189,33 @@ def test_isomorphism_on_larger_carriers():
     assert is_isomorphic(p, FinPoset.from_covers(relabeled, 9))
     r = FinPoset.from_covers([(i, i + 1) for i in range(7)], 9)
     assert not is_isomorphic(p, r)
+
+
+def test_isomorphism_on_a_1500_element_chain():
+    # one backtracking level per element: deeper than the recursion limit
+    p = chain(1500)
+    assert is_isomorphic(p, p)
+
+
+def test_isomorphism_rejects_equal_signatures_at_1500_elements():
+    # A 1492-element chain beside an 8-element crown (a_i < b_i, b_{i+1 mod 4})
+    # or beside two 4-element crowns: every bottom lies under two tops and
+    # every top over two bottoms, so the color refinement cannot tell them
+    # apart and the backtracking has to.
+    def with_crowns(sizes):
+        n = 1492
+        covers = [(i, i + 1) for i in range(n - 1)]
+        for m in sizes:
+            bottoms, tops = range(n, n + m), range(n + m, n + 2 * m)
+            covers += [(a, tops[(i + s) % m]) for i, a in enumerate(bottoms) for s in (0, 1)]
+            n += 2 * m
+        return FinPoset.from_covers(covers, n)
+
+    p, q = with_crowns([4]), with_crowns([2, 2])
+    assert p.n == q.n == 1500
+    sig_p, sig_q = _joint_signatures(p, q)
+    assert sorted(sig_p) == sorted(sig_q)
+    assert not is_isomorphic(p, q)
 
 
 def test_isomorphism_agrees_with_permutation_search_on_small_posets():
