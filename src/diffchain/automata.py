@@ -365,6 +365,16 @@ class FinMonoid:
     identity: int
 
     def __post_init__(self):
+        self._check_shape_and_identity()
+        n = len(self.table)
+        for x in range(n):
+            for y in range(n):
+                xy = self.table[x][y]
+                for z in range(n):
+                    if self.table[xy][z] != self.table[x][self.table[y][z]]:
+                        raise ValueError(f"associativity fails at ({x}, {y}, {z})")
+
+    def _check_shape_and_identity(self) -> None:
         object.__setattr__(self, "table", tuple(tuple(row) for row in self.table))
         n = len(self.table)
         for row in self.table:
@@ -376,12 +386,17 @@ class FinMonoid:
         for x in range(n):
             if self.table[e][x] != x or self.table[x][e] != x:
                 raise ValueError(f"identity law fails at {x}")
-        for x in range(n):
-            for y in range(n):
-                xy = self.table[x][y]
-                for z in range(n):
-                    if self.table[xy][z] != self.table[x][self.table[y][z]]:
-                        raise ValueError(f"associativity fails at ({x}, {y}, {z})")
+
+    @classmethod
+    def _of_compositions(cls, table, identity: int) -> FinMonoid:
+        """A table of composed transformations: associative by construction,
+        so only the shape and the identity law are checked, not every
+        triple."""
+        monoid = object.__new__(cls)
+        object.__setattr__(monoid, "table", table)
+        object.__setattr__(monoid, "identity", identity)
+        monoid._check_shape_and_identity()
+        return monoid
 
     @property
     def size(self) -> int:
@@ -462,7 +477,7 @@ def transition_monoid(d: Dfa, cap: int = DEFAULT_MONOID_CAP) -> TransitionMonoid
             tu = tuple(u[t[q]] for q in range(n))
             row.append(number[tu])
         table.append(tuple(row))
-    monoid = FinMonoid(tuple(table), 0)
+    monoid = FinMonoid._of_compositions(tuple(table), 0)
     letter_image = tuple((a, number[gens[a]]) for a in letters)
     return TransitionMonoid(
         monoid=monoid,

@@ -205,17 +205,18 @@ def _universal_projection(
     pins and a pattern language included in its own, since every suffix the
     smaller run allows the larger one allows too.  A run in the dead pattern
     state makes the whole state the dead antichain ``((dead, 0),)``.
+
+    The inclusions are read inline from ``_inclusion_table``: one byte per
+    pair of pattern states, a row allocated the first time its state is
+    compared, and a search of the pair product only for an unknown entry.
+    The antichains do not depend on how the inclusions are found.
     """
     box = pattern.letter_index(BOX)
     cols = [pattern.letter_index(a) for a in letters]
     pdelta = pattern.delta
     paccepting = pattern.accepting
-    dead = next(
-        (p for p, row in enumerate(pdelta)
-         if p not in paccepting and all(t == p for t in row)),
-        None,
-    )
-    included = _inclusion_oracle(pattern, dead)
+    dead = _dead_state(pattern)
+    rows, new_row, search = _inclusion_table(pattern, dead)
 
     def prune(runs) -> tuple[tuple[int, int], ...]:
         kept: list[tuple[int, int]] = []
@@ -223,10 +224,16 @@ def _universal_projection(
             if p == dead:
                 return ((dead, 0),)
             # every kept run has at most c pins
-            if any(included(p2, p) for p2, _ in kept):
-                continue
-            kept = [run for run in kept if run[1] < c or not included(p, run[0])]
-            kept.append((p, c))
+            row = rows[p] or new_row(p)
+            for p2, _ in kept:
+                if (row[p2] or search(p2, p)) == 1:
+                    break
+            else:
+                kept = [
+                    run for run in kept
+                    if run[1] < c or (rows[run[0]][p] or search(p, run[0])) == 2
+                ]
+                kept.append((p, c))
         return tuple(sorted(kept))
 
     start = prune([(pattern.start, 0)])
@@ -254,50 +261,78 @@ def _universal_projection(
     return Dfa(letters, delta, 0, final)
 
 
-def _inclusion_oracle(d: Dfa, dead: int | None):
-    """``included(p, q)``: is the language of state p included in q's?
+def _dead_state(d: Dfa) -> int | None:
+    """The rejecting state that every letter keeps in place, if any; in a
+    minimal DFA, the one state with the empty language."""
+    return next(
+        (p for p, row in enumerate(d.delta)
+         if p not in d.accepting and all(t == p for t in row)),
+        None,
+    )
 
-    Answered on demand by a search of the pair product and memoized; every
-    pair a successful search visits is included too.
+
+def _inclusion_table(d: Dfa, dead: int | None):
+    """A table of language inclusions between the states of a minimal DFA,
+    filled on demand: ``rows[q][p]`` is 1 when L(p) is included in L(q), 2
+    when it is not and 0 while unknown.
+
+    Returns ``(rows, new_row, search)``.  ``rows[q]`` is None until
+    ``new_row(q)`` allocates it as a ``bytearray`` with the diagonal, the
+    dead state and the pairs that disagree on acceptance preset.
+    ``search(p, q)`` settles an unknown entry ``rows[q][p]`` of an allocated
+    row by a depth-first search of the pair product and returns it: on
+    success every visited pair is included; on failure every pair on the
+    path from (p, q) to the failing pair is not, since a letter leads each
+    to the next.
     """
-    memo: dict[tuple[int, int], bool] = {}
-    accepting = d.accepting
+    n = d.n_states
     delta = d.delta
+    accepting = d.accepting
+    # the rows of accepting and of rejecting states before the diagonal
+    above_accepting = bytearray(n)
+    above_rejecting = bytearray(n)
+    for p in accepting:
+        above_rejecting[p] = 2
+    rows: list[bytearray | None] = [None] * n
+    if dead is not None:
+        above_accepting[dead] = above_rejecting[dead] = 1
+        rows[dead] = bytearray(b"\2") * n
+        rows[dead][dead] = 1
 
-    def included(p: int, q: int) -> bool:
-        if p == q or p == dead:
-            return True
-        if q == dead:
-            return False
-        key = (p, q)
-        known = memo.get(key)
-        if known is not None:
-            return known
-        seen = {key}
-        stack = [key]
+    def new_row(q: int) -> bytearray:
+        row = bytearray(above_accepting if q in accepting else above_rejecting)
+        row[q] = 1
+        rows[q] = row
+        return row
+
+    def search(p: int, q: int) -> int:
+        rows[q][p] = 3  # 3: visited by this search
+        visited = [(p, q, -1)]  # each pair with the index of its parent
+        stack = [0]
         while stack:
-            x, y = stack.pop()
-            if x in accepting and y not in accepting:
-                memo[key] = False
-                return False
+            i = stack.pop()
+            x, y, _ = visited[i]
             for nx, ny in zip(delta[x], delta[y]):
-                if nx == ny or nx == dead:
+                if nx == ny:
                     continue
-                pair = (nx, ny)
-                if pair in seen:
-                    continue
-                known = memo.get(pair)
-                if known is False or ny == dead:
-                    memo[key] = False
-                    return False
-                if known is None:
-                    seen.add(pair)
-                    stack.append(pair)
-        for pair in seen:
-            memo[pair] = True
-        return True
+                row = rows[ny] or new_row(ny)
+                known = row[nx]
+                if known == 2:
+                    for x, y, _ in visited:
+                        rows[y][x] = 0
+                    while i >= 0:
+                        x, y, i = visited[i]
+                        rows[y][x] = 2
+                    return 2
+                if not known:
+                    row[nx] = 3
+                    stack.append(len(visited))
+                    visited.append((nx, ny, i))
+        for x, y, _ in visited:
+            rows[y][x] = 1
+        return 1
 
-    return included
+    return rows, new_row, search
 
 
 def is_pi1_k(d: Dfa, k: int, state_cap: int = DEFAULT_STATE_CAP) -> bool:

@@ -144,7 +144,9 @@ def _joint_signatures(p: FinPoset, q: FinPoset) -> tuple[list[int], list[int]]:
     """Stable color refinement over both posets with a shared color table.
 
     Classes only ever split, so the partition is stable as soon as the
-    number of colors stops growing.
+    number of colors stops growing.  When the first colors already tell
+    apart the elements of each poset, refining is skipped: every element
+    has at most one candidate image, which the backtracking checks.
     """
     colors: dict = {}
     sig_p, sig_q = (
@@ -152,6 +154,8 @@ def _joint_signatures(p: FinPoset, q: FinPoset) -> tuple[list[int], list[int]]:
          for i in range(r.n)]
         for r in (p, q)
     )
+    if len(set(sig_p)) == p.n and len(set(sig_q)) == q.n:
+        return sig_p, sig_q
     count = len(colors)
     for _ in range(p.n):
         step: dict = {}

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import random
 from functools import lru_cache
-from itertools import product as iter_product
+from itertools import combinations_with_replacement, product as iter_product
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .automata import (
@@ -62,16 +62,16 @@ def brute_pi1_closure_member(d: Dfa, k: int, word: Sequence[Letter]) -> bool:
     """Membership of a word in the k-variable universal closure of d's
     language, decided directly.
 
-    A word belongs iff for every k-tuple of its positions some accepted word
-    of the same length carries the same letters at those positions.  Each
-    existence question is settled by an exact layered reachability search,
-    never by sampling.
+    A word belongs iff for every set of at most k of its positions some
+    accepted word of the same length carries the same letters at those
+    positions.  Each existence question is settled by an exact layered
+    reachability search, never by sampling.
     """
     word = tuple(word)
     n = len(word)
     if n == 0:
         return False
-    for positions in iter_product(range(n), repeat=k):
+    for positions in combinations_with_replacement(range(n), k):
         pinned = frozenset((p, word[p]) for p in positions)
         if not _accepts_some_pinned(d, n, pinned):
             return False

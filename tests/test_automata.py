@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -594,6 +595,25 @@ def test_transition_monoid_cap():
         transition_monoid(a_star_b(), cap=2)
 
 
+def test_transition_monoid_of_several_hundred_elements_builds_in_seconds():
+    # A 5-cycle and an idempotent sending state 0 to 1 generate 610
+    # transformations; checking associativity over all 610**3 triples took
+    # over 20 s.  Composition is associative, so only a sample is checked.
+    d = Dfa(AB, [[1, 1], [2, 1], [3, 2], [4, 3], [0, 4]], 0, [0])
+    begin = time.perf_counter()
+    t = transition_monoid(d)
+    assert time.perf_counter() - begin < 10
+    m = t.monoid
+    assert m.size == 610
+    number = {tr: e for e, tr in enumerate(t.transformations)}
+    rng = random.Random(0)
+    for _ in range(2000):
+        x, y, z = (rng.randrange(m.size) for _ in range(3))
+        assert m.op(m.op(x, y), z) == m.op(x, m.op(y, z))
+        tx, ty = t.transformations[x], t.transformations[y]
+        assert m.op(x, y) == number[tuple(ty[tx[q]] for q in range(5))]
+
+
 def test_monoid_table_validation():
     FinMonoid(((0, 1), (1, 0)), 0)  # two element group
     with pytest.raises(ValueError):
@@ -602,8 +622,13 @@ def test_monoid_table_validation():
         FinMonoid(((0, 1), (1, 0)), 2)  # identity out of range
     with pytest.raises(ValueError):
         FinMonoid(((1, 1), (1, 1)), 0)  # identity law fails
-    with pytest.raises(ValueError):
-        FinMonoid(((0, 1, 2), (1, 1, 2), (2, 1, 1)), 0)  # associativity fails
+    with pytest.raises(ValueError, match="associativity fails"):
+        FinMonoid(((0, 1, 2), (1, 1, 2), (2, 1, 1)), 0)
+    # transition monoids skip only the associativity scan
+    small = transition_monoid(a_star_b()).monoid
+    assert FinMonoid(small.table, small.identity) == small
+    with pytest.raises(ValueError, match="identity law fails"):
+        FinMonoid._of_compositions(((1, 1), (1, 1)), 0)
 
 
 # ----- serialization -----------------------------------------------------

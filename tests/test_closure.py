@@ -39,6 +39,7 @@ from helpers import (
     AB,
     a_plus,
     a_plus_or_b_plus,
+    a_star_b,
     ab_repeat,
     contains,
     literal,
@@ -133,6 +134,48 @@ def test_closure_agrees_with_the_marked_route():
         assert cl == minimize(marked_pi1_closure(d, k)), (case, k)
         for w in words_upto(alphabet, 4 if len(alphabet) == 2 else 3):
             assert cl.accepts(w) == brute_pi1_closure_member(d, k, w), (case, k, w)
+
+
+
+def test_inclusion_table_agrees_with_the_pair_removal_fixpoint():
+    # Settle every pair of each minimal pattern automaton through the table,
+    # in a shuffled order so that later questions read what earlier searches
+    # memoized, then require every entry to match _language_below.
+    from diffchain.closure import (
+        _dead_state,
+        _inclusion_table,
+        _language_below,
+        _normalize,
+        _pattern_automaton,
+    )
+
+    rng = random.Random(5150)
+    targets = [a_plus(), a_plus_or_b_plus(), ab_repeat(), contains("a"),
+               contains("b"), literal("ab"), literal("b"), a_star_b()]
+    targets += [random_dfa(rng, 5, AB) for _ in range(30)]
+    targets += [random_dfa(rng, 8, AB) for _ in range(10)]
+    targets += [random_dfa(rng, 4, ("a", "b", "c")) for _ in range(10)]
+    searched = 0
+    for d in targets:
+        target = _normalize(d)
+        for k in (1, 2, 3):
+            pattern = minimize(_pattern_automaton(target, k, 10_000))
+            n = pattern.n_states
+            below = _language_below(pattern)
+            expected = [
+                [1 if below[q] >> p & 1 else 2 for p in range(n)] for q in range(n)
+            ]
+            rows, new_row, search = _inclusion_table(pattern, _dead_state(pattern))
+            pairs = [(p, q) for p in range(n) for q in range(n)]
+            rng.shuffle(pairs)
+            for p, q in pairs:
+                row = rows[q] or new_row(q)
+                if not row[p]:
+                    searched += 1
+                    assert search(p, q) == expected[q][p], (p, q, k)
+                assert row[p] == expected[q][p], (p, q, k)
+            assert [list(row) for row in rows] == expected, k
+    assert searched > 1000  # the searches, not the presets, settle most pairs
 
 
 # ----- chains of closures ------------------------------------------------
