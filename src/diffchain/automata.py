@@ -1,5 +1,5 @@
-"""Complete DFAs: boolean operations, canonical minimization, transition
-monoids and a JSON form.
+"""Complete DFAs: boolean operations, canonical minimization and a JSON
+form.
 
 Letters are plain strings or ``Marked`` letters, a base letter with the set
 of position variables that point at it (``base=None`` is the erased letter).
@@ -14,12 +14,11 @@ import json
 from dataclasses import dataclass
 from typing import Hashable, Iterable, Sequence
 
-from .errors import AlphabetMismatchError, CapacityError
+from .errors import AlphabetMismatchError
 
 Letter = Hashable
 
 DEFAULT_STATE_CAP = 100_000
-DEFAULT_MONOID_CAP = 4096
 
 
 # ----- letters and alphabets ---------------------------------------------
@@ -348,144 +347,6 @@ def equivalent(d1: Dfa, d2: Dfa) -> bool:
     if set(d1.alphabet) != set(d2.alphabet):
         raise AlphabetMismatchError("cannot compare automata over different alphabets")
     return minimize(d1) == minimize(d2)
-
-
-# ----- transition monoid -------------------------------------------------
-
-
-@dataclass(frozen=True)
-class FinMonoid:
-    """A finite monoid as a multiplication table over 0..size-1.
-
-    Associativity and the identity law are checked exhaustively on
-    construction.
-    """
-
-    table: tuple[tuple[int, ...], ...]
-    identity: int
-
-    def __post_init__(self):
-        self._check_shape_and_identity()
-        n = len(self.table)
-        for x in range(n):
-            for y in range(n):
-                xy = self.table[x][y]
-                for z in range(n):
-                    if self.table[xy][z] != self.table[x][self.table[y][z]]:
-                        raise ValueError(f"associativity fails at ({x}, {y}, {z})")
-
-    def _check_shape_and_identity(self) -> None:
-        object.__setattr__(self, "table", tuple(tuple(row) for row in self.table))
-        n = len(self.table)
-        for row in self.table:
-            if len(row) != n or not all(0 <= x < n for x in row):
-                raise ValueError("multiplication table must be square over 0..size-1")
-        e = self.identity
-        if not (0 <= e < n):
-            raise ValueError("identity out of range")
-        for x in range(n):
-            if self.table[e][x] != x or self.table[x][e] != x:
-                raise ValueError(f"identity law fails at {x}")
-
-    @classmethod
-    def _of_compositions(cls, table, identity: int) -> FinMonoid:
-        """A table of composed transformations: associative by construction,
-        so only the shape and the identity law are checked, not every
-        triple."""
-        monoid = object.__new__(cls)
-        object.__setattr__(monoid, "table", table)
-        object.__setattr__(monoid, "identity", identity)
-        monoid._check_shape_and_identity()
-        return monoid
-
-    @property
-    def size(self) -> int:
-        return len(self.table)
-
-    def op(self, x: int, y: int) -> int:
-        return self.table[x][y]
-
-
-@dataclass(frozen=True)
-class TransitionMonoid:
-    """The monoid of state transformations of a DFA, with the evaluation map.
-
-    ``transformations[e]`` lists the image of every state under element ``e``;
-    ``letter_image`` sends each letter to the element it generates.  Products
-    compose left to right: the element of a word uv is op(element(u),
-    element(v)).
-    """
-
-    monoid: FinMonoid
-    transformations: tuple[tuple[int, ...], ...]
-    letter_image: tuple[tuple[Letter, int], ...]
-    start: int
-    accepting: frozenset[int]
-
-    def element_of_word(self, word: Iterable[Letter]) -> int:
-        images = dict(self.letter_image)
-        e = self.monoid.identity
-        for a in word:
-            if a not in images:
-                raise AlphabetMismatchError(f"letter {a!r} not in alphabet")
-            e = self.monoid.op(e, images[a])
-        return e
-
-    def accepts(self, word: Iterable[Letter]) -> bool:
-        return self.transformations[self.element_of_word(word)][self.start] in self.accepting
-
-    @property
-    def recognizing_set(self) -> frozenset[int]:
-        """Elements whose transformation sends the start state into acceptance."""
-        return frozenset(
-            e
-            for e, t in enumerate(self.transformations)
-            if t[self.start] in self.accepting
-        )
-
-
-def transition_monoid(d: Dfa, cap: int = DEFAULT_MONOID_CAP) -> TransitionMonoid:
-    """Close the letter actions of d under composition.
-
-    Raises CapacityError when more than ``cap`` distinct transformations
-    appear.
-    """
-    n = d.n_states
-    identity = tuple(range(n))
-    letters = tuple(sorted(d.alphabet, key=letter_key))
-    gens = {
-        a: tuple(d.delta[q][d.letter_index(a)] for q in range(n)) for a in letters
-    }
-    number: dict[tuple[int, ...], int] = {identity: 0}
-    order = [identity]
-    i = 0
-    while i < len(order):
-        t = order[i]
-        for a in letters:
-            g = gens[a]
-            nt = tuple(g[t[q]] for q in range(n))
-            if nt not in number:
-                if len(order) >= cap:
-                    raise CapacityError(f"transition monoid passed {cap} elements")
-                number[nt] = len(order)
-                order.append(nt)
-        i += 1
-    table = []
-    for t in order:
-        row = []
-        for u in order:
-            tu = tuple(u[t[q]] for q in range(n))
-            row.append(number[tu])
-        table.append(tuple(row))
-    monoid = FinMonoid._of_compositions(tuple(table), 0)
-    letter_image = tuple((a, number[gens[a]]) for a in letters)
-    return TransitionMonoid(
-        monoid=monoid,
-        transformations=tuple(order),
-        letter_image=letter_image,
-        start=d.start,
-        accepting=d.accepting,
-    )
 
 
 # ----- serialization -----------------------------------------------------

@@ -212,6 +212,9 @@ def _cmd_lang_eq(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    for flag, value in (("--max-len", args.max_len), ("--cases", args.cases)):
+        if value < 1:
+            raise ValueError(f"{flag} must be at least 1")
     suites = (
         ["poset-chains", "closure", "images", "adjunction"]
         if args.suite == "all"
@@ -227,7 +230,7 @@ def _cmd_verify(args) -> int:
 
 
 def _suite_poset_chains(args) -> tuple[bool, str]:
-    size = min(args.max_len, 5) if args.max_len else 4
+    size = min(args.max_len, 5)
     checked = 0
     for poset in oracle.all_posets_upto(size):
         for bits in range(1 << poset.n):

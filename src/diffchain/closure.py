@@ -25,6 +25,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import islice
+from typing import Iterator
 
 from .automata import (
     DEFAULT_STATE_CAP,
@@ -382,6 +384,28 @@ class ChainTrace:
         return minimize(acc)
 
 
+def _canonical_terms(target: Dfa, k: int, state_cap: int) -> Iterator[Dfa]:
+    r"""The canonical closure chain of a normalized target, one term per
+    ``next()``: C(L), then C(prev \ L) and C(prev ∩ L) in turn, where C is
+    the k-variable closure and L the target.  A term is computed only when
+    it is asked for.
+
+    Each term lies inside the matching term of every other chain that gives
+    L.  Suppose L = G1 - (G2 - (G3 - ...)) for k-closed languages
+    G1 ⊇ G2 ⊇ ... .  Then G1 \ L ⊆ G2, G2 ∩ L ⊆ G3, and so on alternately.
+    C(L) ⊆ G1, since G1 is closed and contains L.  If a term lies inside
+    Gi, the next one closes a set inside Gi \ L or Gi ∩ L, so it lies
+    inside G(i+1).  So a canonical term is empty wherever the matching Gi
+    is: no chain of k-closed languages gives L in fewer pairs.
+    """
+    term = pi1_closure(target, k, state_cap)
+    while True:
+        yield term
+        term = pi1_closure(difference(term, target), k, state_cap)
+        yield term
+        term = pi1_closure(intersect(term, target), k, state_cap)
+
+
 def closure_chain_terms(
     d: Dfa, k: int, count: int, state_cap: int = DEFAULT_STATE_CAP
 ) -> list[Dfa]:
@@ -391,17 +415,8 @@ def closure_chain_terms(
     previous term has outside the target, odd terms what it has inside.  No
     early stopping: the sequence is well defined at every index.
     """
-    target = _normalize(d)
-    terms: list[Dfa] = []
-    for i in range(count):
-        if i == 0:
-            seed = target
-        elif i % 2 == 1:
-            seed = difference(terms[-1], target)
-        else:
-            seed = intersect(terms[-1], target)
-        terms.append(pi1_closure(seed, k, state_cap))
-    return terms
+    terms = _canonical_terms(_normalize(d), k, state_cap)
+    return list(islice(terms, max(count, 0)))
 
 
 def chain_trace(
@@ -419,15 +434,11 @@ def chain_trace(
     target = _normalize(d)
     if is_empty_lang(target):
         return ChainTrace(k, target, (), 0, "success")
+    terms = _canonical_terms(target, k, state_cap)
     comps: list[Dfa] = []
     reached: Dfa | None = None  # union of differences so far
     for pair in range(1, max_m + 1):
-        if pair == 1:
-            seed = target
-        else:
-            seed = intersect(comps[-1], target)
-        odd = pi1_closure(seed, k, state_cap)
-        even = pi1_closure(difference(odd, target), k, state_cap)
+        odd, even = next(terms), next(terms)
         diff = difference(odd, even)
         if is_empty_lang(diff):
             break

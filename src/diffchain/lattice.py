@@ -63,8 +63,10 @@ def join_irreducibles(lattice: UpsetLattice) -> FinPoset:
     """The poset of join-irreducible lattice members under reverse inclusion.
 
     A member is join-irreducible when it is not the union of the members
-    strictly below it (this excludes the empty set).  For an upset lattice
-    the result is isomorphic to the underlying poset.
+    strictly below it (this excludes the empty set).  Element i of the
+    result is the i-th join-irreducible member in the order by (size,
+    sorted elements).  For an upset lattice these members are the principal
+    upsets ↑x, and x ↦ ↑x is an isomorphism from the underlying poset.
     """
     masks = [mask_of(u, lattice.poset.n) for u in lattice.upsets]
     members = []
@@ -95,84 +97,3 @@ def coheyting_minus(poset: FinPoset, a: Iterable[int], b: Iterable[int]) -> Elem
         if not poset.is_upset(s):
             raise NotUpsetError(f"{name} argument {sorted(s)} is not an upset")
     return poset.upset_closure(a - b)
-
-
-# ----- poset isomorphism -------------------------------------------------
-
-
-def is_isomorphic(p: FinPoset, q: FinPoset) -> bool:
-    """Order-isomorphism test by color refinement plus backtracking."""
-    if p.n != q.n:
-        return False
-    sig_p, sig_q = _joint_signatures(p, q)
-    if sorted(sig_p) != sorted(sig_q):
-        return False
-    # candidate images per element, most constrained first
-    cands = [[j for j in range(q.n) if sig_q[j] == sig_p[i]] for i in range(p.n)]
-    order = sorted(range(p.n), key=lambda i: len(cands[i]))
-    image: dict[int, int] = {}
-    used: set[int] = set()
-    # backtracking with an explicit stack: tried[k] counts the candidates
-    # of order[k] already tried at the current branch
-    tried = [0] * p.n
-    k = 0
-    while k < p.n:
-        i = order[k]
-        if i in image:  # back from a dead end deeper down
-            used.discard(image.pop(i))
-        for c in range(tried[k], len(cands[i])):
-            j = cands[i][c]
-            if j not in used and all(
-                (p.upm[i] >> i2 & 1) == (q.upm[j] >> j2 & 1)
-                and (p.upm[i2] >> i & 1) == (q.upm[j2] >> j & 1)
-                for i2, j2 in image.items()
-            ):
-                image[i] = j
-                used.add(j)
-                tried[k] = c + 1
-                k += 1
-                break
-        else:
-            if k == 0:
-                return False
-            tried[k] = 0
-            k -= 1
-    return True
-
-
-def _joint_signatures(p: FinPoset, q: FinPoset) -> tuple[list[int], list[int]]:
-    """Stable color refinement over both posets with a shared color table.
-
-    Classes only ever split, so the partition is stable as soon as the
-    number of colors stops growing.  When the first colors already tell
-    apart the elements of each poset, refining is skipped: every element
-    has at most one candidate image, which the backtracking checks.
-    """
-    colors: dict = {}
-    sig_p, sig_q = (
-        [colors.setdefault((r.upm[i].bit_count(), r.downm[i].bit_count()), len(colors))
-         for i in range(r.n)]
-        for r in (p, q)
-    )
-    if len(set(sig_p)) == p.n and len(set(sig_q)) == q.n:
-        return sig_p, sig_q
-    count = len(colors)
-    for _ in range(p.n):
-        step: dict = {}
-
-        def refine(r: FinPoset, sig: list[int]) -> list[int]:
-            return [
-                step.setdefault((
-                    sig[i],
-                    tuple(sorted(sig[j] for j in bits(r.upm[i] ^ 1 << i))),
-                    tuple(sorted(sig[j] for j in bits(r.downm[i] ^ 1 << i))),
-                ), len(step))
-                for i in range(r.n)
-            ]
-
-        sig_p = refine(p, sig_p)
-        sig_q = refine(q, sig_q)
-        if len(step) == count:
-            break
-        count = len(step)
-    return sig_p, sig_q

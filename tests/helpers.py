@@ -1,6 +1,6 @@
-"""Shared language fixtures for the test suite.
+"""Shared fixtures for the test suite.
 
-Every builder returns a complete DFA over the two letter alphabet
+Every language builder returns a complete DFA over the two letter alphabet
 ('a', 'b').  All languages consist of nonempty words only.  Builders are
 deliberately tiny hand-built machines; test_automata checks each one
 against a plain word predicate so the rest of the suite can trust them.
@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 
-from diffchain import Dfa, minimize, union
+from diffchain import Dfa, FinPoset, minimize, union
 from diffchain.oracle import words_upto
 
 AB = ("a", "b")
@@ -72,3 +72,24 @@ def assert_lang(dfa: Dfa, predicate, max_len: int = 6) -> None:
     """Check `dfa` against `predicate` on every nonempty word up to max_len."""
     for word in words_upto(dfa.alphabet, max_len):
         assert dfa.accepts(word) == predicate(word), word
+
+
+def principal_upset_map(p: FinPoset, dual: FinPoset) -> list[int] | None:
+    """Certificate that ``dual``, the join-irreducibles of p's upset
+    lattice, is isomorphic to p.
+
+    Sends x to the index of its principal upset among the principal upsets
+    in the dual's numbering (by size, then sorted elements).  Returns that
+    map when it is a bijection onto the dual's carrier with x <= y iff
+    f(x) <= f(y), else None.
+    """
+    principal = sorted(p.up, key=lambda u: (len(u), sorted(u)))
+    index = {u: i for i, u in enumerate(principal)}
+    f = [index[p.up[x]] for x in range(p.n)]
+    if dual.n != p.n or len(index) != p.n:
+        return None
+    for x in range(p.n):
+        for y in range(p.n):
+            if (p.upm[x] >> y & 1) != (dual.upm[f[x]] >> f[y] & 1):
+                return None
+    return f

@@ -22,7 +22,6 @@ from diffchain import (
     equivalent,
     evaluate,
     intersect,
-    is_isomorphic,
     is_pi1_k,
     join_irreducibles,
     minimize,
@@ -48,7 +47,7 @@ from diffchain.oracle import (
     words_upto,
 )
 
-from helpers import AB, a_plus, a_plus_or_b_plus, contains, literal
+from helpers import AB, a_plus, a_plus_or_b_plus, contains, literal, principal_upset_map
 
 
 def report(name: str, ok: bool, detail: str, elapsed: float, bound: float) -> None:
@@ -123,7 +122,8 @@ def test_lattice_dual_recovers_the_poset():
     start = time.perf_counter()
     ok, detail, count = True, "", 0
     for poset in all_posets_upto(6):
-        if not is_isomorphic(join_irreducibles(upsets_of(poset)), poset):
+        dual = join_irreducibles(upsets_of(poset))
+        if principal_upset_map(poset, dual) is None:
             ok, detail = False, f"round trip fails on {poset!r}"
             break
         count += 1

@@ -1,6 +1,6 @@
-"""DFAs over plain and marked alphabets: boolean algebra, minimization,
-transition monoids, and the marked-alphabet toolkit of the reference route in
-``diffchain.oracle`` (homomorphic images, structures, quantifier adjoints)."""
+"""DFAs over plain and marked alphabets: boolean algebra and minimization,
+and the reference-route toolkits in ``diffchain.oracle`` (transition monoids,
+homomorphic images, structures, quantifier adjoints)."""
 
 from __future__ import annotations
 
@@ -15,7 +15,6 @@ from diffchain import (
     AlphabetMismatchError,
     CapacityError,
     Dfa,
-    FinMonoid,
     Marked,
     complement,
     dfa_all_words,
@@ -31,11 +30,11 @@ from diffchain import (
     minimize,
     shortest_word,
     subset_of,
-    transition_monoid,
     union,
 )
 from diffchain.automata import letter_key
 from diffchain.oracle import (
+    FinMonoid,
     Hom,
     LpHom,
     check_base_letters,
@@ -50,6 +49,7 @@ from diffchain.oracle import (
     projection_hom,
     structures_dfa,
     tensor,
+    transition_monoid,
     variables,
     words_upto,
 )

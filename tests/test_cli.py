@@ -376,6 +376,24 @@ def test_verify_single_suite_respects_seed(capsys):
     assert capsys.readouterr().out.count("... ok") == 1
 
 
+@pytest.mark.parametrize(
+    "suite, flag, value",
+    [
+        ("poset-chains", "--max-len", "-1"),
+        ("poset-chains", "--max-len", "0"),
+        ("closure", "--max-len", "0"),
+        ("closure", "--cases", "-3"),
+        ("all", "--cases", "0"),
+    ],
+)
+def test_verify_rejects_bounds_that_check_nothing(capsys, suite, flag, value):
+    assert main(["verify", "--suite", suite, flag, value]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.strip()
+    assert err.startswith("error:") and flag in err and "\n" not in err
+
+
 # ----- environment guard -------------------------------------------------
 
 

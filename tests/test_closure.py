@@ -26,6 +26,7 @@ from diffchain import (
     subset_of,
     union,
 )
+from diffchain import closure
 from diffchain.automata import dfa_from_json_obj
 from diffchain.closure import trace_to_json
 from diffchain.oracle import (
@@ -241,6 +242,43 @@ def test_chain_traces_decrease_and_stay_inside_the_target():
         if trace.succeeded:
             assert equivalent(trace.difference_union(), trace.target)
             assert equivalent(trace.nested_difference(), trace.target)
+
+
+@pytest.mark.parametrize(
+    "d, k, max_m, status, computed, stabilized",
+    [
+        (contains("b"), 1, 8, "success", 1, False),
+        (Dfa(AB, [[2, 0], [1, 3], [1, 2], [1, 2]], 0, [0, 1, 3]), 2, 8, "success", 2, False),
+        # the second pair's difference is empty
+        (a_plus_or_b_plus(), 1, 8, "exhausted", 2, True),
+        # three pairs, none of which reaches the target
+        (Dfa(AB, [[1, 1], [0, 1]], 0, [0]), 2, 3, "exhausted", 3, False),
+    ],
+)
+def test_chain_trace_asks_for_no_closure_it_does_not_use(
+    monkeypatch, d, k, max_m, status, computed, stabilized
+):
+    calls = 0
+    real = closure.pi1_closure
+
+    def counted(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(closure, "pi1_closure", counted)
+    trace = chain_trace(d, k, max_m)
+    assert trace.status == status
+    assert calls == 2 * computed
+    calls = 0
+    closure_chain_terms(d, k, 2 * computed - 1)
+    assert calls == 2 * computed - 1
+    terms = closure_chain_terms(d, k, 2 * computed)
+    assert calls == 4 * computed - 1
+    if stabilized:  # the trace drops the pair that repeats its odd term
+        assert terms[-1] == terms[-2]
+        terms = terms[:-2]
+    assert tuple(terms) == trace.chain
 
 
 def test_decompose_prefers_fewer_variables():

@@ -12,7 +12,6 @@ from diffchain import (
     canonical_chain,
     degrees,
     equivalent,
-    transition_monoid,
     upsets_of,
 )
 from diffchain.oracle import (
@@ -29,6 +28,7 @@ from diffchain.oracle import (
     monoid_language_dfa,
     nested_difference,
     random_dfa,
+    transition_monoid,
     words_upto,
 )
 
