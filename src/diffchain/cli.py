@@ -110,9 +110,12 @@ def _state_cap() -> int:
     raw = os.environ.get("DIFFCHAIN_STATE_CAP")
     if raw is None:
         return automata.DEFAULT_STATE_CAP
-    cap = int(raw)
+    try:
+        cap = int(raw)
+    except ValueError:
+        cap = 0
     if cap < 1:
-        raise ValueError("DIFFCHAIN_STATE_CAP must be positive")
+        raise ValueError(f"DIFFCHAIN_STATE_CAP must be a positive integer, got {raw!r}")
     return cap
 
 

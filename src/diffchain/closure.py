@@ -52,6 +52,9 @@ DEFAULT_MAX_M = 8
 
 # The pattern letter of an unpinned position: the erased letter.
 BOX = Marked(None)
+# Widest length set (threshold plus period) the pattern automaton's top layer
+# collapses to; past it the top layer keeps subset states.
+_LENGTH_BITS = 64
 
 
 def _normalize(d: Dfa) -> Dfa:
@@ -125,10 +128,23 @@ def _pattern_automaton(target: Dfa, k: int, state_cap: int) -> Dfa:
     """Patterns over the target's letters and BOX with at most k pinned
     letters that some word of the target matches, letter for letter.
 
-    A state is ``(c, S)``: c pins used and S the target states some matching
-    prefix reaches, as a bitmask closed downward under language inclusion
-    (adding a state whose language is included changes nothing).  Every
-    empty S is the one dead state ``(0, 0)``.
+    Below the top layer a state is ``(c, S)``: c < k pins used and S the
+    target states some matching prefix reaches, as a bitmask closed downward
+    under language inclusion (adding a state whose language is included
+    changes nothing).  Every empty S is the one dead state ``(0, 0)``.
+
+    In the top layer (c = k) only BOX moves, so a state's language is the
+    set of lengths m with Post^m(S) meeting the accepting states.  Let
+    ``reaching[m]`` be the states with a path of exactly m letters to an
+    accepting state.  That sequence first repeats at index T + P, with
+    ``reaching[T + P] == reaching[T]``, so every such set is ultimately
+    periodic with threshold T and period P (Chrobak, *Finite automata and
+    unary languages*, TCS 1986).  A top-layer state is ``(k, lengths)``,
+    bit m of ``lengths`` set when m < T + P is in the set; BOX shifts it
+    down one length, and an empty set is the dead state.  Equal sets give
+    one state where the subsets S, Post(S), Post^2(S), ... gave many.  When
+    T + P exceeds ``_LENGTH_BITS``, the top layer keeps the subset states
+    ``(k, S)`` of the layers below.
     """
     n = target.n_states
     width = len(target.alphabet)
@@ -168,6 +184,24 @@ def _pattern_automaton(target: Dfa, k: int, state_cap: int) -> Dfa:
         return out
 
     dead = (0, 0)
+    periodic = _reaching(target, accepting)
+    # the layer of length sets: the top one, unless the lengths are too wide
+    collapsed = k if periodic is not None else -1
+    reaching, threshold = periodic or ([], 0)
+    last_bit = len(reaching) - 1
+    lengths_of: dict[int, tuple[int, int]] = {}
+
+    def enter(subset: int) -> tuple[int, int]:
+        """The top-layer state of the target states ``subset``."""
+        t = lengths_of.get(subset)
+        if t is None:
+            lengths = 0
+            for m, states in enumerate(reaching):
+                if states & subset:
+                    lengths |= 1 << m
+            t = lengths_of[subset] = (k, lengths) if lengths else dead
+        return t
+
     start = (0, below[target.start])
     number = {start: 0}
     order = [start]
@@ -175,12 +209,24 @@ def _pattern_automaton(target: Dfa, k: int, state_cap: int) -> Dfa:
     i = 0
     while i < len(order):
         c, subset = order[i]
+        if c == collapsed:
+            # only the box moves: every length one down
+            shifted = subset >> 1 | (subset >> threshold & 1) << last_bit
+            succ = [dead] * width + [(c, shifted) if shifted else dead]
+        else:
+            succ = []
+            for j, mask in enumerate(post(subset)):
+                if not mask:
+                    t = dead
+                elif j == width:
+                    t = (c, mask)
+                elif c + 1 == collapsed:
+                    t = enter(mask)
+                else:
+                    t = (c + 1, mask) if c < k else dead
+                succ.append(t)
         row = []
-        for j, mask in enumerate(post(subset)):
-            if j == width:
-                t = (c, mask) if mask else dead
-            else:
-                t = (c + 1, mask) if mask and c < k else dead
+        for t in succ:
             if t not in number:
                 if len(order) >= state_cap:
                     raise CapacityError(
@@ -192,8 +238,37 @@ def _pattern_automaton(target: Dfa, k: int, state_cap: int) -> Dfa:
         delta.append(row)
         i += 1
     letters = target.alphabet + (BOX,)
-    final = [number[s] for s in order if s[1] & accepting]
+    final = [
+        number[s] for s in order
+        if s[1] & (1 if s[0] == collapsed else accepting)
+    ]
     return Dfa(letters, delta, 0, final)
+
+
+def _reaching(target: Dfa, accepting: int) -> tuple[list[int], int] | None:
+    """``(reaching, T)``: ``reaching[m]`` for m < T + P, the target states
+    with a path of exactly m letters into ``accepting``, and the threshold
+    T from which the sequence repeats with period P = len(reaching) - T.
+    None when T + P exceeds ``_LENGTH_BITS``."""
+    pred_any = [0] * target.n_states
+    for p, row in enumerate(target.delta):
+        for t in row:
+            pred_any[t] |= 1 << p
+    index = {accepting: 0}
+    reaching = [accepting]
+    while True:
+        rest = reaching[-1]
+        earlier = 0
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            earlier |= pred_any[low.bit_length() - 1]
+        if earlier in index:
+            return reaching, index[earlier]
+        if len(reaching) == _LENGTH_BITS:
+            return None
+        index[earlier] = len(reaching)
+        reaching.append(earlier)
 
 
 def _universal_projection(
@@ -425,26 +500,30 @@ def chain_trace(
     max_m: int = DEFAULT_MAX_M,
     state_cap: int = DEFAULT_STATE_CAP,
 ) -> ChainTrace:
-    """Difference chain of k-variable closures aimed at d's language.
+    r"""Difference chain of k-variable closures aimed at d's language.
 
-    Builds odd/even pairs until a pair's difference is empty or ``max_m``
-    pairs were computed, then reports whether the union of the differences
-    reconstructs the target.  An empty target succeeds with the empty chain.
+    Builds odd/even pairs until a pair's difference is empty, the
+    differences reconstruct the target, or ``max_m`` pairs were computed.
+    An empty target succeeds with the empty chain.
+
+    After m pairs C1 ⊇ C2 ⊇ ... ⊇ C2m, the differences give L exactly when
+    C2m ∩ L is empty.  Every difference lies inside L, since C(2i) contains
+    C(2i-1) \ L.  A word of L lies in C1, and if it lies in C(2i) for some
+    i < m, it lies in C(2i) ∩ L ⊆ C(2i+1) too.  So unless the word lies in
+    C2m, the last term that holds it is odd, and that term's difference
+    covers it.
     """
     target = _normalize(d)
     if is_empty_lang(target):
         return ChainTrace(k, target, (), 0, "success")
     terms = _canonical_terms(target, k, state_cap)
     comps: list[Dfa] = []
-    reached: Dfa | None = None  # union of differences so far
     for pair in range(1, max_m + 1):
         odd, even = next(terms), next(terms)
-        diff = difference(odd, even)
-        if is_empty_lang(diff):
+        if is_empty_lang(difference(odd, even)):
             break
         comps += [odd, even]
-        reached = diff if reached is None else minimize(union(reached, diff))
-        if equivalent(reached, target):
+        if is_empty_lang(intersect(even, target)):
             return ChainTrace(k, target, tuple(comps), pair, "success")
     return ChainTrace(k, target, tuple(comps), None, "exhausted")
 

@@ -187,6 +187,14 @@ def test_word_fixtures_match_their_predicates():
     assert_lang(a_star_b(), lambda w: "".join(w) == "a" * (len(w) - 1) + "b")
 
 
+def test_word_fixtures_reject_what_they_should():
+    # the helpers' asserts must hold under python -O as well (conftest.py)
+    with pytest.raises(AssertionError):
+        assert_lang(a_plus(), lambda w: "b" in w)
+    with pytest.raises(AssertionError):
+        literal("c")
+
+
 def test_constant_languages():
     assert dfa_all_words(AB).accepts("")
     assert dfa_all_words(AB).accepts("abba")

@@ -411,6 +411,10 @@ def test_state_cap_env_must_be_a_positive_integer(tmp_path, monkeypatch, capsys)
     for raw in ("0", "-3", "many"):
         monkeypatch.setenv("DIFFCHAIN_STATE_CAP", raw)
         assert main(["lang", "closure", "--dfa", str(path), "--k", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err == (
+            f"error: DIFFCHAIN_STATE_CAP must be a positive integer, got {raw!r}\n"
+        )
 
 
 def test_missing_subcommand_is_a_usage_error():

@@ -137,6 +137,33 @@ def test_closure_agrees_with_the_marked_route():
             assert cl.accepts(w) == brute_pi1_closure_member(d, k, w), (case, k, w)
 
 
+def test_closure_keeps_subset_states_past_the_length_bits():
+    # Lengths divisible by 5 or by 13 repeat with period 65, wider than the
+    # top layer's length sets, so the pattern automaton keeps subset states.
+    from diffchain.closure import _normalize, _reaching
+
+    d = Dfa(AB, [[(q + 1) % 65] * 2 for q in range(65)], 0,
+            [q for q in range(65) if q % 5 == 0 or q % 13 == 0])
+    target = _normalize(d)
+    accepting = sum(1 << q for q in target.accepting)
+    assert _reaching(target, accepting) is None
+    for k in (1, 2, 3):
+        cl = pi1_closure(d, k)
+        assert cl == minimize(marked_pi1_closure(d, k)), k
+        for w in words_upto(AB, 5):
+            assert cl.accepts(w) == brute_pi1_closure_member(d, k, w), (k, w)
+
+
+def test_pattern_top_layer_collapses_into_length_sets():
+    # 17 753 states; with subset states in the top layer it would be 75 229.
+    from diffchain.closure import _normalize, _pattern_automaton
+
+    rng = random.Random(11)
+    d = random_dfa(rng, 80, ("a", "b", "c"))
+    while d.n_states < 50:
+        d = random_dfa(rng, 80, ("a", "b", "c"))
+    assert _pattern_automaton(_normalize(d), 5, 20_000).n_states < 20_000
+
 
 def test_inclusion_table_agrees_with_the_pair_removal_fixpoint():
     # Settle every pair of each minimal pattern automaton through the table,
@@ -279,6 +306,32 @@ def test_chain_trace_asks_for_no_closure_it_does_not_use(
         assert terms[-1] == terms[-2]
         terms = terms[:-2]
     assert tuple(terms) == trace.chain
+
+
+def test_chain_trace_success_matches_the_union_of_differences():
+    # chain_trace calls a pair a success when its even term misses the
+    # target; at every pair, that must agree with the union of the
+    # differences so far reaching the target.
+    rng = random.Random(4242)
+    targets = [Dfa(AB, [[2, 0], [1, 3], [1, 2], [1, 2]], 0, [0, 1, 3])]
+    targets += [random_dfa(rng, 5, AB) for _ in range(12)]
+    for d in targets:
+        for k in (1, 2, 3):
+            trace = chain_trace(d, k, max_m=3)
+            if not trace.chain:
+                assert trace.pair_count == 0 and is_empty_lang(trace.target)
+                continue
+            reached = dfa_no_words(AB)
+            verdicts = []
+            for odd, even in zip(trace.chain[::2], trace.chain[1::2]):
+                reached = union(reached, difference(odd, even))
+                verdict = equivalent(reached, trace.target)
+                assert verdict == is_empty_lang(intersect(even, trace.target))
+                verdicts.append(verdict)
+            if trace.succeeded:
+                assert verdicts.index(True) + 1 == trace.pair_count == len(verdicts)
+            else:
+                assert not any(verdicts), (d, k)
 
 
 def test_decompose_prefers_fewer_variables():
