@@ -11,10 +11,11 @@ its reference route.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 from typing import Hashable, Iterable, Sequence
 
-from .errors import AlphabetMismatchError
+from .errors import AlphabetMismatchError, CapacityError
 
 Letter = Hashable
 
@@ -159,6 +160,44 @@ def dfa_nonempty_words(alphabet: Sequence[Letter]) -> Dfa:
     return Dfa(alphabet, [[1] * width, [1] * width], 0, [1])
 
 
+# ----- breadth-first construction ----------------------------------------
+
+
+def _explore(
+    letters: tuple[Letter, ...],
+    start: Hashable,
+    step,
+    accepts,
+    cap: int = sys.maxsize,
+    overflow: str = "",
+) -> Dfa:
+    """The part of a deterministic automaton reachable from ``start``.
+
+    States are arbitrary hashable keys, numbered in the order a breadth-first
+    search first reaches them, so ``start`` is 0.  ``step(state)`` lists the
+    successor keys, one per letter of ``letters`` in order, and
+    ``accepts(state)`` says whether a key accepts; ``Dfa`` checks the rows.
+    Raises CapacityError(``overflow``) when a new state would make more
+    than ``cap`` of them.
+    """
+    number = {start: 0}
+    order = [start]
+    delta = []
+    for state in order:  # the loop reaches the states it appends
+        row = []
+        for t in step(state):
+            q = number.get(t)
+            if q is None:
+                if len(order) >= cap:
+                    raise CapacityError(overflow)
+                q = number[t] = len(order)
+                order.append(t)
+            row.append(q)
+        delta.append(row)
+    accepting = [q for q, state in enumerate(order) if accepts(state)]
+    return Dfa(letters, delta, 0, accepting)
+
+
 # ----- boolean operations ------------------------------------------------
 
 
@@ -170,28 +209,16 @@ def _product(d1: Dfa, d2: Dfa, keep) -> Dfa:
     if set(d1.alphabet) != set(d2.alphabet):
         raise AlphabetMismatchError("operands have different alphabets")
     letters = tuple(sorted(d1.alphabet, key=letter_key))
-    col1 = [d1.letter_index(a) for a in letters]
-    col2 = [d2.letter_index(a) for a in letters]
-    start = (d1.start, d2.start)
-    number: dict[tuple[int, int], int] = {start: 0}
-    order = [start]
-    delta: list[list[int]] = []
-    i = 0
-    while i < len(order):
-        q1, q2 = order[i]
-        row = []
-        for c1, c2 in zip(col1, col2):
-            t = (d1.delta[q1][c1], d2.delta[q2][c2])
-            if t not in number:
-                number[t] = len(order)
-                order.append(t)
-            row.append(number[t])
-        delta.append(row)
-        i += 1
-    accepting = [
-        number[p] for p in order if keep(p[0] in d1.accepting, p[1] in d2.accepting)
-    ]
-    return Dfa(letters, delta, 0, accepting)
+    cols = [(d1.letter_index(a), d2.letter_index(a)) for a in letters]
+
+    def step(pair):
+        row1, row2 = d1.delta[pair[0]], d2.delta[pair[1]]
+        return [(row1[c1], row2[c2]) for c1, c2 in cols]
+
+    return _explore(
+        letters, (d1.start, d2.start), step,
+        lambda p: keep(p[0] in d1.accepting, p[1] in d2.accepting),
+    )
 
 
 def intersect(d1: Dfa, d2: Dfa) -> Dfa:
@@ -257,64 +284,42 @@ def subset_of(d1: Dfa, d2: Dfa) -> bool:
 def minimize(d: Dfa) -> Dfa:
     """Canonical minimal form: Hopcroft partition refinement, then
     breadth-first canonical numbering with letters in canonical order.
-    Equal languages over the same letters give structurally equal results."""
+    Equal languages over the same letters give structurally equal results.
+
+    The blocks are language classes, so exploring the quotient from the
+    start state's block reaches exactly the minimal automaton, whatever
+    unreachable states ``d`` has."""
     letters = tuple(sorted(d.alphabet, key=letter_key))
     cols = [d.letter_index(a) for a in letters]
-    # reachable part
-    seen = {d.start}
-    stack = [d.start]
-    while stack:
-        q = stack.pop()
-        for c in cols:
-            t = d.delta[q][c]
-            if t not in seen:
-                seen.add(t)
-                stack.append(t)
-    states = sorted(seen)
-    cls = [0] * d.n_states
-    for q, block in zip(states, _hopcroft_blocks(d, states)):
-        cls[q] = block
-    # breadth-first renumbering of the quotient
-    rep: dict[int, int] = {}
-    for q in states:
-        rep.setdefault(cls[q], q)
-    number = {cls[d.start]: 0}
-    order = [cls[d.start]]
-    delta: list[list[int]] = []
-    i = 0
-    while i < len(order):
-        q = rep[order[i]]
-        row = []
-        for c in cols:
-            t = cls[d.delta[q][c]]
-            if t not in number:
-                number[t] = len(order)
-                order.append(t)
-            row.append(number[t])
-        delta.append(row)
-        i += 1
-    accepting = [number[c] for c in order if rep[c] in d.accepting]
-    return Dfa(letters, delta, 0, accepting)
+    cls = _hopcroft_blocks(d)
+    # any member represents its block: the partition is stable
+    rep = dict(zip(cls, range(d.n_states)))
+    accepting = {cls[q] for q in d.accepting}
+
+    def step(block):
+        row = d.delta[rep[block]]
+        return [cls[row[c]] for c in cols]
+
+    return _explore(letters, cls[d.start], step, accepting.__contains__)
 
 
-def _hopcroft_blocks(d: Dfa, states: list[int]) -> list[int]:
-    """Block of each of ``states`` (a successor-closed list) in the coarsest
-    partition that separates accepting from rejecting states and is stable
-    under every letter.
+def _hopcroft_blocks(d: Dfa) -> list[int]:
+    """Block of each state in the coarsest partition that separates
+    accepting from rejecting states and is stable under every letter.
 
     Hopcroft (1971): a worklist of splitter blocks, each refining the
     partition through per-letter predecessor lists.  When a block splits,
     both halves wait if it was waiting, otherwise only the smaller one,
     since stability under a block and one half gives it under the other.
     """
-    local = {q: i for i, q in enumerate(states)}
-    preds: list[list[list[int]]] = [[[] for _ in states] for _ in d.alphabet]
-    for i, q in enumerate(states):
-        for pre, t in zip(preds, d.delta[q]):
-            pre[local[t]].append(i)
-    accepting = {i for i, q in enumerate(states) if q in d.accepting}
-    blocks = [accepting, set(range(len(states))) - accepting]
-    block_of = [0 if i in accepting else 1 for i in range(len(states))]
+    n = d.n_states
+    preds: list[list[list[int]]] = [[[] for _ in range(n)] for _ in d.alphabet]
+    for q, row in enumerate(d.delta):
+        for pre, t in zip(preds, row):
+            pre[t].append(q)
+    accepting = set(d.accepting)
+    blocks = [accepting, set(range(n)) - accepting]
+    block_of = [0 if q in accepting else 1 for q in range(n)]
     # the partition is stable under the block of all states, so one side of
     # the first split suffices (an empty side splits nothing)
     waiting = {0 if len(accepting) <= len(blocks[1]) else 1}

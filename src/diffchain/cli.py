@@ -13,6 +13,7 @@ import json
 import os
 import random
 import sys
+from functools import cache
 from pathlib import Path
 from typing import Iterable
 
@@ -33,7 +34,10 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: ``parse_args`` returns a fresh
+    namespace each call and keeps no state of its own."""
     parser = argparse.ArgumentParser(
         prog="diffchain",
         description="Difference chains over finite posets and closures of regular languages.",
@@ -123,6 +127,8 @@ def _emit(lines: Iterable[str], out: str | None, dot_text: str | None, want_dot:
     """Write ``lines`` one by one to ``out`` (stdout when None)."""
     if want_dot and out is None:
         raise ValueError("--dot needs --out to know where to write")
+    if want_dot and Path(out).suffix == ".dot":
+        raise ValueError(f"--dot would overwrite --out {out}; give --out another suffix")
     if out is None:
         for line in lines:
             sys.stdout.write(line + "\n")

@@ -43,6 +43,7 @@ from .automata import (
     shortest_word,
     subset_of,
     union,
+    _explore,
     _plain_alphabet,
 )
 from .errors import CapacityError
@@ -63,23 +64,18 @@ def _normalize(d: Dfa) -> Dfa:
     return minimize(intersect(d, dfa_nonempty_words(base)))
 
 
-def pi1_closure(
-    d: Dfa,
-    k: int,
-    state_cap: int = DEFAULT_STATE_CAP,
-    k_cap: int = DEFAULT_K_CAP,
-) -> Dfa:
+def pi1_closure(d: Dfa, k: int, state_cap: int = DEFAULT_STATE_CAP) -> Dfa:
     """Least language containing d's that a k-variable universal sentence
     can define, over nonempty words.
 
-    Raises CapacityError when k exceeds ``k_cap`` or when the pattern
+    Raises CapacityError when k exceeds ``DEFAULT_K_CAP`` or when the pattern
     automaton or the universal projection passes ``state_cap`` states; the
     message names the stage and k.
     """
     if k < 1:
         raise ValueError("need at least one variable")
-    if k > k_cap:
-        raise CapacityError(f"k={k} exceeds the variable cap {k_cap}")
+    if k > DEFAULT_K_CAP:
+        raise CapacityError(f"k={k} exceeds the variable cap {DEFAULT_K_CAP}")
     target = _normalize(d)
     pattern = minimize(_pattern_automaton(target, k, state_cap))
     return minimize(_universal_projection(pattern, target.alphabet, k, state_cap))
@@ -202,47 +198,30 @@ def _pattern_automaton(target: Dfa, k: int, state_cap: int) -> Dfa:
             t = lengths_of[subset] = (k, lengths) if lengths else dead
         return t
 
-    start = (0, below[target.start])
-    number = {start: 0}
-    order = [start]
-    delta: list[list[int]] = []
-    i = 0
-    while i < len(order):
-        c, subset = order[i]
+    def step(state):
+        c, subset = state
         if c == collapsed:
             # only the box moves: every length one down
             shifted = subset >> 1 | (subset >> threshold & 1) << last_bit
-            succ = [dead] * width + [(c, shifted) if shifted else dead]
-        else:
-            succ = []
-            for j, mask in enumerate(post(subset)):
-                if not mask:
-                    t = dead
-                elif j == width:
-                    t = (c, mask)
-                elif c + 1 == collapsed:
-                    t = enter(mask)
-                else:
-                    t = (c + 1, mask) if c < k else dead
-                succ.append(t)
-        row = []
-        for t in succ:
-            if t not in number:
-                if len(order) >= state_cap:
-                    raise CapacityError(
-                        f"pattern automaton passed {state_cap} states at k={k}"
-                    )
-                number[t] = len(order)
-                order.append(t)
-            row.append(number[t])
-        delta.append(row)
-        i += 1
-    letters = target.alphabet + (BOX,)
-    final = [
-        number[s] for s in order
-        if s[1] & (1 if s[0] == collapsed else accepting)
-    ]
-    return Dfa(letters, delta, 0, final)
+            return [dead] * width + [(c, shifted) if shifted else dead]
+        succ = []
+        for j, mask in enumerate(post(subset)):
+            if not mask:
+                t = dead
+            elif j == width:
+                t = (c, mask)
+            elif c + 1 == collapsed:
+                t = enter(mask)
+            else:
+                t = (c + 1, mask) if c < k else dead
+            succ.append(t)
+        return succ
+
+    return _explore(
+        target.alphabet + (BOX,), (0, below[target.start]), step,
+        lambda s: s[1] & (1 if s[0] == collapsed else accepting),
+        state_cap, f"pattern automaton passed {state_cap} states at k={k}",
+    )
 
 
 def _reaching(target: Dfa, accepting: int) -> tuple[list[int], int] | None:
@@ -313,29 +292,18 @@ def _universal_projection(
                 kept.append((p, c))
         return tuple(sorted(kept))
 
-    start = prune([(pattern.start, 0)])
-    number = {start: 0}
-    order = [start]
-    delta: list[list[int]] = []
-    i = 0
-    while i < len(order):
-        runs = order[i]
+    def step(runs):
         moved = {(pdelta[p][box], c) for p, c in runs}
-        row = []
-        for col in cols:
-            t = prune(moved | {(pdelta[p][col], c + 1) for p, c in runs if c < k})
-            if t not in number:
-                if len(order) >= state_cap:
-                    raise CapacityError(
-                        f"universal projection passed {state_cap} states at k={k}"
-                    )
-                number[t] = len(order)
-                order.append(t)
-            row.append(number[t])
-        delta.append(row)
-        i += 1
-    final = [number[s] for s in order if all(p in paccepting for p, _ in s)]
-    return Dfa(letters, delta, 0, final)
+        return [
+            prune(moved | {(pdelta[p][col], c + 1) for p, c in runs if c < k})
+            for col in cols
+        ]
+
+    return _explore(
+        letters, prune([(pattern.start, 0)]), step,
+        lambda runs: all(p in paccepting for p, _ in runs),
+        state_cap, f"universal projection passed {state_cap} states at k={k}",
+    )
 
 
 def _dead_state(d: Dfa) -> int | None:

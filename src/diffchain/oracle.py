@@ -30,6 +30,7 @@ from .automata import (
     intersect,
     letter_key,
     minimize,
+    _explore,
     _plain_alphabet,
 )
 from .errors import AlphabetMismatchError, CapacityError
@@ -396,26 +397,14 @@ def forward_lp_image(d: Dfa, h: LpHom, state_cap: int = DEFAULT_STATE_CAP) -> Df
     for a in h.source:
         sources[h.letter_image(a)].append(d.letter_index(a))
     columns = [sources[b] for b in letters]
-    start = frozenset([d.start])
-    number: dict[frozenset[int], int] = {start: 0}
-    order = [start]
-    delta: list[list[int]] = []
-    i = 0
-    while i < len(order):
-        subset = order[i]
-        row = []
-        for cols in columns:
-            t = frozenset(d.delta[q][c] for q in subset for c in cols)
-            if t not in number:
-                if len(order) >= state_cap:
-                    raise CapacityError(f"subset construction passed {state_cap} states")
-                number[t] = len(order)
-                order.append(t)
-            row.append(number[t])
-        delta.append(row)
-        i += 1
-    accepting = [number[s] for s in order if s & d.accepting]
-    return Dfa(letters, delta, 0, accepting)
+    return _explore(
+        letters, frozenset([d.start]),
+        lambda subset: [
+            frozenset(d.delta[q][c] for q in subset for c in cols) for cols in columns
+        ],
+        lambda subset: subset & d.accepting,
+        state_cap, f"subset construction passed {state_cap} states",
+    )
 
 
 # ----- structures, quantification and the literal closure ---------------
@@ -645,9 +634,7 @@ def transition_monoid(d: Dfa, cap: int = DEFAULT_MONOID_CAP) -> TransitionMonoid
     }
     number: dict[tuple[int, ...], int] = {identity: 0}
     order = [identity]
-    i = 0
-    while i < len(order):
-        t = order[i]
+    for t in order:  # the loop reaches the elements it appends
         for a in letters:
             g = gens[a]
             nt = tuple(g[t[q]] for q in range(n))
@@ -656,7 +643,6 @@ def transition_monoid(d: Dfa, cap: int = DEFAULT_MONOID_CAP) -> TransitionMonoid
                     raise CapacityError(f"transition monoid passed {cap} elements")
                 number[nt] = len(order)
                 order.append(nt)
-        i += 1
     table = []
     for t in order:
         row = []
@@ -711,21 +697,11 @@ def monoid_forward_image(
         b: frozenset(images[a] for a in h.source if h.letter_image(a) == b)
         for b in letters
     }
-    start = frozenset([tm.monoid.identity])
-    number: dict[frozenset[int], int] = {start: 0}
-    order = [start]
-    delta: list[list[int]] = []
-    i = 0
-    while i < len(order):
-        values = order[i]
-        row = []
-        for b in letters:
-            t = frozenset(tm.monoid.op(e, g) for e in values for g in gen_sets[b])
-            if t not in number:
-                number[t] = len(order)
-                order.append(t)
-            row.append(number[t])
-        delta.append(row)
-        i += 1
-    accepting = [number[s] for s in order if s & accept]
-    return Dfa(letters, delta, 0, accepting)
+    op = tm.monoid.op
+    return _explore(
+        letters, frozenset([tm.monoid.identity]),
+        lambda values: [
+            frozenset(op(e, g) for e in values for g in gen_sets[b]) for b in letters
+        ],
+        lambda values: values & accept,
+    )

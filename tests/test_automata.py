@@ -46,6 +46,7 @@ from diffchain.oracle import (
     inverse_hom_image,
     mark_subsets,
     marked_alphabet,
+    monoid_forward_image,
     projection_hom,
     structures_dfa,
     tensor,
@@ -340,11 +341,31 @@ def _moore_minimize(d):
     return Dfa(letters, delta, 0, [number[b] for b in order if rep[b] in d.accepting])
 
 
+def _append_unreachable(rng, d):
+    """d with 1..6 states appended that no old state points at: some copy
+    an old state's row and acceptance (so are equivalent to it), the others
+    have random rows and accept at random."""
+    n, extra = d.n_states, rng.randint(1, 6)
+    delta, accepting = list(d.delta), set(d.accepting)
+    for q in range(n, n + extra):
+        if rng.random() < 0.4:
+            twin = rng.randrange(n)
+            delta.append(d.delta[twin])
+            if twin in d.accepting:
+                accepting.add(q)
+        else:
+            delta.append([rng.randrange(n + extra) for _ in d.alphabet])
+            if rng.random() < 0.5:
+                accepting.add(q)
+    return Dfa(d.alphabet, delta, d.start, accepting)
+
+
 def _minimize_corpus():
     """Seeded automata for the Moore comparison: random ones with a random
-    start (so some states are unreachable) and their redundant products,
-    constant ones, one-state ones, marked-letter alphabets, and the pattern
-    and projection automata of the closure at k = 1..3."""
+    start (so some states are unreachable), the same with unreachable states
+    appended, and their redundant products, constant ones, one-state ones,
+    marked-letter alphabets, and the pattern and projection automata of the
+    closure at k = 1..3."""
     from diffchain.closure import _normalize, _pattern_automaton, _universal_projection
     from diffchain.oracle import random_dfa
 
@@ -355,6 +376,7 @@ def _minimize_corpus():
         d = random_dfa(rng, rng.choice([1, 3, 8, 40, 200]), alphabet)
         d = Dfa(d.alphabet, d.delta, rng.randrange(d.n_states), d.accepting)
         yield d
+        yield _append_unreachable(rng, d)
         yield union(d, random_dfa(rng, 4, alphabet))
         yield Dfa(d.alphabet, d.delta, d.start, range(d.n_states))
         yield Dfa(d.alphabet, d.delta, d.start, [])
@@ -441,12 +463,17 @@ def test_forward_lp_image_example():
 
 @given(dfas())
 def test_forward_lp_image_membership(d):
+    # the monoid image is built by the same explorer as the subset image;
+    # brute-force preimages share nothing with it
     collapse = LpHom(AB, ("a",), {"a": "a", "b": "a"})
-    image = forward_lp_image(d, collapse)
-    for n in range(4):
-        target = ("a",) * n
-        brute = any(d.accepts(w) for w in itertools.product(AB, repeat=n))
-        assert image.accepts(target) == brute
+    swap = LpHom(AB, ("b", "a"), {"a": "b", "b": "a"})
+    for h in (collapse, swap):
+        images = [forward_lp_image(d, h), monoid_forward_image(d, h)]
+        for n in range(6):
+            for v in itertools.product(h.target, repeat=n):
+                pre = [[a for a in AB if h.letter_image(a) == b] for b in v]
+                brute = any(d.accepts(w) for w in itertools.product(*pre))
+                assert [image.accepts(v) for image in images] == [brute, brute]
 
 
 @given(dfas())
@@ -466,6 +493,18 @@ def test_forward_lp_image_checks_alphabet_and_cap():
     wide = LpHom(AB, ("a",), {"a": "a", "b": "a"})
     with pytest.raises(CapacityError):
         forward_lp_image(ab_repeat(), wide, state_cap=2)
+
+
+def test_forward_lp_image_cap_admits_exactly_cap_states():
+    collapse = LpHom(AB, ("a",), {"a": "a", "b": "a"})
+    d = Dfa(AB, [[1, 2], [3, 0], [4, 4], [5, 5], [5, 1], [5, 5]], 0, [5])
+    image = forward_lp_image(d, collapse)
+    cap = image.n_states
+    assert cap >= 5
+    assert forward_lp_image(d, collapse, state_cap=cap) == image
+    with pytest.raises(CapacityError) as err:
+        forward_lp_image(d, collapse, state_cap=cap - 1)
+    assert str(err.value) == f"subset construction passed {cap - 1} states"
 
 
 # ----- structures and quantifier adjoints --------------------------------

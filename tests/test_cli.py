@@ -17,6 +17,7 @@ from diffchain import (
     equivalent,
     poset_to_json,
 )
+from diffchain import cli, closure
 from diffchain.cli import main
 
 from helpers import AB, a_plus_or_b_plus, contains
@@ -84,6 +85,20 @@ def test_poset_chain_dot_needs_out(chain_poset_file, capsys):
     code = main(["poset", "chain", "--poset", str(chain_poset_file), "--set", "1", "--dot"])
     assert code == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("verb", ["poset", "lang"])
+def test_dot_may_not_overwrite_the_json_result(chain_poset_file, tmp_path, capsys, verb):
+    out = tmp_path / "result.dot"
+    if verb == "poset":
+        argv = ["poset", "chain", "--poset", str(chain_poset_file), "--set", "1"]
+    else:
+        path = dfa_file(tmp_path, "branches.json", a_plus_or_b_plus())
+        argv = ["lang", "closure", "--dfa", str(path), "--k", "1"]
+    assert main(argv + ["--out", str(out), "--dot"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_poset_chain_rejects_bad_inputs(chain_poset_file, tmp_path, capsys):
@@ -253,6 +268,27 @@ def test_lang_eq(tmp_path, capsys):
     assert main(["lang", "eq", "--dfa", str(one), "--dfa", str(two)]) == 1
     assert capsys.readouterr().out.strip() == "different"
     assert main(["lang", "eq", "--dfa", str(one)]) == 2
+
+
+def test_repeated_calls_share_one_parser_and_no_state(tmp_path, capsys, monkeypatch):
+    assert cli._build_parser() is cli._build_parser()
+    one = dfa_file(tmp_path, "one.json", a_plus_or_b_plus())
+    for _ in range(2):
+        # a leaked --dfa list would make the second call see four files
+        assert main(["lang", "eq", "--dfa", str(one), "--dfa", str(one)]) == 0
+        assert capsys.readouterr().out.strip() == "equivalent"
+    seen = []
+    real = closure.decompose_bpi1
+
+    def recording(d, max_k, max_m, state_cap):
+        seen.append(max_m)
+        return real(d, max_k=max_k, max_m=max_m, state_cap=state_cap)
+
+    monkeypatch.setattr(closure, "decompose_bpi1", recording)
+    path = dfa_file(tmp_path, "contains_b.json", contains("b"))
+    main(["lang", "decompose", "--dfa", str(path), "--max-m", "1"])
+    main(["lang", "decompose", "--dfa", str(path)])
+    assert seen == [1, closure.DEFAULT_MAX_M]
 
 
 def _malformed(**fields):

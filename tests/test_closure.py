@@ -110,12 +110,13 @@ def test_closure_matches_positionwise_oracle():
                 assert cl.accepts(w) == brute_pi1_closure_member(d, k, w), (w, k)
 
 
-def test_closure_guards():
+def test_closure_guards(monkeypatch):
     with pytest.raises(ValueError):
         pi1_closure(a_plus(), 0)
     with pytest.raises(CapacityError):
         pi1_closure(a_plus(), 4)  # above the default variable cap
-    assert pi1_closure(a_plus(), 4, k_cap=4) is not None
+    monkeypatch.setattr(closure, "DEFAULT_K_CAP", 4)
+    assert pi1_closure(a_plus(), 4) is not None
     with pytest.raises(CapacityError, match=r"pattern automaton .*k=2"):
         pi1_closure(contains("a"), 2, state_cap=3)
     # 18 raw pattern states fit under the cap; the projection needs 24
