@@ -64,6 +64,13 @@ def _normalize(d: Dfa) -> Dfa:
     return minimize(intersect(d, dfa_nonempty_words(base)))
 
 
+def _check_variables(k: int) -> None:
+    if k < 1:
+        raise ValueError("need at least one variable")
+    if k > DEFAULT_K_CAP:
+        raise CapacityError(f"k={k} exceeds the variable cap {DEFAULT_K_CAP}")
+
+
 def pi1_closure(d: Dfa, k: int, state_cap: int = DEFAULT_STATE_CAP) -> Dfa:
     """Least language containing d's that a k-variable universal sentence
     can define, over nonempty words.
@@ -72,10 +79,7 @@ def pi1_closure(d: Dfa, k: int, state_cap: int = DEFAULT_STATE_CAP) -> Dfa:
     automaton or the universal projection passes ``state_cap`` states; the
     message names the stage and k.
     """
-    if k < 1:
-        raise ValueError("need at least one variable")
-    if k > DEFAULT_K_CAP:
-        raise CapacityError(f"k={k} exceeds the variable cap {DEFAULT_K_CAP}")
+    _check_variables(k)
     target = _normalize(d)
     pattern = minimize(_pattern_automaton(target, k, state_cap))
     return minimize(_universal_projection(pattern, target.alphabet, k, state_cap))
@@ -395,8 +399,9 @@ class ChainTrace:
     ``chain`` decreases under inclusion; odd positions contribute positively.
     ``status`` is "success" when the differences reconstruct the target, in
     which case ``pair_count`` is the number of odd/even pairs; on
-    "exhausted" ``pair_count`` is None and ``chain`` holds everything that
-    was computed before the bounds ran out.
+    "exhausted" ``pair_count`` is None and ``chain`` holds the pairs built
+    before ``max_m`` ran out or a pair's difference came out empty (that
+    pair is left out).
     """
 
     k: int
@@ -472,7 +477,9 @@ def chain_trace(
 
     Builds odd/even pairs until a pair's difference is empty, the
     differences reconstruct the target, or ``max_m`` pairs were computed.
-    An empty target succeeds with the empty chain.
+    An empty target succeeds with the empty chain.  Raises ValueError when
+    k or ``max_m`` is below 1, and CapacityError when k exceeds
+    ``DEFAULT_K_CAP``, whatever the target.
 
     After m pairs C1 ⊇ C2 ⊇ ... ⊇ C2m, the differences give L exactly when
     C2m ∩ L is empty.  Every difference lies inside L, since C(2i) contains
@@ -480,7 +487,17 @@ def chain_trace(
     i < m, it lies in C(2i) ∩ L ⊆ C(2i+1) too.  So unless the word lies in
     C2m, the last term that holds it is odd, and that term's difference
     covers it.
+
+    The chain is canonical (see ``_canonical_terms``): a success's pair
+    count is the least at k, and "exhausted" proves that no chain of
+    k-closed languages gives L in at most ``max_m`` pairs.  A j-closed
+    language is k-closed for every k >= j, so the same holds at every
+    j <= k: a success at j with m pairs means a success at k with at most
+    m, and exhaustion at k refutes every smaller j.
     """
+    _check_variables(k)
+    if max_m < 1:
+        raise ValueError("need at least one pair")
     target = _normalize(d)
     if is_empty_lang(target):
         return ChainTrace(k, target, (), 0, "success")
@@ -502,21 +519,42 @@ def decompose_bpi1(
     max_m: int = DEFAULT_MAX_M,
     state_cap: int = DEFAULT_STATE_CAP,
 ) -> ChainTrace:
-    """Search for a difference-chain decomposition, k ascending.
+    """Search for a difference-chain decomposition with the fewest
+    variables, at most ``max_k``, of at most ``max_m`` pairs.
 
-    Returns the first successful trace; on failure, the exhausted trace of
-    the largest k tried.  Exhaustion means the bounds ran out, not that no
-    decomposition exists.
+    Returns the successful trace of the least k; on failure, the exhausted
+    trace at ``max_k``, which proves that no chain of at most ``max_m``
+    pairs exists at any k <= ``max_k``.
+
+    Success is upward closed in k (see ``chain_trace``), so the search asks
+    k = 1 first, the cheapest trace, and then ``max_k``: a failure there
+    settles every k in between.  Only when ``max_k`` succeeds are
+    k = 2 .. ``max_k`` - 1 tried, ascending.  When the trace at ``max_k``
+    raises CapacityError, the search goes on as an ascending one would, and
+    the error is raised again if no k in between succeeds.  A failure at
+    ``max_k`` is returned even where an ascending search would have stopped
+    at the state cap at a smaller k.
     """
     if max_k < 1 or max_m < 1:
         raise ValueError("bounds must be at least 1")
-    last: ChainTrace | None = None
-    for k in range(1, max_k + 1):
-        last = chain_trace(d, k, max_m, state_cap)
-        if last.succeeded:
-            return last
-    assert last is not None
-    return last
+    first = chain_trace(d, 1, max_m, state_cap)
+    if first.succeeded or max_k == 1:
+        return first
+    capped: CapacityError | None = None
+    try:
+        top = chain_trace(d, max_k, max_m, state_cap)
+    except CapacityError as err:
+        capped = err
+    else:
+        if not top.succeeded:
+            return top
+    for k in range(2, max_k):
+        trace = chain_trace(d, k, max_m, state_cap)
+        if trace.succeeded:
+            return trace
+    if capped is not None:
+        raise capped
+    return top
 
 
 def family_monotonicity(
@@ -534,6 +572,8 @@ def family_monotonicity(
     """
     if not 1 <= k_small <= k_large:
         raise ValueError("need 1 <= k_small <= k_large")
+    if pairs < 1:
+        raise ValueError("need at least one pair")
     coarse = closure_chain_terms(d, k_small, 2 * pairs, state_cap)
     fine = closure_chain_terms(d, k_large, 2 * pairs, state_cap)
     for small_term, large_term in zip(coarse, fine):

@@ -357,6 +357,111 @@ def test_decompose_reports_exhaustion_honestly():
         decompose_bpi1(a_plus(), max_m=0)
 
 
+def test_chain_trace_checks_its_bounds_whatever_the_target():
+    empty = dfa_no_words(AB)
+    for d in (empty, a_plus()):
+        with pytest.raises(ValueError, match="at least one variable"):
+            chain_trace(d, 0)
+        with pytest.raises(CapacityError, match=r"k=9 exceeds the variable cap 3"):
+            chain_trace(d, 9)
+        for max_m in (0, -3):
+            with pytest.raises(ValueError):
+                chain_trace(d, 1, max_m=max_m)
+
+
+# Pairs needed: none at k=1, two at k=2, one at k=3.
+SHRINKING = Dfa(AB, [[2, 0], [1, 3], [1, 2], [1, 2]], 0, [0, 1, 3])
+
+
+def test_success_is_upward_closed_in_the_number_of_variables():
+    # A chain of j-closed languages is a chain of k-closed ones for k >= j,
+    # and the canonical chain at k is the shortest: decompose_bpi1's search
+    # order rests on this.
+    rng = random.Random(31)
+    targets = [random_dfa(rng, 5, AB) for _ in range(20)]
+    targets += [SHRINKING, a_plus(), a_plus_or_b_plus(), contains("b")]
+    targets += [literal("aba"), ab_repeat(), a_star_b()]
+    checked = 0
+    for d in targets:
+        traces = {k: chain_trace(d, k, max_m=4) for k in (1, 2, 3)}
+        for j in (1, 2):
+            if not traces[j].succeeded:
+                continue
+            for k in range(j + 1, 4):
+                assert traces[k].succeeded, (d, j, k)
+                assert traces[k].pair_count <= traces[j].pair_count, (d, j, k)
+                checked += 1
+    assert checked >= 50
+
+
+def _ascending(d: Dfa, max_k: int, max_m: int, state_cap: int) -> str:
+    """decompose_bpi1 as the plain search with k = 1, 2, ... in turn."""
+    for k in range(1, max_k + 1):
+        try:
+            trace = chain_trace(d, k, max_m, state_cap)
+        except CapacityError as err:
+            return f"capacity: {err}"
+        if trace.succeeded:
+            break
+    return trace_to_json(trace)
+
+
+def test_decompose_ends_as_the_ascending_search_does():
+    rng = random.Random(77)
+    targets = [random_dfa(rng, 5, AB) for _ in range(8)]
+    targets += [SHRINKING, a_plus_or_b_plus(), contains("b")]
+    outcomes = set()
+    for d in targets:
+        for max_k in (1, 2, 3, 4):
+            for max_m in (1, 3):
+                for cap in (40, closure.DEFAULT_STATE_CAP):
+                    try:
+                        got = trace_to_json(decompose_bpi1(d, max_k, max_m, cap))
+                    except CapacityError as err:
+                        got = f"capacity: {err}"
+                    assert got == _ascending(d, max_k, max_m, cap), (d, max_k)
+                    capped = got.startswith("capacity")
+                    outcomes.add("capacity" if capped else json.loads(got)["status"])
+    assert outcomes == {"success", "exhausted", "capacity"}
+
+
+@pytest.fixture
+def asked_k(monkeypatch):
+    """The k of every chain_trace call, in order."""
+    calls = []
+    real = closure.chain_trace
+
+    def counted(d, k, *args):
+        calls.append(k)
+        return real(d, k, *args)
+
+    monkeypatch.setattr(closure, "chain_trace", counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "d, max_k, asked, k, status",
+    [
+        (Dfa(AB, [[1, 1], [0, 1]], 0, [0]), 3, [1, 3], 3, "exhausted"),
+        (contains("b"), 3, [1], 1, "success"),
+        (a_plus_or_b_plus(), 3, [1, 3, 2], 2, "success"),
+        (SHRINKING, 3, [1, 3, 2], 2, "success"),
+        # max_k above the variable cap: k = 4 raises and the rest ascends
+        (a_plus_or_b_plus(), 4, [1, 4, 2], 2, "success"),
+    ],
+)
+def test_decompose_asks_one_then_max_k(asked_k, d, max_k, asked, k, status):
+    trace = decompose_bpi1(d, max_k=max_k, max_m=3)
+    assert asked_k == asked
+    assert (trace.k, trace.status) == (k, status)
+
+
+def test_decompose_raises_the_cap_of_max_k_when_nothing_below_succeeds(asked_k):
+    with pytest.raises(CapacityError, match="k=4 exceeds the variable cap 3"):
+        decompose_bpi1(Dfa(AB, [[1, 1], [0, 1]], 0, [0]), max_k=4, max_m=3)
+    assert asked_k == [1, 4, 2, 3]
+
+
 def test_chain_terms_without_stopping():
     terms = closure_chain_terms(a_plus(), 1, 4)
     assert len(terms) == 4
@@ -377,6 +482,8 @@ def test_family_monotonicity_examples():
         family_monotonicity(a_plus(), 2, 1)
     with pytest.raises(ValueError):
         family_monotonicity(a_plus(), 0, 1)
+    with pytest.raises(ValueError):
+        family_monotonicity(a_plus(), 1, 2, pairs=0)
 
 
 # ----- serialization -----------------------------------------------------
