@@ -271,14 +271,15 @@ def _suite_closure(args) -> tuple[bool, str]:
 
 def _suite_images(args) -> tuple[bool, str]:
     rng = random.Random(args.seed)
+    cap = _state_cap()
     for case in range(args.cases):
         dfa = oracle.random_dfa(rng, 3, ("a", "b", "c"))
         hom = oracle.LpHom(
             ("a", "b", "c"), ("d", "e"),
             {a: rng.choice(("d", "e")) for a in ("a", "b", "c")},
         )
-        left = oracle.forward_lp_image(dfa, hom, _state_cap())
-        right = oracle.monoid_forward_image(dfa, hom)
+        left = oracle.forward_lp_image(dfa, hom, cap)
+        right = oracle.monoid_forward_image(dfa, hom, cap)
         same, word = oracle.lang_eq_upto(left, right, args.max_len)
         if not same:
             return False, f"case {case} word={''.join(word)}"

@@ -505,7 +505,11 @@ def chain_trace(
     comps: list[Dfa] = []
     for pair in range(1, max_m + 1):
         odd, even = next(terms), next(terms)
-        if is_empty_lang(difference(odd, even)):
+        # odd is a closure, so even = C(odd \ L) ⊆ C(odd) = odd: the
+        # pair's difference is empty exactly when their languages are equal.
+        # Both are minimize outputs over the same sorted letters, so that is
+        # exactly when they are equal structurally.
+        if odd == even:
             break
         comps += [odd, even]
         if is_empty_lang(intersect(even, target)):

@@ -7,15 +7,16 @@ or closure algorithms it is used to check.  The closure has two reference
 routes: position-profile search (``brute_pi1_closure_member``) and the
 paper's literal marked-alphabet construction (``marked_pi1_closure``).
 Homomorphic images have two routes as well: the subset construction
-``forward_lp_image`` and the transition-monoid route
-(``transition_monoid``, ``monoid_forward_image``), which works in the
-powerset of the monoid instead of the automaton's states.
+``forward_lp_image`` over the automaton's states, and
+``monoid_forward_image``, the same construction over ``monoid_dfa``, the
+automaton of the transition monoid, so it works in the powerset of the
+monoid.  ``test_forward_lp_image_membership`` checks both against
+brute-force preimages.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations_with_replacement, product as iter_product
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -33,7 +34,7 @@ from .automata import (
     _explore,
     _plain_alphabet,
 )
-from .errors import AlphabetMismatchError, CapacityError
+from .errors import AlphabetMismatchError
 from .poset import ElemSet, FinPoset
 
 # ----- word enumeration --------------------------------------------------
@@ -524,184 +525,39 @@ def marked_pi1_closure(d: Dfa, k: int, state_cap: int = DEFAULT_STATE_CAP) -> Df
     return forall_adjoint(pulled, vs, base, state_cap)
 
 
-# ----- transition monoids and forward images through them ----------------
-
-DEFAULT_MONOID_CAP = 4096
+# ----- the transition monoid and forward images through it ---------------
 
 
-@dataclass(frozen=True)
-class FinMonoid:
-    """A finite monoid as a multiplication table over 0..size-1.
+def monoid_dfa(d: Dfa, state_cap: int = DEFAULT_STATE_CAP) -> Dfa:
+    """d's transition monoid acting on itself by letters, as an automaton.
 
-    Associativity and the identity law are checked exhaustively on
-    construction.
+    The states are the state transformations of words, starting from the
+    identity, and each letter composes its own transformation on the right.
+    A state accepts when it sends d's start state into acceptance, so the
+    automaton recognizes d's language.  Raises CapacityError past
+    ``state_cap`` elements.
     """
-
-    table: tuple[tuple[int, ...], ...]
-    identity: int
-
-    def __post_init__(self):
-        self._check_shape_and_identity()
-        n = len(self.table)
-        for x in range(n):
-            for y in range(n):
-                xy = self.table[x][y]
-                for z in range(n):
-                    if self.table[xy][z] != self.table[x][self.table[y][z]]:
-                        raise ValueError(f"associativity fails at ({x}, {y}, {z})")
-
-    def _check_shape_and_identity(self) -> None:
-        object.__setattr__(self, "table", tuple(tuple(row) for row in self.table))
-        n = len(self.table)
-        for row in self.table:
-            if len(row) != n or not all(0 <= x < n for x in row):
-                raise ValueError("multiplication table must be square over 0..size-1")
-        e = self.identity
-        if not (0 <= e < n):
-            raise ValueError("identity out of range")
-        for x in range(n):
-            if self.table[e][x] != x or self.table[x][e] != x:
-                raise ValueError(f"identity law fails at {x}")
-
-    @classmethod
-    def _of_compositions(cls, table, identity: int) -> FinMonoid:
-        """A table of composed transformations: associative by construction,
-        so only the shape and the identity law are checked, not every
-        triple."""
-        monoid = object.__new__(cls)
-        object.__setattr__(monoid, "table", table)
-        object.__setattr__(monoid, "identity", identity)
-        monoid._check_shape_and_identity()
-        return monoid
-
-    @property
-    def size(self) -> int:
-        return len(self.table)
-
-    def op(self, x: int, y: int) -> int:
-        return self.table[x][y]
-
-
-@dataclass(frozen=True)
-class TransitionMonoid:
-    """The monoid of state transformations of a DFA, with the evaluation map.
-
-    ``transformations[e]`` lists the image of every state under element ``e``;
-    ``letter_image`` sends each letter to the element it generates.  Products
-    compose left to right: the element of a word uv is op(element(u),
-    element(v)).
-    """
-
-    monoid: FinMonoid
-    transformations: tuple[tuple[int, ...], ...]
-    letter_image: tuple[tuple[Letter, int], ...]
-    start: int
-    accepting: frozenset[int]
-
-    def element_of_word(self, word: Iterable[Letter]) -> int:
-        images = dict(self.letter_image)
-        e = self.monoid.identity
-        for a in word:
-            if a not in images:
-                raise AlphabetMismatchError(f"letter {a!r} not in alphabet")
-            e = self.monoid.op(e, images[a])
-        return e
-
-    def accepts(self, word: Iterable[Letter]) -> bool:
-        return self.transformations[self.element_of_word(word)][self.start] in self.accepting
-
-    @property
-    def recognizing_set(self) -> frozenset[int]:
-        """Elements whose transformation sends the start state into acceptance."""
-        return frozenset(
-            e
-            for e, t in enumerate(self.transformations)
-            if t[self.start] in self.accepting
-        )
-
-
-def transition_monoid(d: Dfa, cap: int = DEFAULT_MONOID_CAP) -> TransitionMonoid:
-    """Close the letter actions of d under composition.
-
-    Raises CapacityError when more than ``cap`` distinct transformations
-    appear.
-    """
-    n = d.n_states
-    identity = tuple(range(n))
     letters = tuple(sorted(d.alphabet, key=letter_key))
-    gens = {
-        a: tuple(d.delta[q][d.letter_index(a)] for q in range(n)) for a in letters
-    }
-    number: dict[tuple[int, ...], int] = {identity: 0}
-    order = [identity]
-    for t in order:  # the loop reaches the elements it appends
-        for a in letters:
-            g = gens[a]
-            nt = tuple(g[t[q]] for q in range(n))
-            if nt not in number:
-                if len(order) >= cap:
-                    raise CapacityError(f"transition monoid passed {cap} elements")
-                number[nt] = len(order)
-                order.append(nt)
-    table = []
-    for t in order:
-        row = []
-        for u in order:
-            tu = tuple(u[t[q]] for q in range(n))
-            row.append(number[tu])
-        table.append(tuple(row))
-    monoid = FinMonoid._of_compositions(tuple(table), 0)
-    letter_image = tuple((a, number[gens[a]]) for a in letters)
-    return TransitionMonoid(
-        monoid=monoid,
-        transformations=tuple(order),
-        letter_image=letter_image,
-        start=d.start,
-        accepting=d.accepting,
+    gens = [[row[d.letter_index(a)] for row in d.delta] for a in letters]
+    return _explore(
+        letters, tuple(range(d.n_states)),
+        lambda t: [tuple(g[q] for q in t) for g in gens],
+        lambda t: t[d.start] in d.accepting,
+        state_cap, f"transition monoid passed {state_cap} elements",
     )
-
-
-def monoid_language_dfa(d: Dfa, accept_elements: Iterable[int]) -> Dfa:
-    """The language recognized by d's transition monoid with the given
-    accepting subset, as an automaton on the monoid elements."""
-    tm = transition_monoid(d)
-    images = dict(tm.letter_image)
-    letters = tuple(sorted(d.alphabet, key=letter_key))
-    delta = [
-        [tm.monoid.op(e, images[a]) for a in letters]
-        for e in range(tm.monoid.size)
-    ]
-    return Dfa(letters, delta, tm.monoid.identity, accept_elements)
 
 
 def monoid_forward_image(
-    d: Dfa, h: LpHom, accept_elements: Iterable[int] | None = None
+    d: Dfa, h: LpHom, state_cap: int = DEFAULT_STATE_CAP
 ) -> Dfa:
-    """Forward image along h of the language cut out of d's transition monoid
-    by ``accept_elements`` (default: the set recognizing d's own language).
+    """Forward image of d's language along h, inside the powerset of d's
+    transition monoid.
 
-    Works inside the powerset of the monoid: a target word w maps to the set
-    of monoid values of its preimages, and is accepted when that set meets
-    the accepting subset.  This is the reference route against which the
-    subset-construction image is compared.
+    A target word maps to the set of monoid values of its preimages and is
+    accepted when one of them recognizes d's language: the subset
+    construction over ``monoid_dfa(d)``.  This is the reference route
+    against which the subset image over d's own states is compared.
     """
     if set(h.source) != set(d.alphabet):
         raise AlphabetMismatchError("hom source and automaton alphabet differ")
-    tm = transition_monoid(d)
-    images = dict(tm.letter_image)
-    accept = (
-        tm.recognizing_set if accept_elements is None else frozenset(accept_elements)
-    )
-    letters = tuple(sorted(h.target, key=letter_key))
-    gen_sets = {
-        b: frozenset(images[a] for a in h.source if h.letter_image(a) == b)
-        for b in letters
-    }
-    op = tm.monoid.op
-    return _explore(
-        letters, frozenset([tm.monoid.identity]),
-        lambda values: [
-            frozenset(op(e, g) for e in values for g in gen_sets[b]) for b in letters
-        ],
-        lambda values: values & accept,
-    )
+    return forward_lp_image(monoid_dfa(d, state_cap), h, state_cap)

@@ -34,7 +34,6 @@ from diffchain import (
 )
 from diffchain.automata import letter_key
 from diffchain.oracle import (
-    FinMonoid,
     Hom,
     LpHom,
     check_base_letters,
@@ -46,11 +45,11 @@ from diffchain.oracle import (
     inverse_hom_image,
     mark_subsets,
     marked_alphabet,
+    monoid_dfa,
     monoid_forward_image,
     projection_hom,
     structures_dfa,
     tensor,
-    transition_monoid,
     variables,
     words_upto,
 )
@@ -598,84 +597,49 @@ def test_projection_hom_forgets_marks():
     assert proj.target == ("a", "b")
 
 
-# ----- transition monoids ------------------------------------------------
+# ----- the transition monoid's automaton ---------------------------------
 
 
-def test_transition_monoid_of_a_star_b():
-    t = transition_monoid(a_star_b())
-    assert t.monoid.size == 4
-    assert set(t.transformations) == {
-        (0, 1, 2),
-        (0, 2, 2),
-        (1, 2, 2),
-        (2, 2, 2),
-    }
-    assert t.transformations[t.monoid.identity] == (0, 1, 2)
+def test_monoid_dfa_of_a_star_b():
+    # the identity, a, b and the zero
+    assert monoid_dfa(a_star_b()).n_states == 4
 
 
-def test_transition_monoid_of_constant_language_is_trivial():
-    assert transition_monoid(dfa_all_words(AB)).monoid.size == 1
+def test_monoid_dfa_of_constant_language_is_trivial():
+    assert monoid_dfa(dfa_all_words(AB)).n_states == 1
 
 
-def test_transition_monoid_of_single_variable_structures():
-    t = transition_monoid(structures_dfa(("a",), ("x1",)))
-    assert t.monoid.size == 3
-    assert t.monoid.table == ((0, 1, 2), (1, 2, 2), (2, 2, 2))
-
-
-@given(dfas(), st.lists(st.sampled_from(AB), max_size=4), st.lists(st.sampled_from(AB), max_size=4))
-def test_element_of_word_is_a_homomorphism(d, u, v):
-    t = transition_monoid(d)
-    assert t.element_of_word(u + v) == t.monoid.op(t.element_of_word(u), t.element_of_word(v))
+def test_monoid_dfa_of_single_variable_structures():
+    # the unmarked letter acts as the identity, the marked one as an
+    # element x with x·x the zero
+    m = monoid_dfa(structures_dfa(("a",), ("x1",)))
+    assert m.delta == ((0, 1), (1, 2), (2, 2))
+    assert m.accepting == {1}
 
 
 @given(dfas())
 def test_monoid_recognizes_the_same_language(d):
-    t = transition_monoid(d)
+    m = monoid_dfa(d)
     for w in all_words(4):
-        assert t.accepts(w) == d.accepts(w)
-        assert (t.element_of_word(w) in t.recognizing_set) == d.accepts(w)
+        assert m.accepts(w) == d.accepts(w)
 
 
-def test_transition_monoid_cap():
-    with pytest.raises(CapacityError):
-        transition_monoid(a_star_b(), cap=2)
+def test_monoid_dfa_cap_admits_exactly_cap_elements():
+    cap = 4
+    assert monoid_dfa(a_star_b(), state_cap=cap) == monoid_dfa(a_star_b())
+    with pytest.raises(CapacityError) as err:
+        monoid_dfa(a_star_b(), state_cap=cap - 1)
+    assert str(err.value) == f"transition monoid passed {cap - 1} elements"
 
 
-def test_transition_monoid_of_several_hundred_elements_builds_in_seconds():
-    # A 5-cycle and an idempotent sending state 0 to 1 generate 610
-    # transformations; checking associativity over all 610**3 triples took
-    # over 20 s.  Composition is associative, so only a sample is checked.
+def test_monoid_dfa_of_610_elements_builds_in_well_under_a_second():
+    # a 5-cycle and an idempotent sending state 0 to 1 generate 610
+    # transformations
     d = Dfa(AB, [[1, 1], [2, 1], [3, 2], [4, 3], [0, 4]], 0, [0])
     begin = time.perf_counter()
-    t = transition_monoid(d)
-    assert time.perf_counter() - begin < 10
-    m = t.monoid
-    assert m.size == 610
-    number = {tr: e for e, tr in enumerate(t.transformations)}
-    rng = random.Random(0)
-    for _ in range(2000):
-        x, y, z = (rng.randrange(m.size) for _ in range(3))
-        assert m.op(m.op(x, y), z) == m.op(x, m.op(y, z))
-        tx, ty = t.transformations[x], t.transformations[y]
-        assert m.op(x, y) == number[tuple(ty[tx[q]] for q in range(5))]
-
-
-def test_monoid_table_validation():
-    FinMonoid(((0, 1), (1, 0)), 0)  # two element group
-    with pytest.raises(ValueError):
-        FinMonoid(((0, 1),), 0)  # not square
-    with pytest.raises(ValueError):
-        FinMonoid(((0, 1), (1, 0)), 2)  # identity out of range
-    with pytest.raises(ValueError):
-        FinMonoid(((1, 1), (1, 1)), 0)  # identity law fails
-    with pytest.raises(ValueError, match="associativity fails"):
-        FinMonoid(((0, 1, 2), (1, 1, 2), (2, 1, 1)), 0)
-    # transition monoids skip only the associativity scan
-    small = transition_monoid(a_star_b()).monoid
-    assert FinMonoid(small.table, small.identity) == small
-    with pytest.raises(ValueError, match="identity law fails"):
-        FinMonoid._of_compositions(((1, 1), (1, 1)), 0)
+    m = monoid_dfa(d)
+    assert time.perf_counter() - begin < 1
+    assert m.n_states == 610
 
 
 # ----- serialization -----------------------------------------------------

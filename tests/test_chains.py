@@ -98,6 +98,19 @@ def test_chain_is_immutable():
         c.sets = ()
 
 
+def test_chain_equality_hash_and_repr():
+    p = chain_poset(3)
+    c = DiffChain(p, (frozenset({0, 1, 2}), frozenset({2})))
+    same = DiffChain(p, [[2, 1, 0], [2]])
+    assert c == same and hash(c) == hash(same) and c in {same}
+    assert c != DiffChain(p, (frozenset({0, 1, 2}),))
+    assert c != DiffChain(chain_poset(4), (frozenset({0, 1, 2, 3}), frozenset({3})))
+    assert c != c.sets and not c == "chain"
+    assert repr(c) == (
+        "DiffChain(poset=FinPoset(n=3, covers=[(0, 1), (1, 2)]), sets=[[0, 1, 2], [2]])"
+    )
+
+
 # ----- evaluation --------------------------------------------------------
 
 
@@ -279,6 +292,12 @@ def test_minimality_rejects_foreign_poset():
     q = chain_poset(4)
     with pytest.raises(TargetMismatchError):
         verify_minimality(p, {2}, DiffChain(q, (frozenset({3}),)))
+
+
+def test_minimality_rejects_a_target_outside_the_carrier():
+    p = chain_poset(3)
+    with pytest.raises(RangeError, match="leaves the carrier"):
+        verify_minimality(p, {0, 3}, canonical_chain(p, {0}))
 
 
 @given(poset_and_subset(max_n=3))

@@ -321,6 +321,22 @@ def test_lang_closure_rejects_malformed_automata(tmp_path, capsys, doc):
     assert captured.err.startswith("error:") and captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "letter",
+    [{"base": 1, "vars": []}, {"base": "a", "vars": [1]}],
+    ids=["base-not-a-string", "variable-not-a-string"],
+)
+def test_lang_eq_rejects_malformed_marked_letters(tmp_path, capsys, letter):
+    good = dfa_file(tmp_path, "good.json", a_plus_or_b_plus())
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(_malformed(alphabet=[letter])), encoding="utf-8")
+    assert main(["lang", "eq", "--dfa", str(good), "--dfa", str(bad)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: malformed letter")
+    assert captured.err.count("\n") == 1
+
+
 _LETTER = st.one_of(
     st.sampled_from(["a", "b", "c"]),
     st.fixed_dictionaries({

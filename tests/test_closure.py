@@ -166,10 +166,40 @@ def test_pattern_top_layer_collapses_into_length_sets():
     assert _pattern_automaton(_normalize(d), 5, 20_000).n_states < 20_000
 
 
+def rerooted_inclusions(d):
+    """``expected[q][p]`` is 1 when L(p) is included in L(q), else 2, decided
+    by ``subset_of`` on d re-rooted at p against d re-rooted at q."""
+    rooted = [Dfa(d.alphabet, d.delta, q, d.accepting) for q in range(d.n_states)]
+    return [[1 if subset_of(p, q) else 2 for p in rooted] for q in rooted]
+
+
+def inclusion_corpus():
+    rng = random.Random(5150)
+    targets = [a_plus(), a_plus_or_b_plus(), ab_repeat(), contains("a"),
+               contains("b"), literal("ab"), literal("b"), a_star_b()]
+    targets += [random_dfa(rng, 5, AB) for _ in range(30)]
+    targets += [random_dfa(rng, 8, AB) for _ in range(10)]
+    targets += [random_dfa(rng, 4, ("a", "b", "c")) for _ in range(10)]
+    return rng, targets
+
+
+def test_language_below_matches_subset_of_on_normalized_targets():
+    from diffchain.closure import _language_below, _normalize
+
+    _, targets = inclusion_corpus()
+    for d in targets:
+        target = _normalize(d)
+        n = target.n_states
+        below = _language_below(target)
+        got = [[1 if below[q] >> p & 1 else 2 for p in range(n)] for q in range(n)]
+        assert got == rerooted_inclusions(target), d
+
+
 def test_inclusion_table_agrees_with_the_pair_removal_fixpoint():
     # Settle every pair of each minimal pattern automaton through the table,
     # in a shuffled order so that later questions read what earlier searches
-    # memoized, then require every entry to match _language_below.
+    # memoized, then require every entry to match subset_of on the re-rooted
+    # automata, and the pair-removal fixpoint _language_below to match too.
     from diffchain.closure import (
         _dead_state,
         _inclusion_table,
@@ -178,22 +208,18 @@ def test_inclusion_table_agrees_with_the_pair_removal_fixpoint():
         _pattern_automaton,
     )
 
-    rng = random.Random(5150)
-    targets = [a_plus(), a_plus_or_b_plus(), ab_repeat(), contains("a"),
-               contains("b"), literal("ab"), literal("b"), a_star_b()]
-    targets += [random_dfa(rng, 5, AB) for _ in range(30)]
-    targets += [random_dfa(rng, 8, AB) for _ in range(10)]
-    targets += [random_dfa(rng, 4, ("a", "b", "c")) for _ in range(10)]
+    rng, targets = inclusion_corpus()
     searched = 0
     for d in targets:
         target = _normalize(d)
         for k in (1, 2, 3):
             pattern = minimize(_pattern_automaton(target, k, 10_000))
             n = pattern.n_states
+            expected = rerooted_inclusions(pattern)
             below = _language_below(pattern)
-            expected = [
+            assert expected == [
                 [1 if below[q] >> p & 1 else 2 for p in range(n)] for q in range(n)
-            ]
+            ], k
             rows, new_row, search = _inclusion_table(pattern, _dead_state(pattern))
             pairs = [(p, q) for p in range(n) for q in range(n)]
             rng.shuffle(pairs)
@@ -312,19 +338,31 @@ def test_chain_trace_asks_for_no_closure_it_does_not_use(
 def test_chain_trace_success_matches_the_union_of_differences():
     # chain_trace calls a pair a success when its even term misses the
     # target; at every pair, that must agree with the union of the
-    # differences so far reaching the target.
+    # differences so far reaching the target.  It calls a pair stabilized
+    # when its two terms are equal; at every pair, including the one that
+    # stops the trace, that must agree with an empty difference.
     rng = random.Random(4242)
     targets = [Dfa(AB, [[2, 0], [1, 3], [1, 2], [1, 2]], 0, [0, 1, 3])]
     targets += [random_dfa(rng, 5, AB) for _ in range(12)]
+    stabilized = 0
     for d in targets:
         for k in (1, 2, 3):
             trace = chain_trace(d, k, max_m=3)
+            terms = closure_chain_terms(d, k, 6)
+            stop = len(trace.chain)
+            assert terms[:stop] == list(trace.chain)
+            if not trace.succeeded and stop < 6:
+                assert terms[stop] == terms[stop + 1]  # the pair that stopped it
+            for odd, even in zip(terms[::2], terms[1::2]):
+                assert (odd == even) == is_empty_lang(difference(odd, even))
+                stabilized += odd == even
             if not trace.chain:
                 assert trace.pair_count == 0 and is_empty_lang(trace.target)
                 continue
             reached = dfa_no_words(AB)
             verdicts = []
             for odd, even in zip(trace.chain[::2], trace.chain[1::2]):
+                assert odd != even  # a stabilized pair ends the trace unrecorded
                 reached = union(reached, difference(odd, even))
                 verdict = equivalent(reached, trace.target)
                 assert verdict == is_empty_lang(intersect(even, trace.target))
@@ -333,6 +371,7 @@ def test_chain_trace_success_matches_the_union_of_differences():
                 assert verdicts.index(True) + 1 == trace.pair_count == len(verdicts)
             else:
                 assert not any(verdicts), (d, k)
+    assert stabilized  # the equality test is met, not only passed over
 
 
 def test_decompose_prefers_fewer_variables():

@@ -2,12 +2,17 @@
 
 from __future__ import annotations
 
+import ast
 import random
+from pathlib import Path
 
 import pytest
 
+import diffchain
 from diffchain import (
     AlphabetMismatchError,
+    CapacityError,
+    Dfa,
     FinPoset,
     canonical_chain,
     degrees,
@@ -24,11 +29,10 @@ from diffchain.oracle import (
     forward_lp_image,
     iter_upset_chains,
     lang_eq_upto,
+    monoid_dfa,
     monoid_forward_image,
-    monoid_language_dfa,
     nested_difference,
     random_dfa,
-    transition_monoid,
     words_upto,
 )
 
@@ -37,6 +41,36 @@ from helpers import AB, a_plus, a_plus_or_b_plus, a_star_b, contains
 
 def chain_poset(n):
     return FinPoset.from_covers([(i, i + 1) for i in range(n - 1)], n)
+
+
+# ----- the production/reference split -----------------------------------
+
+
+def imported_modules(path: Path) -> set[str]:
+    """Absolute names of the modules a source file of ``diffchain`` imports,
+    including each ``from X import name`` as X.name."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = "diffchain" if node.level else ""
+            module = ".".join(filter(None, [base, node.module]))
+            found.add(module)
+            found.update(f"{module}.{alias.name}" for alias in node.names)
+    return found
+
+
+def test_only_the_cli_imports_the_oracle():
+    package = Path(diffchain.__file__).parent
+    checked = []
+    for path in sorted(package.glob("*.py")):
+        if path.stem in ("cli", "oracle"):
+            continue
+        assert "diffchain.oracle" not in imported_modules(path), path.name
+        checked.append(path.stem)
+    assert {"poset", "lattice", "chains", "automata", "closure", "errors"} <= set(checked)
+    assert "diffchain.oracle" in imported_modules(package / "cli.py")
 
 
 # ----- word enumeration --------------------------------------------------
@@ -169,17 +203,6 @@ def test_random_dfa_varies_with_the_seed():
 # ----- monoid routes -----------------------------------------------------
 
 
-def test_monoid_language_dfa_recognizes_the_original_language():
-    rng = random.Random(29)
-    corpus = [a_star_b(), contains("b")] + [random_dfa(rng, 3, AB) for _ in range(4)]
-    for d in corpus:
-        tm = transition_monoid(d)
-        again = monoid_language_dfa(d, tm.recognizing_set)
-        assert equivalent(again, d)
-        nothing = monoid_language_dfa(d, ())
-        assert not any(nothing.accepts(w) for w in words_upto(AB, 4))
-
-
 def test_monoid_forward_image_matches_subset_construction():
     collapse = LpHom(AB, ("a",), {"a": "a", "b": "a"})
     rng = random.Random(31)
@@ -194,3 +217,15 @@ def test_monoid_forward_image_checks_alphabets():
     wrong = LpHom(("a", "c"), ("a",), {"a": "a", "c": "a"})
     with pytest.raises(AlphabetMismatchError):
         monoid_forward_image(a_plus(), wrong)
+
+
+def test_monoid_forward_image_stops_at_the_state_cap():
+    collapse = LpHom(AB, ("a",), {"a": "a", "b": "a"})
+    d = Dfa(AB, [[1, 2], [3, 0], [4, 4], [5, 5], [5, 1], [5, 5]], 0, [5])
+    cap = monoid_dfa(d).n_states
+    assert cap == 70
+    image = monoid_forward_image(d, collapse)
+    assert monoid_forward_image(d, collapse, state_cap=cap) == image
+    with pytest.raises(CapacityError) as err:
+        monoid_forward_image(d, collapse, state_cap=cap - 1)
+    assert str(err.value) == f"transition monoid passed {cap - 1} elements"

@@ -125,6 +125,11 @@ def test_equality_and_hash_follow_the_relation():
     assert chain3() in {chain3()}
 
 
+def test_repr_names_the_size_and_the_covers():
+    assert repr(chain3()) == "FinPoset(n=3, covers=[(0, 1), (1, 2)])"
+    assert repr(FinPoset.from_covers([], 0)) == "FinPoset(n=0, covers=[])"
+
+
 def test_poset_is_immutable():
     p = chain3()
     with pytest.raises(AttributeError):
