@@ -32,7 +32,6 @@ from .automata import (
     DEFAULT_STATE_CAP,
     Dfa,
     Marked,
-    dfa_no_words,
     dfa_nonempty_words,
     dfa_to_json_obj,
     difference,
@@ -40,9 +39,6 @@ from .automata import (
     intersect,
     is_empty_lang,
     minimize,
-    shortest_word,
-    subset_of,
-    union,
     _explore,
     _plain_alphabet,
 )
@@ -264,94 +260,117 @@ def _universal_projection(
     its pattern used.  A run is dropped when another run has at most as many
     pins and a pattern language included in its own, since every suffix the
     smaller run allows the larger one allows too.  A run in the dead pattern
-    state makes the whole state the dead antichain ``((dead, 0),)``.
+    state makes the whole state the dead antichain ``((dead, 0),)``.  Every
+    letter's runs include the box successors of all runs, so ``step`` prunes
+    those once per state and adds each letter's pinned runs to a copy: the
+    minimal runs of A ∪ B are those of min(A) ∪ B.
 
-    The inclusions are read inline from ``_inclusion_table``: one byte per
-    pair of pattern states, a row allocated the first time its state is
-    compared, and a search of the pair product only for an unknown entry.
-    The antichains do not depend on how the inclusions are found.
+    The inclusions are read inline from ``_inclusion_table``, preset from
+    the ``_pin_counts`` signatures.  The antichains do not depend on how the
+    inclusions are found.
     """
     box = pattern.letter_index(BOX)
     cols = [pattern.letter_index(a) for a in letters]
     pdelta = pattern.delta
     paccepting = pattern.accepting
-    dead = _dead_state(pattern)
-    rows, new_row, search = _inclusion_table(pattern, dead)
+    sig = _pin_counts(pattern, box, k)
+    # only the empty language has no pattern
+    dead = next((p for p, bits in enumerate(sig) if not bits), None)
+    rows, new_row, search = _inclusion_table(pattern, dead, sig)
+    dead_runs = ((dead, 0),)
 
-    def prune(runs) -> tuple[tuple[int, int], ...]:
-        kept: list[tuple[int, int]] = []
-        for p, c in sorted(runs, key=lambda run: run[1]):
-            if p == dead:
-                return ((dead, 0),)
-            # every kept run has at most c pins
-            row = rows[p] or new_row(p)
-            for p2, _ in kept:
-                if (row[p2] or search(p2, p)) == 1:
-                    break
-            else:
-                kept = [
-                    run for run in kept
-                    if run[1] < c or (rows[run[0]][p] or search(p, run[0])) == 2
-                ]
-                kept.append((p, c))
-        return tuple(sorted(kept))
+    def add(kept: list[tuple[int, int]], p: int, c: int) -> bool:
+        """Insert the run ``(p, c)`` into the antichain ``kept`` unless a
+        kept run is below it; False when p is the dead state."""
+        if p == dead:
+            return False
+        row = rows[p] or new_row(p)
+        for p2, c2 in kept:
+            if c2 <= c and (row[p2] or search(p2, p)) == 1:
+                return True
+        kept[:] = [
+            run for run in kept
+            if run[1] < c or (rows[run[0]][p] or search(p, run[0])) == 2
+        ]
+        kept.append((p, c))
+        return True
 
     def step(runs):
-        moved = {(pdelta[p][box], c) for p, c in runs}
-        return [
-            prune(moved | {(pdelta[p][col], c + 1) for p, c in runs if c < k})
-            for col in cols
-        ]
+        base: list[tuple[int, int]] = []
+        if not all(add(base, pdelta[p][box], c) for p, c in runs):
+            return [dead_runs] * len(cols)
+        succ = []
+        for col in cols:
+            kept = base.copy()
+            alive = all(add(kept, pdelta[p][col], c + 1) for p, c in runs if c < k)
+            succ.append(tuple(sorted(kept)) if alive else dead_runs)
+        return succ
 
+    start = pattern.start
     return _explore(
-        letters, prune([(pattern.start, 0)]), step,
+        letters, dead_runs if start == dead else ((start, 0),), step,
         lambda runs: all(p in paccepting for p, _ in runs),
         state_cap, f"universal projection passed {state_cap} states at k={k}",
     )
 
 
-def _dead_state(d: Dfa) -> int | None:
-    """The rejecting state that every letter keeps in place, if any; in a
-    minimal DFA, the one state with the empty language."""
-    return next(
-        (p for p, row in enumerate(d.delta)
-         if p not in d.accepting and all(t == p for t in row)),
-        None,
-    )
+def _pin_counts(pattern: Dfa, box: int, k: int) -> list[int]:
+    """A signature per pattern state: bit 0 set when it accepts, bit j + 1
+    when it accepts some pattern with exactly j pins (j <= k).  Each bit
+    says that the language holds some pattern, so L(p) ⊆ L(q) implies that
+    sig[p] is a subset of sig[q].
+
+    Bit j + 1 spreads back from its seeds over box predecessors; the letter
+    predecessors of what it reached seed bit j + 2.
+    """
+    box_preds: list[list[int]] = [[] for _ in range(pattern.n_states)]
+    letter_preds: list[list[int]] = [[] for _ in range(pattern.n_states)]
+    for p, row in enumerate(pattern.delta):
+        for i, t in enumerate(row):
+            (box_preds if i == box else letter_preds)[t].append(p)
+    sig = [int(p in pattern.accepting) for p in range(pattern.n_states)]
+    todo = list(pattern.accepting)
+    for bit in (2 << j for j in range(k + 1)):
+        layer = []
+        while todo:
+            t = todo.pop()
+            if not sig[t] & bit:
+                sig[t] |= bit
+                layer.append(t)
+                todo += box_preds[t]
+        todo = [p for t in layer for p in letter_preds[t]]
+    return sig
 
 
-def _inclusion_table(d: Dfa, dead: int | None):
+def _inclusion_table(d: Dfa, dead: int | None, sig: list[int]):
     """A table of language inclusions between the states of a minimal DFA,
     filled on demand: ``rows[q][p]`` is 1 when L(p) is included in L(q), 2
-    when it is not and 0 while unknown.
+    when it is not and 0 while unknown.  ``sig`` is a bitmask per state,
+    with sig[p] a subset of sig[q] whenever L(p) ⊆ L(q); the acceptance bit
+    alone is one.
 
     Returns ``(rows, new_row, search)``.  ``rows[q]`` is None until
-    ``new_row(q)`` allocates it as a ``bytearray`` with the diagonal, the
-    dead state and the pairs that disagree on acceptance preset.
-    ``search(p, q)`` settles an unknown entry ``rows[q][p]`` of an allocated
-    row by a depth-first search of the pair product and returns it: on
-    success every visited pair is included; on failure every pair on the
-    path from (p, q) to the failing pair is not, since a letter leads each
-    to the next.
+    ``new_row(q)`` allocates it as a copy of sig[q]'s template: 2 for every
+    p whose signature has a bit that sig[q] lacks, 1 on the diagonal and
+    for the dead state.  ``search(p, q)`` settles an unknown entry
+    ``rows[q][p]`` of an allocated row by a depth-first search of the pair
+    product and returns it: on success every visited pair is included; on
+    failure every pair on the path from (p, q) to the failing pair is not,
+    since a letter leads each to the next.
     """
-    n = d.n_states
     delta = d.delta
-    accepting = d.accepting
-    # the rows of accepting and of rejecting states before the diagonal
-    above_accepting = bytearray(n)
-    above_rejecting = bytearray(n)
-    for p in accepting:
-        above_rejecting[p] = 2
-    rows: list[bytearray | None] = [None] * n
-    if dead is not None:
-        above_accepting[dead] = above_rejecting[dead] = 1
-        rows[dead] = bytearray(b"\2") * n
-        rows[dead][dead] = 1
+    templates: dict[int, bytearray] = {}
+    rows: list[bytearray | None] = [None] * d.n_states
 
     def new_row(q: int) -> bytearray:
-        row = bytearray(above_accepting if q in accepting else above_rejecting)
+        template = templates.get(sig[q])
+        if template is None:
+            template = bytearray(2 if t & ~sig[q] else 0 for t in sig)
+            if dead is not None:
+                template[dead] = 1
+            templates[sig[q]] = template
+        row = rows[q] = bytearray(template)
         row[q] = 1
-        rows[q] = row
         return row
 
     def search(p: int, q: int) -> int:
@@ -413,23 +432,6 @@ class ChainTrace:
     @property
     def succeeded(self) -> bool:
         return self.status == "success"
-
-    def difference_union(self) -> Dfa:
-        """Union of the odd-even differences of the chain."""
-        acc = dfa_no_words(self.target.alphabet)
-        comps = self.chain
-        for i in range(0, len(comps) - 1, 2):
-            acc = union(acc, difference(comps[i], comps[i + 1]))
-        if len(comps) % 2:
-            acc = union(acc, comps[-1])
-        return minimize(acc)
-
-    def nested_difference(self) -> Dfa:
-        """The chain read as G1 - (G2 - (G3 - ...))."""
-        acc = dfa_no_words(self.target.alphabet)
-        for comp in reversed(self.chain):
-            acc = difference(comp, acc)
-        return minimize(acc)
 
 
 def _canonical_terms(target: Dfa, k: int, state_cap: int) -> Iterator[Dfa]:
@@ -528,7 +530,9 @@ def decompose_bpi1(
 
     Returns the successful trace of the least k; on failure, the exhausted
     trace at ``max_k``, which proves that no chain of at most ``max_m``
-    pairs exists at any k <= ``max_k``.
+    pairs exists at any k <= ``max_k``.  Raises ValueError when a bound is
+    below 1, and CapacityError when ``max_k`` exceeds ``DEFAULT_K_CAP``,
+    whatever the target.
 
     Success is upward closed in k (see ``chain_trace``), so the search asks
     k = 1 first, the cheapest trace, and then ``max_k``: a failure there
@@ -541,6 +545,7 @@ def decompose_bpi1(
     """
     if max_k < 1 or max_m < 1:
         raise ValueError("bounds must be at least 1")
+    _check_variables(max_k)
     first = chain_trace(d, 1, max_m, state_cap)
     if first.succeeded or max_k == 1:
         return first
@@ -559,31 +564,6 @@ def decompose_bpi1(
     if capped is not None:
         raise capped
     return top
-
-
-def family_monotonicity(
-    d: Dfa,
-    k_small: int,
-    k_large: int,
-    pairs: int = 2,
-    state_cap: int = DEFAULT_STATE_CAP,
-) -> tuple[bool, tuple | None]:
-    """Check that more variables give smaller chain terms.
-
-    Compares the first 2*``pairs`` chain terms at ``k_small`` and ``k_large``
-    and returns (True, None) when every term at the larger k is included in
-    the corresponding term at the smaller k, else (False, witness word).
-    """
-    if not 1 <= k_small <= k_large:
-        raise ValueError("need 1 <= k_small <= k_large")
-    if pairs < 1:
-        raise ValueError("need at least one pair")
-    coarse = closure_chain_terms(d, k_small, 2 * pairs, state_cap)
-    fine = closure_chain_terms(d, k_large, 2 * pairs, state_cap)
-    for small_term, large_term in zip(coarse, fine):
-        if not subset_of(large_term, small_term):
-            return False, shortest_word(difference(large_term, small_term))
-    return True, None
 
 
 # ----- serialization -----------------------------------------------------

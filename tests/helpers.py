@@ -4,13 +4,26 @@ Every language builder returns a complete DFA over the two letter alphabet
 ('a', 'b').  All languages consist of nonempty words only.  Builders are
 deliberately tiny hand-built machines; test_automata checks each one
 against a plain word predicate so the rest of the suite can trust them.
+The chain checks below (``difference_union``, ``nested_difference``,
+``family_monotonicity``) are for tests only; the library does not need them.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable
 
-from diffchain import Dfa, FinPoset, minimize, union
+from diffchain import (
+    Dfa,
+    FinPoset,
+    closure_chain_terms,
+    difference,
+    dfa_no_words,
+    minimize,
+    shortest_word,
+    subset_of,
+    union,
+)
+from diffchain.automata import DEFAULT_STATE_CAP
 from diffchain.oracle import words_upto
 
 AB = ("a", "b")
@@ -66,6 +79,51 @@ def ab_repeat() -> Dfa:
 def a_star_b() -> Dfa:
     """Words of shape a...ab: any number of a's then a single b."""
     return Dfa(AB, [[0, 1], [2, 2], [2, 2]], 0, [1])
+
+
+def difference_union(trace) -> Dfa:
+    """Union of the odd-even differences of a ``ChainTrace``'s chain, and
+    of its last term when the chain has odd length."""
+    acc = dfa_no_words(trace.target.alphabet)
+    comps = trace.chain
+    for i in range(0, len(comps) - 1, 2):
+        acc = union(acc, difference(comps[i], comps[i + 1]))
+    if len(comps) % 2:
+        acc = union(acc, comps[-1])
+    return minimize(acc)
+
+
+def nested_difference(trace) -> Dfa:
+    """A ``ChainTrace``'s chain read as G1 - (G2 - (G3 - ...))."""
+    acc = dfa_no_words(trace.target.alphabet)
+    for comp in reversed(trace.chain):
+        acc = difference(comp, acc)
+    return minimize(acc)
+
+
+def family_monotonicity(
+    d: Dfa,
+    k_small: int,
+    k_large: int,
+    pairs: int = 2,
+    state_cap: int = DEFAULT_STATE_CAP,
+) -> tuple[bool, tuple | None]:
+    """Check that more variables give smaller chain terms.
+
+    Compares the first 2*``pairs`` chain terms at ``k_small`` and ``k_large``
+    and returns (True, None) when every term at the larger k is included in
+    the corresponding term at the smaller k, else (False, witness word).
+    """
+    if not 1 <= k_small <= k_large:
+        raise ValueError("need 1 <= k_small <= k_large")
+    if pairs < 1:
+        raise ValueError("need at least one pair")
+    coarse = closure_chain_terms(d, k_small, 2 * pairs, state_cap)
+    fine = closure_chain_terms(d, k_large, 2 * pairs, state_cap)
+    for small_term, large_term in zip(coarse, fine):
+        if not subset_of(large_term, small_term):
+            return False, shortest_word(difference(large_term, small_term))
+    return True, None
 
 
 def assert_lang(dfa: Dfa, predicate, max_len: int = 6) -> None:

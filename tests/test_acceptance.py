@@ -47,7 +47,15 @@ from diffchain.oracle import (
     words_upto,
 )
 
-from helpers import AB, a_plus, a_plus_or_b_plus, contains, literal, principal_upset_map
+from helpers import (
+    AB,
+    a_plus,
+    a_plus_or_b_plus,
+    contains,
+    difference_union,
+    literal,
+    principal_upset_map,
+)
 
 
 def report(name: str, ok: bool, detail: str, elapsed: float, bound: float) -> None:
@@ -208,7 +216,7 @@ def test_single_letter_complement_decomposes_at_one_pair():
     shape_ok = trace.succeeded and trace.k == 1 and trace.pair_count == 1
     first_ok = shape_ok and equivalent(trace.chain[0], difference(nonempty, literal("a")))
     second_ok = shape_ok and equivalent(trace.chain[1], difference(a_plus(), literal("a")))
-    rebuilt = shape_ok and equivalent(trace.difference_union(), minimize(
+    rebuilt = shape_ok and equivalent(difference_union(trace), minimize(
         intersect(target, nonempty)
     ))
     ok = shape_ok and first_ok and second_ok and rebuilt

@@ -260,6 +260,16 @@ def test_lang_decompose_exhaustion_exit_code(tmp_path, capsys):
     assert obj["status"] == "exhausted" and "m" not in obj
 
 
+@pytest.mark.parametrize("dfa", [contains("b"), a_plus_or_b_plus()], ids=["k1", "k2"])
+def test_lang_decompose_names_a_max_k_above_the_variable_cap(tmp_path, capsys, dfa):
+    # the target would decompose at a smaller k, but max_k itself is refused
+    path = dfa_file(tmp_path, "lang.json", dfa)
+    code = main(["lang", "decompose", "--dfa", str(path), "--max-k", "5"])
+    assert code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: k=5 exceeds the variable cap 3\n"
+
+
 def test_lang_eq(tmp_path, capsys):
     one = dfa_file(tmp_path, "one.json", a_plus_or_b_plus())
     two = dfa_file(tmp_path, "two.json", contains("b"))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import json
 import random
 
@@ -17,7 +18,6 @@ from diffchain import (
     dfa_nonempty_words,
     difference,
     equivalent,
-    family_monotonicity,
     intersect,
     is_empty_lang,
     is_pi1_k,
@@ -42,8 +42,13 @@ from helpers import (
     a_plus_or_b_plus,
     a_star_b,
     ab_repeat,
+    b_plus,
     contains,
+    difference_union,
+    family_monotonicity,
+    letters_plus,
     literal,
+    nested_difference,
 )
 
 
@@ -195,42 +200,176 @@ def test_language_below_matches_subset_of_on_normalized_targets():
         assert got == rerooted_inclusions(target), d
 
 
-def test_inclusion_table_agrees_with_the_pair_removal_fixpoint():
-    # Settle every pair of each minimal pattern automaton through the table,
-    # in a shuffled order so that later questions read what earlier searches
-    # memoized, then require every entry to match subset_of on the re-rooted
-    # automata, and the pair-removal fixpoint _language_below to match too.
-    from diffchain.closure import (
-        _dead_state,
-        _inclusion_table,
-        _language_below,
-        _normalize,
-        _pattern_automaton,
-    )
+@functools.cache
+def minimal_patterns():
+    """``(k, pattern, expected)`` for the minimal pattern automaton of every
+    ``inclusion_corpus()`` target at k = 1..3, with its
+    ``rerooted_inclusions``."""
+    from diffchain.closure import _normalize, _pattern_automaton
 
-    rng, targets = inclusion_corpus()
-    searched = 0
+    _, targets = inclusion_corpus()
+    out = []
     for d in targets:
         target = _normalize(d)
         for k in (1, 2, 3):
             pattern = minimize(_pattern_automaton(target, k, 10_000))
-            n = pattern.n_states
-            expected = rerooted_inclusions(pattern)
-            below = _language_below(pattern)
-            assert expected == [
-                [1 if below[q] >> p & 1 else 2 for p in range(n)] for q in range(n)
-            ], k
-            rows, new_row, search = _inclusion_table(pattern, _dead_state(pattern))
-            pairs = [(p, q) for p in range(n) for q in range(n)]
-            rng.shuffle(pairs)
-            for p, q in pairs:
-                row = rows[q] or new_row(q)
-                if not row[p]:
-                    searched += 1
-                    assert search(p, q) == expected[q][p], (p, q, k)
-                assert row[p] == expected[q][p], (p, q, k)
-            assert [list(row) for row in rows] == expected, k
+            out.append((k, pattern, rerooted_inclusions(pattern)))
+    return out
+
+
+def empty_state(d: Dfa) -> int | None:
+    """The state of d whose language is empty, if any."""
+    return next(
+        (p for p in range(d.n_states)
+         if is_empty_lang(Dfa(d.alphabet, d.delta, p, d.accepting))),
+        None,
+    )
+
+
+def settle_every_pair(rng, pattern, sig):
+    """Settle every entry of ``_inclusion_table(pattern, dead, sig)``, in a
+    shuffled order so that later questions read what earlier searches
+    memoized.  Returns the rows and the number of searches."""
+    from diffchain.closure import _inclusion_table
+
+    n = pattern.n_states
+    rows, new_row, search = _inclusion_table(pattern, empty_state(pattern), sig)
+    pairs = [(p, q) for p in range(n) for q in range(n)]
+    rng.shuffle(pairs)
+    searched = 0
+    for p, q in pairs:
+        row = rows[q] or new_row(q)
+        if not row[p]:
+            searched += 1
+            assert search(p, q) == row[p], (p, q)
+    return [list(row) for row in rows], searched
+
+
+def test_inclusion_table_agrees_with_the_pair_removal_fixpoint():
+    # Settle every pair of each minimal pattern automaton through the table,
+    # with acceptance as the only signature, then require every entry to
+    # match subset_of on the re-rooted automata, and the pair-removal
+    # fixpoint _language_below to match too.
+    from diffchain.closure import _language_below
+
+    rng, _ = inclusion_corpus()
+    searched = 0
+    for k, pattern, expected in minimal_patterns():
+        n = pattern.n_states
+        below = _language_below(pattern)
+        assert expected == [
+            [1 if below[q] >> p & 1 else 2 for p in range(n)] for q in range(n)
+        ], k
+        accepts = [1 if p in pattern.accepting else 0 for p in range(n)]
+        rows, count = settle_every_pair(rng, pattern, accepts)
+        assert rows == expected, k
+        searched += count
     assert searched > 1000  # the searches, not the presets, settle most pairs
+
+
+def test_pin_counts_are_monotone_under_inclusion():
+    from diffchain.closure import BOX, _pin_counts
+
+    for k, pattern, expected in minimal_patterns():
+        sig = _pin_counts(pattern, pattern.letter_index(BOX), k)
+        for q, row in enumerate(expected):
+            for p, included in enumerate(row):
+                if included == 1:
+                    assert sig[p] & ~sig[q] == 0, (p, q, k)
+
+
+def test_pin_counts_match_a_forward_search_of_state_and_pins():
+    # bit j + 1 of state p: some (s, j) with s accepting is reachable from
+    # (p, 0), where a letter adds a pin and the box does not
+    from diffchain.closure import BOX, _pin_counts
+
+    for k, pattern, _ in minimal_patterns():
+        box = pattern.letter_index(BOX)
+        sig = _pin_counts(pattern, box, k)
+        for p in range(pattern.n_states):
+            seen = {(p, 0)}
+            todo = [(p, 0)]
+            while todo:
+                s, pins = todo.pop()
+                for i, t in enumerate(pattern.delta[s]):
+                    nxt = (t, pins if i == box else pins + 1)
+                    if nxt[1] <= k + 1 and nxt not in seen:
+                        seen.add(nxt)
+                        todo.append(nxt)
+            want = 1 if p in pattern.accepting else 0
+            for s, pins in seen:
+                if s in pattern.accepting:
+                    want |= 2 << pins
+            assert sig[p] == want, (p, k)
+
+
+def test_inclusion_table_with_pin_counts_settles_every_pair():
+    from diffchain.closure import BOX, _pin_counts
+
+    rng, _ = inclusion_corpus()
+    with_acceptance = with_pins = 0
+    for k, pattern, expected in minimal_patterns():
+        n = pattern.n_states
+        sig = _pin_counts(pattern, pattern.letter_index(BOX), k)
+        rows, count = settle_every_pair(rng, pattern, sig)
+        assert rows == expected, k
+        with_pins += count
+        accepts = [1 if p in pattern.accepting else 0 for p in range(n)]
+        with_acceptance += settle_every_pair(rng, pattern, accepts)[1]
+    # the presets settle pairs that acceptance alone leaves to a search
+    # (5 305 searches against 9 425 on this corpus)
+    assert with_pins < with_acceptance
+
+
+def reference_projection(pattern: Dfa, letters, k: int) -> Dfa:
+    """The universal projection from its definition, with no table and no
+    signature: every state is the set of minimal runs (p, c) under fewer
+    pins and included languages, as ``rerooted_inclusions`` decides them,
+    and a run in the empty-language state makes it ``((dead, 0),)``."""
+    from diffchain.automata import _explore
+    from diffchain.closure import BOX
+
+    below = rerooted_inclusions(pattern)
+    dead = empty_state(pattern)
+    box = pattern.letter_index(BOX)
+
+    def minimal(runs):
+        if any(p == dead for p, _ in runs):
+            return ((dead, 0),)
+        return tuple(sorted(
+            (p, c) for p, c in runs
+            if not any((p2, c2) != (p, c) and c2 <= c and below[p][p2] == 1
+                       for p2, c2 in runs)
+        ))
+
+    def step(runs):
+        moved = {(pattern.delta[p][box], c) for p, c in runs}
+        return [
+            minimal(moved | {(pattern.delta[p][col], c + 1) for p, c in runs if c < k})
+            for col in map(pattern.letter_index, letters)
+        ]
+
+    return _explore(
+        letters, minimal({(pattern.start, 0)}), step,
+        lambda runs: all(p in pattern.accepting for p, _ in runs),
+        10_000, "reference projection passed 10000 states",
+    )
+
+
+def test_universal_projection_matches_the_reference_runs():
+    from diffchain.closure import _normalize, _pattern_automaton, _universal_projection
+
+    rng = random.Random(6061)
+    targets = [a_plus(), b_plus(), a_plus_or_b_plus(), contains("a"),
+               contains("b"), literal("ab"), literal("aba"), ab_repeat(),
+               a_star_b(), letters_plus("ab")]
+    targets += [random_dfa(rng, 5, AB) for _ in range(20)]
+    for d in targets:
+        target = _normalize(d)
+        for k in (1, 2, 3):
+            pattern = minimize(_pattern_automaton(target, k, 10_000))
+            got = _universal_projection(pattern, target.alphabet, k, 10_000)
+            assert got == reference_projection(pattern, target.alphabet, k), (d, k)
 
 
 # ----- chains of closures ------------------------------------------------
@@ -244,8 +383,8 @@ def test_chain_trace_for_contains_b():
     # closes up to "everything but the single word a", overshoot aa+
     assert equivalent(first, difference(nonempty(), literal("a")))
     assert equivalent(second, difference(a_plus(), literal("a")))
-    assert equivalent(trace.difference_union(), trace.target)
-    assert equivalent(trace.nested_difference(), trace.target)
+    assert equivalent(difference_union(trace), trace.target)
+    assert equivalent(nested_difference(trace), trace.target)
 
 
 def test_chain_trace_of_a_two_state_language_exhausts_at_two_variables():
@@ -269,7 +408,7 @@ def test_chain_trace_of_the_empty_language():
     trace = chain_trace(dfa_no_words(AB), 1)
     assert trace.succeeded and trace.pair_count == 0
     assert trace.chain == ()
-    assert is_empty_lang(trace.difference_union())
+    assert is_empty_lang(difference_union(trace))
 
 
 def test_chain_trace_exhausts_at_one_variable_on_two_branches():
@@ -278,7 +417,7 @@ def test_chain_trace_exhausts_at_one_variable_on_two_branches():
     assert trace.status == "exhausted" and trace.pair_count is None
     assert len(trace.chain) == 2
     # the one completed pair only recovers the two single-letter words
-    got = trace.difference_union()
+    got = difference_union(trace)
     assert equivalent(got, union(literal("a"), literal("b")))
     assert subset_of(got, trace.target) and not equivalent(got, trace.target)
 
@@ -294,8 +433,8 @@ def test_chain_traces_decrease_and_stay_inside_the_target():
             diff = difference(trace.chain[i], trace.chain[i + 1])
             assert subset_of(diff, trace.target)
         if trace.succeeded:
-            assert equivalent(trace.difference_union(), trace.target)
-            assert equivalent(trace.nested_difference(), trace.target)
+            assert equivalent(difference_union(trace), trace.target)
+            assert equivalent(nested_difference(trace), trace.target)
 
 
 @pytest.mark.parametrize(
@@ -434,7 +573,10 @@ def test_success_is_upward_closed_in_the_number_of_variables():
 
 
 def _ascending(d: Dfa, max_k: int, max_m: int, state_cap: int) -> str:
-    """decompose_bpi1 as the plain search with k = 1, 2, ... in turn."""
+    """decompose_bpi1 as the plain search with k = 1, 2, ... in turn, after
+    the check of ``max_k`` against the variable cap."""
+    if max_k > closure.DEFAULT_K_CAP:
+        return f"capacity: k={max_k} exceeds the variable cap {closure.DEFAULT_K_CAP}"
     for k in range(1, max_k + 1):
         try:
             trace = chain_trace(d, k, max_m, state_cap)
@@ -485,8 +627,6 @@ def asked_k(monkeypatch):
         (contains("b"), 3, [1], 1, "success"),
         (a_plus_or_b_plus(), 3, [1, 3, 2], 2, "success"),
         (SHRINKING, 3, [1, 3, 2], 2, "success"),
-        # max_k above the variable cap: k = 4 raises and the rest ascends
-        (a_plus_or_b_plus(), 4, [1, 4, 2], 2, "success"),
     ],
 )
 def test_decompose_asks_one_then_max_k(asked_k, d, max_k, asked, k, status):
@@ -496,9 +636,21 @@ def test_decompose_asks_one_then_max_k(asked_k, d, max_k, asked, k, status):
 
 
 def test_decompose_raises_the_cap_of_max_k_when_nothing_below_succeeds(asked_k):
-    with pytest.raises(CapacityError, match="k=4 exceeds the variable cap 3"):
-        decompose_bpi1(Dfa(AB, [[1, 1], [0, 1]], 0, [0]), max_k=4, max_m=3)
-    assert asked_k == [1, 4, 2, 3]
+    # k = 1 and k = 2 exhaust under 200 states; k = 3 does not fit
+    with pytest.raises(CapacityError, match="universal projection passed 200 states at k=3"):
+        decompose_bpi1(Dfa(AB, [[1, 1], [0, 1]], 0, [0]), max_k=3, max_m=3, state_cap=200)
+    assert asked_k == [1, 3, 2]
+
+
+@pytest.mark.parametrize("max_k", [4, 5])
+@pytest.mark.parametrize(
+    "d", [contains("b"), Dfa(AB, [[1, 1], [0, 1]], 0, [0])], ids=["k1", "none"]
+)
+def test_decompose_rejects_max_k_above_the_variable_cap(asked_k, d, max_k):
+    # whether the target decomposes at k = 1 or at no k, the error names max_k
+    with pytest.raises(CapacityError, match=f"^k={max_k} exceeds the variable cap 3$"):
+        decompose_bpi1(d, max_k=max_k, max_m=3)
+    assert asked_k == []
 
 
 def test_chain_terms_without_stopping():
