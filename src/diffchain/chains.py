@@ -15,7 +15,6 @@ from typing import Iterable
 
 from .errors import (
     NotDecreasingError,
-    NotSublatticeError,
     NotUpsetError,
     TargetMismatchError,
 )
@@ -225,38 +224,3 @@ def verify_minimality(
     return MinimalityReport(ok, canon, competitor.pairs, canon.pairs,
                             component_failures, tuple(prefix_failures))
 
-
-# ----- closure in a sublattice -------------------------------------------
-
-
-def closure_in_sublattice(
-    poset: FinPoset, family: Iterable[ElemSet], subset: Iterable[int]
-) -> ElemSet:
-    """Least member of a bounded sublattice of upsets containing ``subset``.
-
-    ``family`` must consist of upsets, contain the empty set and the full
-    carrier, and be closed under union and intersection; otherwise
-    NotSublatticeError.  The result is the meet of all members above
-    ``subset``.
-    """
-    subset = mask_of(subset, poset.n)
-    members = {mask_of(s, poset.n) for s in family}
-    carrier = (1 << poset.n) - 1
-    for m in members:
-        if not poset._upset_within(m, carrier):
-            raise NotUpsetError(f"family member {bits(m)} is not an upset")
-    if 0 not in members or carrier not in members:
-        raise NotSublatticeError("family must contain the empty set and the carrier")
-    for a in members:
-        for b in members:
-            if a | b not in members or a & b not in members:
-                raise NotSublatticeError(
-                    f"family not closed under union/intersection at {bits(a)}, {bits(b)}"
-                )
-    least = carrier
-    for m in members:
-        if not subset & ~m:
-            least &= m
-    if least not in members or subset & ~least:
-        raise AssertionError("the meet above the subset must be a member containing it")
-    return frozenset(bits(least))

@@ -25,10 +25,6 @@ class TargetMismatchError(DiffChainError):
     """A difference chain does not evaluate to the required target set."""
 
 
-class NotSublatticeError(DiffChainError):
-    """A family of sets is not a bounded sublattice of the upset lattice."""
-
-
 class CapacityError(DiffChainError):
     """A construction would exceed a configured size guard."""
 

@@ -4,8 +4,13 @@ Everything here recomputes results of the other modules by direct
 enumeration or by a structurally different construction, so the two routes
 can be compared in tests.  Nothing in this module calls the chain, lattice
 or closure algorithms it is used to check.  The closure has two reference
-routes: position-profile search (``brute_pi1_closure_member``) and the
-paper's literal marked-alphabet construction (``marked_pi1_closure``).
+routes.  One is an extension-mask search (``brute_pi1_closure_member``):
+for each multiset of k - 1 of a word's positions, one forward and one
+backward pass over the reached states of the automaton mark every
+(position, letter) pair that some accepted word of the same length, agreeing
+with the word there, carries; the word belongs iff each of its own pairs is
+marked every time.  The other is the paper's literal marked-alphabet
+construction (``marked_pi1_closure``).
 Homomorphic images have two routes as well: the subset construction
 ``forward_lp_image`` over the automaton's states, and
 ``monoid_forward_image``, the same construction over ``monoid_dfa``, the
@@ -61,52 +66,68 @@ def lang_eq_upto(
     return True, None
 
 
-# ----- closure membership by position profiles ---------------------------
+# ----- closure membership by pinned extensions --------------------------
 
 
 def brute_pi1_closure_member(d: Dfa, k: int, word: Sequence[Letter]) -> bool:
     """Membership of a word in the k-variable universal closure of d's
     language, decided directly.
 
-    A word belongs iff for every set of at most k of its positions some
+    A word belongs iff for every multiset of k of its positions some
     accepted word of the same length carries the same letters at those
-    positions.  Each existence question is settled by an exact layered
-    reachability search, never by sampling.
+    positions.  Every such multiset is a multiset Q of k - 1 positions plus
+    one position j, so the word belongs iff for every Q each of its pairs
+    (j, word[j]) is a pinned extension of Q: some accepted word agrees with
+    it on Q and carries word[j] at j.  ``_pinned_extensions`` finds all
+    extensions of one Q at once by an exact layered reachability search,
+    never by sampling.
     """
-    word = tuple(word)
-    n = len(word)
+    if k < 1:
+        raise ValueError("need at least one variable")
+    letters = tuple(map(d.letter_index, word))
+    n = len(letters)
     if n == 0:
         return False
-    for positions in combinations_with_replacement(range(n), k):
-        pinned = frozenset((p, word[p]) for p in positions)
-        if not _accepts_some_pinned(d, n, pinned):
+    width = len(d.alphabet)
+    need = 0
+    for p, i in enumerate(letters):
+        need |= 1 << (p * width + i)
+    for positions in combinations_with_replacement(range(n), k - 1):
+        pins = tuple(map(letters.__getitem__, positions))
+        if need & ~_pinned_extensions(d, n, positions, pins):
             return False
     return True
 
 
 @lru_cache(maxsize=None)
-def _accepts_some_pinned(d: Dfa, n: int, pinned: frozenset) -> bool:
-    """Is some length-n word accepted whose letters agree with ``pinned``
-    (a set of (position, letter) pairs)?"""
-    by_pos: dict[int, Letter] = {}
-    for p, a in pinned:
-        if p in by_pos and by_pos[p] != a:
-            return False
-        by_pos[p] = a
-    current = {d.start}
+def _pinned_extensions(
+    d: Dfa, n: int, positions: tuple[int, ...], pins: tuple[int, ...]
+) -> int:
+    """The pinned extensions of length n: bit p * |A| + i is set iff some
+    accepted length-n word carries letter index pins[m] at positions[m] for
+    every m, and letter index i at position p.  The pins are read from one
+    word, so a repeated position carries the same letter each time."""
+    pinned = dict(zip(positions, pins))
+    width = len(d.alphabet)
+    allowed = [(pinned[p],) if p in pinned else range(width) for p in range(n)]
+    reached = [{d.start}]
     for p in range(n):
-        nxt: set[int] = set()
-        if p in by_pos:
-            c = d.letter_index(by_pos[p])
-            for q in current:
-                nxt.add(d.delta[q][c])
-        else:
-            for q in current:
-                nxt.update(d.delta[q])
-        current = nxt
-        if not current:
-            return False
-    return bool(current & d.accepting)
+        reached.append({d.delta[q][i] for q in reached[p] for i in allowed[p]})
+    live = reached[n] & d.accepting
+    if not live:
+        return 0
+    mask = 0
+    for p in range(n - 1, -1, -1):
+        base = p * width
+        alive: set[int] = set()
+        for q in reached[p]:
+            row = d.delta[q]
+            for i in allowed[p]:
+                if row[i] in live:
+                    alive.add(q)
+                    mask |= 1 << (base + i)
+        live = alive
+    return mask
 
 
 # ----- alternation degree by sequence enumeration ------------------------

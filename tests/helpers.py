@@ -5,7 +5,8 @@ Every language builder returns a complete DFA over the two letter alphabet
 deliberately tiny hand-built machines; test_automata checks each one
 against a plain word predicate so the rest of the suite can trust them.
 The chain checks below (``difference_union``, ``nested_difference``,
-``family_monotonicity``) are for tests only; the library does not need them.
+``family_monotonicity``) and ``closure_in_sublattice`` with its
+``NotSublatticeError`` are for tests only; the library does not need them.
 """
 
 from __future__ import annotations
@@ -13,8 +14,11 @@ from __future__ import annotations
 from collections.abc import Iterable
 
 from diffchain import (
+    DiffChainError,
     Dfa,
+    ElemSet,
     FinPoset,
+    NotUpsetError,
     closure_chain_terms,
     difference,
     dfa_no_words,
@@ -25,6 +29,7 @@ from diffchain import (
 )
 from diffchain.automata import DEFAULT_STATE_CAP
 from diffchain.oracle import words_upto
+from diffchain.poset import bits, mask_of
 
 AB = ("a", "b")
 
@@ -124,6 +129,43 @@ def family_monotonicity(
         if not subset_of(large_term, small_term):
             return False, shortest_word(difference(large_term, small_term))
     return True, None
+
+
+class NotSublatticeError(DiffChainError):
+    """A family of sets is not a bounded sublattice of the upset lattice."""
+
+
+def closure_in_sublattice(
+    poset: FinPoset, family: Iterable[ElemSet], subset: Iterable[int]
+) -> ElemSet:
+    """Least member of a bounded sublattice of upsets containing ``subset``.
+
+    ``family`` must consist of upsets, contain the empty set and the full
+    carrier, and be closed under union and intersection; otherwise
+    NotSublatticeError.  The result is the meet of all members above
+    ``subset``.
+    """
+    subset = mask_of(subset, poset.n)
+    members = {mask_of(s, poset.n) for s in family}
+    carrier = (1 << poset.n) - 1
+    for m in members:
+        if not poset._upset_within(m, carrier):
+            raise NotUpsetError(f"family member {bits(m)} is not an upset")
+    if 0 not in members or carrier not in members:
+        raise NotSublatticeError("family must contain the empty set and the carrier")
+    for a in members:
+        for b in members:
+            if a | b not in members or a & b not in members:
+                raise NotSublatticeError(
+                    f"family not closed under union/intersection at {bits(a)}, {bits(b)}"
+                )
+    least = carrier
+    for m in members:
+        if not subset & ~m:
+            least &= m
+    if least not in members or subset & ~least:
+        raise AssertionError("the meet above the subset must be a member containing it")
+    return frozenset(bits(least))
 
 
 def assert_lang(dfa: Dfa, predicate, max_len: int = 6) -> None:

@@ -9,18 +9,18 @@ from diffchain import (
     DiffChain,
     FinPoset,
     NotDecreasingError,
-    NotSublatticeError,
     NotUpsetError,
     RangeError,
     TargetMismatchError,
     canonical_chain,
-    closure_in_sublattice,
     degree,
     degrees,
     evaluate,
     upsets_of,
     verify_minimality,
 )
+
+from helpers import NotSublatticeError, closure_in_sublattice
 
 
 @st.composite

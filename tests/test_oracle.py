@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import ast
 import random
+from itertools import combinations_with_replacement, product as iter_product
 from pathlib import Path
 
 import pytest
@@ -36,7 +37,16 @@ from diffchain.oracle import (
     words_upto,
 )
 
-from helpers import AB, a_plus, a_plus_or_b_plus, a_star_b, contains
+from helpers import (
+    AB,
+    a_plus,
+    a_plus_or_b_plus,
+    a_star_b,
+    ab_repeat,
+    b_plus,
+    contains,
+    literal,
+)
 
 
 def chain_poset(n):
@@ -105,6 +115,51 @@ def test_brute_closure_membership_examples():
     assert brute_pi1_closure_member(a_plus_or_b_plus(), 1, ("a", "b"))
     assert not brute_pi1_closure_member(a_plus_or_b_plus(), 2, ("a", "b"))
     assert brute_pi1_closure_member(a_plus_or_b_plus(), 2, ("b", "b"))
+
+
+@pytest.mark.parametrize("k", [0, -1])
+def test_brute_closure_membership_needs_a_variable(k):
+    with pytest.raises(ValueError, match="need at least one variable"):
+        brute_pi1_closure_member(a_plus(), k, ("b", "b"))
+
+
+@pytest.mark.parametrize("word", [("b", "z"), ("a", "z"), ("z",)])
+def test_brute_closure_membership_rejects_foreign_letters(word):
+    # the foreign letter raises after a letter that already refutes the
+    # word, and after one that does not
+    with pytest.raises(AlphabetMismatchError):
+        brute_pi1_closure_member(a_plus(), 1, word)
+
+
+def literal_closure_member(d, k, word):
+    """Closure membership read off the definition: every multiset of k of
+    the word's positions is matched by one accepted word of its length."""
+    n = len(word)
+    accepted = [u for u in iter_product(d.alphabet, repeat=n) if d.accepts(u)]
+    return all(
+        any(all(u[p] == word[p] for p in positions) for u in accepted)
+        for positions in combinations_with_replacement(range(n), k)
+    )
+
+
+def closure_membership_corpus():
+    yield from ((d, 5) for d in (
+        a_plus(), b_plus(), a_plus_or_b_plus(), contains("a"), contains("b"),
+        literal("ab"), literal("aba"), ab_repeat(), a_star_b(),
+    ))
+    rng = random.Random(1301)
+    for _ in range(40):
+        yield random_dfa(rng, 6, AB), 5
+    for _ in range(40):
+        yield random_dfa(rng, 6, ("a", "b", "c")), 3
+
+
+def test_brute_closure_membership_matches_the_definition():
+    for d, max_len in closure_membership_corpus():
+        for k in (1, 2, 3):
+            for word in words_upto(d.alphabet, max_len):
+                want = literal_closure_member(d, k, word)
+                assert brute_pi1_closure_member(d, k, word) == want, (d, k, word)
 
 
 # ----- alternation degree ------------------------------------------------
