@@ -22,6 +22,9 @@ from .errors import DiffChainError
 from .poset import bits, poset_from_json, poset_to_dot
 
 DEFAULT_SEED = 271828
+# verify's longest words: the checks enumerate every word up to --max-len,
+# and each extra letter doubles their time
+MAX_VERIFY_LEN = 12
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -224,6 +227,8 @@ def _cmd_verify(args) -> int:
     for flag, value in (("--max-len", args.max_len), ("--cases", args.cases)):
         if value < 1:
             raise ValueError(f"{flag} must be at least 1")
+    if args.max_len > MAX_VERIFY_LEN:
+        raise ValueError(f"--max-len must be at most {MAX_VERIFY_LEN}")
     suites = (
         ["poset-chains", "closure", "images", "adjunction"]
         if args.suite == "all"

@@ -444,6 +444,7 @@ def test_verify_single_suite_respects_seed(capsys):
         ("poset-chains", "--max-len", "-1"),
         ("poset-chains", "--max-len", "0"),
         ("closure", "--max-len", "0"),
+        ("closure", "--max-len", "99"),
         ("closure", "--cases", "-3"),
         ("all", "--cases", "0"),
     ],

@@ -124,10 +124,11 @@ def test_closure_guards(monkeypatch):
     assert pi1_closure(a_plus(), 4) is not None
     with pytest.raises(CapacityError, match=r"pattern automaton .*k=2"):
         pi1_closure(contains("a"), 2, state_cap=3)
-    # 18 raw pattern states fit under the cap; the projection needs 24
+    # the pattern automaton's passes build 20 and 18 states; the projection
+    # needs 24
     lopsided = Dfa(AB, [[2, 0], [0, 0], [1, 1]], 0, [1])
     with pytest.raises(CapacityError, match=r"universal projection .*k=2"):
-        pi1_closure(lopsided, 2, state_cap=18)
+        pi1_closure(lopsided, 2, state_cap=20)
     assert pi1_closure(lopsided, 2, state_cap=24) is not None
 
 
@@ -143,16 +144,14 @@ def test_closure_agrees_with_the_marked_route():
             assert cl.accepts(w) == brute_pi1_closure_member(d, k, w), (case, k, w)
 
 
-def test_closure_keeps_subset_states_past_the_length_bits():
-    # Lengths divisible by 5 or by 13 repeat with period 65, wider than the
-    # top layer's length sets, so the pattern automaton keeps subset states.
-    from diffchain.closure import _normalize, _reaching
+def period_65_counter() -> Dfa:
+    """The lengths divisible by 5 or by 13: a length set of period 65."""
+    return Dfa(AB, [[(q + 1) % 65] * 2 for q in range(65)], 0,
+               [q for q in range(65) if q % 5 == 0 or q % 13 == 0])
 
-    d = Dfa(AB, [[(q + 1) % 65] * 2 for q in range(65)], 0,
-            [q for q in range(65) if q % 5 == 0 or q % 13 == 0])
-    target = _normalize(d)
-    accepting = sum(1 << q for q in target.accepting)
-    assert _reaching(target, accepting) is None
+
+def test_closure_of_a_period_65_counter():
+    d = period_65_counter()
     for k in (1, 2, 3):
         cl = pi1_closure(d, k)
         assert cl == minimize(marked_pi1_closure(d, k)), k
@@ -160,15 +159,81 @@ def test_closure_keeps_subset_states_past_the_length_bits():
             assert cl.accepts(w) == brute_pi1_closure_member(d, k, w), (k, w)
 
 
-def test_pattern_top_layer_collapses_into_length_sets():
-    # 17 753 states; with subset states in the top layer it would be 75 229.
+def test_pattern_passes_stay_small_at_five_pins():
+    # the cap stops a pass of 5 000 states; they build 2 280, then 172
     from diffchain.closure import _normalize, _pattern_automaton
 
     rng = random.Random(11)
     d = random_dfa(rng, 80, ("a", "b", "c"))
     while d.n_states < 50:
         d = random_dfa(rng, 80, ("a", "b", "c"))
-    assert _pattern_automaton(_normalize(d), 5, 20_000).n_states < 20_000
+    assert _pattern_automaton(_normalize(d), 5, 4_999).n_states == 172
+
+
+def forward_patterns(target: Dfa, k: int) -> Dfa:
+    """The pattern automaton from its definition: the subset construction
+    of the pattern NFA, whose states are pairs (q, c) of a target state and
+    the pins used, with no pruning, then ``minimize``.  A letter moves q
+    along it and adds a pin, the box moves q along any letter."""
+    from diffchain.automata import _explore
+    from diffchain.closure import BOX
+
+    def step(pairs):
+        pinned = [
+            frozenset((target.delta[q][i], c + 1) for q, c in pairs if c < k)
+            for i in range(len(target.alphabet))
+        ]
+        return pinned + [frozenset((t, c) for q, c in pairs for t in target.delta[q])]
+
+    return minimize(_explore(
+        target.alphabet + (BOX,), frozenset({(target.start, 0)}), step,
+        lambda pairs: any(q in target.accepting for q, _ in pairs),
+        100_000, "forward patterns passed 100000 states",
+    ))
+
+
+def test_pattern_automaton_matches_the_forward_subset_construction(monkeypatch):
+    from diffchain.closure import _normalize, _pattern_automaton, _universal_projection
+
+    _, targets = inclusion_corpus()
+    targets.append(period_65_counter())
+    for d in targets:
+        target = _normalize(d)
+        for k in (1, 2, 3):
+            want = forward_patterns(target, k)
+            assert _pattern_automaton(target, k, 10_000) == want, (d, k)
+    monkeypatch.setattr(closure, "DEFAULT_K_CAP", 4)
+    for d in targets:
+        target = _normalize(d)
+        want = forward_patterns(target, 4)
+        assert _pattern_automaton(target, 4, 10_000) == want, d
+        projection = _universal_projection(want, target.alphabet, 4, 10_000)
+        assert pi1_closure(d, 4) == minimize(projection), d
+
+
+@pytest.mark.parametrize(
+    "d, passes_done",
+    [
+        (literal("ab"), 0),  # the passes build 7 and 4 states
+        (a_star_b(), 1),  # the passes build 5 and 8 states
+    ],
+    ids=["pass-1", "pass-2"],
+)
+def test_pattern_automaton_stops_in_either_pass(monkeypatch, d, passes_done):
+    from diffchain.automata import _explore
+    from diffchain.closure import _normalize, _pattern_automaton
+
+    built = []
+
+    def explore(*args):
+        built.append(None)  # None until the pass finishes
+        built[-1] = _explore(*args)
+        return built[-1]
+
+    monkeypatch.setattr(closure, "_explore", explore)
+    with pytest.raises(CapacityError, match=r"^pattern automaton passed 6 states at k=2$"):
+        _pattern_automaton(_normalize(d), 2, 6)
+    assert len(built) == passes_done + 1 and built[-1] is None
 
 
 def rerooted_inclusions(d):
@@ -188,18 +253,6 @@ def inclusion_corpus():
     return rng, targets
 
 
-def test_language_below_matches_subset_of_on_normalized_targets():
-    from diffchain.closure import _language_below, _normalize
-
-    _, targets = inclusion_corpus()
-    for d in targets:
-        target = _normalize(d)
-        n = target.n_states
-        below = _language_below(target)
-        got = [[1 if below[q] >> p & 1 else 2 for p in range(n)] for q in range(n)]
-        assert got == rerooted_inclusions(target), d
-
-
 @functools.cache
 def minimal_patterns():
     """``(k, pattern, expected)`` for the minimal pattern automaton of every
@@ -212,7 +265,7 @@ def minimal_patterns():
     for d in targets:
         target = _normalize(d)
         for k in (1, 2, 3):
-            pattern = minimize(_pattern_automaton(target, k, 10_000))
+            pattern = _pattern_automaton(target, k, 10_000)
             out.append((k, pattern, rerooted_inclusions(pattern)))
     return out
 
@@ -248,18 +301,11 @@ def settle_every_pair(rng, pattern, sig):
 def test_inclusion_table_agrees_with_the_pair_removal_fixpoint():
     # Settle every pair of each minimal pattern automaton through the table,
     # with acceptance as the only signature, then require every entry to
-    # match subset_of on the re-rooted automata, and the pair-removal
-    # fixpoint _language_below to match too.
-    from diffchain.closure import _language_below
-
+    # match subset_of on the re-rooted automata.
     rng, _ = inclusion_corpus()
     searched = 0
     for k, pattern, expected in minimal_patterns():
         n = pattern.n_states
-        below = _language_below(pattern)
-        assert expected == [
-            [1 if below[q] >> p & 1 else 2 for p in range(n)] for q in range(n)
-        ], k
         accepts = [1 if p in pattern.accepting else 0 for p in range(n)]
         rows, count = settle_every_pair(rng, pattern, accepts)
         assert rows == expected, k
@@ -367,7 +413,7 @@ def test_universal_projection_matches_the_reference_runs():
     for d in targets:
         target = _normalize(d)
         for k in (1, 2, 3):
-            pattern = minimize(_pattern_automaton(target, k, 10_000))
+            pattern = _pattern_automaton(target, k, 10_000)
             got = _universal_projection(pattern, target.alphabet, k, 10_000)
             assert got == reference_projection(pattern, target.alphabet, k), (d, k)
 
