@@ -5,12 +5,11 @@ The closure keeps exactly the words that agree with some member of the
 language on every k-tuple of positions (with matching length).  Variables are
 interchangeable and may share a position, so membership depends only on the
 set of at most k pinned positions.  The closure is built from the normalized
-target by double reversal, then the projection:
+target in two determinizations, with a minimization in between:
 
-* the minimal *pattern automaton* reads the target's letters plus a box
-  letter for an unpinned position, and accepts the patterns with at most k
-  pins that some member of the language matches; two reversals of an NFA
-  on (target state, pins used) build it minimal (Brzozowski, 1962);
+* the *pattern automaton* reads the target's letters plus a box letter for an
+  unpinned position, and accepts the patterns with at most k pins that some
+  member of the language matches;
 * the *universal projection* reads a word and tracks every pattern of it at
   once, keeping only the hardest runs (an antichain, as in De Wulf, Doyen,
   Henzinger and Raskin, *Antichains: a new algorithm for checking
@@ -50,6 +49,9 @@ DEFAULT_MAX_M = 8
 
 # The pattern letter of an unpinned position: the erased letter.
 BOX = Marked(None)
+# Widest length set (threshold plus period) the pattern automaton's top layer
+# collapses to; past it the top layer keeps subset states.
+_LENGTH_BITS = 64
 
 
 def _normalize(d: Dfa) -> Dfa:
@@ -67,8 +69,7 @@ def _check_variables(k: int) -> None:
 
 def pi1_closure(d: Dfa, k: int, state_cap: int = DEFAULT_STATE_CAP) -> Dfa:
     """Least language containing d's that a k-variable universal sentence
-    can define, over nonempty words: double reversal, then the projection,
-    which is the only automaton minimized.
+    can define, over nonempty words.
 
     Raises CapacityError when k exceeds ``DEFAULT_K_CAP`` or when the pattern
     automaton or the universal projection passes ``state_cap`` states; the
@@ -76,85 +77,177 @@ def pi1_closure(d: Dfa, k: int, state_cap: int = DEFAULT_STATE_CAP) -> Dfa:
     """
     _check_variables(k)
     target = _normalize(d)
-    pattern = _pattern_automaton(target, k, state_cap)
+    pattern = minimize(_pattern_automaton(target, k, state_cap))
     return minimize(_universal_projection(pattern, target.alphabet, k, state_cap))
 
 
-def _pattern_automaton(target: Dfa, k: int, state_cap: int) -> Dfa:
-    """The minimal automaton of the patterns over the target's letters and
-    BOX with at most k pinned letters that some word of the target matches,
-    letter for letter.
+def _language_below(d: Dfa) -> list[int]:
+    """For each state q, the bitmask of the states whose language is
+    included in q's.
 
-    The patterns are the language of an NFA on pairs ``(q, c)``: a target
-    state and the pins used.  A letter moves q along it and adds a pin, the
-    box moves q along any letter and keeps c, and every accepting q
-    accepts at every c <= k.  Determinizing the reverse of an automaton
-    that is deterministic and accessible gives the minimal one
-    (Brzozowski, *Canonical regular expressions and minimal state graphs
-    for definite events*, 1962), so the pattern automaton is built by two
-    reversals: first of the NFA, then of that determinization.  Both
-    number their states as ``minimize`` does, breadth-first with the box
-    last, and both stop at ``state_cap``.
+    Starts from the pairs (p, q) where q accepts if p does, and removes a
+    pair whenever some letter leads to a removed pair, following the
+    removals backwards through the predecessor lists.
+    """
+    n = d.n_states
+    width = len(d.alphabet)
+    every = (1 << n) - 1
+    rejecting = every & ~sum(1 << q for q in d.accepting)
+    below = [every if q in d.accepting else rejecting for q in range(n)]
+    preds: list[list[list[int]]] = [[[] for _ in range(n)] for _ in range(width)]
+    pred_masks = [[0] * n for _ in range(width)]
+    for p, row in enumerate(d.delta):
+        for i, t in enumerate(row):
+            preds[i][t].append(p)
+            pred_masks[i][t] |= 1 << p
+    removed = [
+        (p, q) for q in range(n) if q not in d.accepting for p in d.accepting
+    ]
+    while removed:
+        p, q = removed.pop()
+        for i in range(width):
+            mask = pred_masks[i][p]
+            if not mask:
+                continue
+            for q2 in preds[i][q]:
+                gone = below[q2] & mask
+                if gone:
+                    below[q2] ^= gone
+                    while gone:
+                        low = gone & -gone
+                        gone ^= low
+                        removed.append((low.bit_length() - 1, q2))
+    return below
+
+
+def _pattern_automaton(target: Dfa, k: int, state_cap: int) -> Dfa:
+    """Patterns over the target's letters and BOX with at most k pinned
+    letters that some word of the target matches, letter for letter.
+
+    Below the top layer a state is ``(c, S)``: c < k pins used and S the
+    target states some matching prefix reaches, as a bitmask closed downward
+    under language inclusion (adding a state whose language is included
+    changes nothing).  Every empty S is the one dead state ``(0, 0)``.
+
+    In the top layer (c = k) only BOX moves, so a state's language is the
+    set of lengths m with Post^m(S) meeting the accepting states.  Let
+    ``reaching[m]`` be the states with a path of exactly m letters to an
+    accepting state.  That sequence first repeats at index T + P, with
+    ``reaching[T + P] == reaching[T]``, so every such set is ultimately
+    periodic with threshold T and period P (Chrobak, *Finite automata and
+    unary languages*, TCS 1986).  A top-layer state is ``(k, lengths)``,
+    bit m of ``lengths`` set when m < T + P is in the set; BOX shifts it
+    down one length, and an empty set is the dead state.  Equal sets give
+    one state where the subsets S, Post(S), Post^2(S), ... gave many.  When
+    T + P exceeds ``_LENGTH_BITS``, the top layer keeps the subset states
+    ``(k, S)`` of the layers below.
     """
     n = target.n_states
-    letters = target.alphabet + (BOX,)
-    box = len(target.alphabet)
-    overflow = f"pattern automaton passed {state_cap} states at k={k}"
-    # before[i][t]: the target states that letter i takes to t, and that
-    # some letter takes to t when i is the box
-    before = [[0] * n for _ in letters]
-    for p, row in enumerate(target.delta):
-        for i, t in enumerate(row):
-            before[i][t] |= 1 << p
-            before[box][t] |= 1 << p
-    # (q, c) is bit c*n + q, and a reversed letter takes a pin back off
-    width = (k + 1) * n
-    preds = [
-        sum(before[i][t] << i * width + (c - 1) * n for i in range(box if c else 0))
-        | before[box][t] << box * width + c * n
-        for c in range(k + 1) for t in range(n)
+    width = len(target.alphabet)
+    below = _language_below(target)
+    # Successor masks of one state, every letter side by side in one int
+    # (letter i in bits i*n .. i*n+n-1), ORed together a byte of S at a time.
+    packed = [
+        sum(below[t] << (i * n) for i, t in enumerate(row)) for row in target.delta
     ]
+    tables = []
+    for low_state in range(0, n, 8):
+        table = [0] * 256
+        for byte in range(1, 256):
+            low = byte & -byte
+            q = low_state + low.bit_length() - 1
+            table[byte] = table[byte ^ low] | (packed[q] if q < n else 0)
+        tables.append(table)
+    full = (1 << n) - 1
     accepting = sum(1 << q for q in target.accepting)
-    # pass 1 reads patterns backwards, from every accepting (q, c) to
-    # (start, 0) at bit start; pass 2 reverses pass 1, whose start is 0
-    first = _reversed_subsets(
-        letters, preds, width, sum(accepting << c * n for c in range(k + 1)),
-        target.start, state_cap, overflow,
-    )
-    m = first.n_states
-    preds = [0] * m
-    for s, row in enumerate(first.delta):
-        for i, t in enumerate(row):
-            preds[t] |= 1 << i * m + s
-    return _reversed_subsets(
-        letters, preds, m, sum(1 << s for s in first.accepting), 0,
-        state_cap, overflow,
-    )
+    posts: dict[int, list[int]] = {}
 
+    def post(subset: int) -> list[int]:
+        """Successor masks per letter, then the box's (any letter)."""
+        out = posts.get(subset)
+        if out is None:
+            both = 0
+            rest = subset
+            for table in tables:
+                both |= table[rest & 255]
+                rest >>= 8
+            out = [both >> (i * n) & full for i in range(width)]
+            box = 0
+            for mask in out:
+                box |= mask
+            out.append(box)
+            posts[subset] = out
+        return out
 
-def _reversed_subsets(
-    letters: tuple, preds: list[int], width: int, accepting: int, start: int,
-    cap: int, overflow: str,
-) -> Dfa:
-    """The subset construction of an automaton's reverse: it starts from
-    the bitmask ``accepting`` of the automaton's accepting states and
-    accepts the subsets that hold its ``start``.  ``preds[s]`` packs the
-    predecessors of state s, letter i's at bits i*width .. i*width+width-1,
-    so a subset's successors cost one OR per state it holds."""
-    full = (1 << width) - 1
-    shifts = range(0, len(letters) * width, width)
+    dead = (0, 0)
+    periodic = _reaching(target, accepting)
+    # the layer of length sets: the top one, unless the lengths are too wide
+    collapsed = k if periodic is not None else -1
+    reaching, threshold = periodic or ([], 0)
+    last_bit = len(reaching) - 1
+    lengths_of: dict[int, tuple[int, int]] = {}
 
-    def step(subset: int) -> list[int]:
-        packed = 0
-        while subset:
-            low = subset & -subset
-            subset ^= low
-            packed |= preds[low.bit_length() - 1]
-        return [packed >> shift & full for shift in shifts]
+    def enter(subset: int) -> tuple[int, int]:
+        """The top-layer state of the target states ``subset``."""
+        t = lengths_of.get(subset)
+        if t is None:
+            lengths = 0
+            for m, states in enumerate(reaching):
+                if states & subset:
+                    lengths |= 1 << m
+            t = lengths_of[subset] = (k, lengths) if lengths else dead
+        return t
+
+    def step(state):
+        c, subset = state
+        if c == collapsed:
+            # only the box moves: every length one down
+            shifted = subset >> 1 | (subset >> threshold & 1) << last_bit
+            return [dead] * width + [(c, shifted) if shifted else dead]
+        succ = []
+        for j, mask in enumerate(post(subset)):
+            if not mask:
+                t = dead
+            elif j == width:
+                t = (c, mask)
+            elif c + 1 == collapsed:
+                t = enter(mask)
+            else:
+                t = (c + 1, mask) if c < k else dead
+            succ.append(t)
+        return succ
 
     return _explore(
-        letters, accepting, step, lambda subset: subset >> start & 1, cap, overflow
+        target.alphabet + (BOX,), (0, below[target.start]), step,
+        lambda s: s[1] & (1 if s[0] == collapsed else accepting),
+        state_cap, f"pattern automaton passed {state_cap} states at k={k}",
     )
+
+
+def _reaching(target: Dfa, accepting: int) -> tuple[list[int], int] | None:
+    """``(reaching, T)``: ``reaching[m]`` for m < T + P, the target states
+    with a path of exactly m letters into ``accepting``, and the threshold
+    T from which the sequence repeats with period P = len(reaching) - T.
+    None when T + P exceeds ``_LENGTH_BITS``."""
+    pred_any = [0] * target.n_states
+    for p, row in enumerate(target.delta):
+        for t in row:
+            pred_any[t] |= 1 << p
+    index = {accepting: 0}
+    reaching = [accepting]
+    while True:
+        rest = reaching[-1]
+        earlier = 0
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            earlier |= pred_any[low.bit_length() - 1]
+        if earlier in index:
+            return reaching, index[earlier]
+        if len(reaching) == _LENGTH_BITS:
+            return None
+        index[earlier] = len(reaching)
+        reaching.append(earlier)
 
 
 def _universal_projection(

@@ -390,7 +390,7 @@ def _minimize_corpus():
         for k in (1, 2, 3):
             pattern = _pattern_automaton(target, k, 10_000)
             yield pattern
-            yield _universal_projection(pattern, target.alphabet, k, 10_000)
+            yield _universal_projection(minimize(pattern), target.alphabet, k, 10_000)
 
 
 def test_minimize_matches_moore_refinement():

@@ -122,13 +122,12 @@ def test_closure_guards(monkeypatch):
         pi1_closure(a_plus(), 4)  # above the default variable cap
     monkeypatch.setattr(closure, "DEFAULT_K_CAP", 4)
     assert pi1_closure(a_plus(), 4) is not None
-    with pytest.raises(CapacityError, match=r"pattern automaton .*k=2"):
+    with pytest.raises(CapacityError, match=r"^pattern automaton passed 3 states at k=2$"):
         pi1_closure(contains("a"), 2, state_cap=3)
-    # the pattern automaton's passes build 20 and 18 states; the projection
-    # needs 24
+    # 18 raw pattern states fit under the cap; the projection needs 24
     lopsided = Dfa(AB, [[2, 0], [0, 0], [1, 1]], 0, [1])
     with pytest.raises(CapacityError, match=r"universal projection .*k=2"):
-        pi1_closure(lopsided, 2, state_cap=20)
+        pi1_closure(lopsided, 2, state_cap=18)
     assert pi1_closure(lopsided, 2, state_cap=24) is not None
 
 
@@ -144,14 +143,15 @@ def test_closure_agrees_with_the_marked_route():
             assert cl.accepts(w) == brute_pi1_closure_member(d, k, w), (case, k, w)
 
 
-def period_65_counter() -> Dfa:
-    """The lengths divisible by 5 or by 13: a length set of period 65."""
-    return Dfa(AB, [[(q + 1) % 65] * 2 for q in range(65)], 0,
-               [q for q in range(65) if q % 5 == 0 or q % 13 == 0])
+def test_closure_keeps_subset_states_past_the_length_bits():
+    # Lengths divisible by 5 or by 13 repeat with period 65, wider than the
+    # top layer's length sets, so the pattern automaton keeps subset states.
+    from diffchain.closure import _normalize, _reaching
 
-
-def test_closure_of_a_period_65_counter():
     d = period_65_counter()
+    target = _normalize(d)
+    accepting = sum(1 << q for q in target.accepting)
+    assert _reaching(target, accepting) is None
     for k in (1, 2, 3):
         cl = pi1_closure(d, k)
         assert cl == minimize(marked_pi1_closure(d, k)), k
@@ -159,81 +159,15 @@ def test_closure_of_a_period_65_counter():
             assert cl.accepts(w) == brute_pi1_closure_member(d, k, w), (k, w)
 
 
-def test_pattern_passes_stay_small_at_five_pins():
-    # the cap stops a pass of 5 000 states; they build 2 280, then 172
+def test_pattern_top_layer_collapses_into_length_sets():
+    # 17 753 states; with subset states in the top layer it would be 75 229.
     from diffchain.closure import _normalize, _pattern_automaton
 
     rng = random.Random(11)
     d = random_dfa(rng, 80, ("a", "b", "c"))
     while d.n_states < 50:
         d = random_dfa(rng, 80, ("a", "b", "c"))
-    assert _pattern_automaton(_normalize(d), 5, 4_999).n_states == 172
-
-
-def forward_patterns(target: Dfa, k: int) -> Dfa:
-    """The pattern automaton from its definition: the subset construction
-    of the pattern NFA, whose states are pairs (q, c) of a target state and
-    the pins used, with no pruning, then ``minimize``.  A letter moves q
-    along it and adds a pin, the box moves q along any letter."""
-    from diffchain.automata import _explore
-    from diffchain.closure import BOX
-
-    def step(pairs):
-        pinned = [
-            frozenset((target.delta[q][i], c + 1) for q, c in pairs if c < k)
-            for i in range(len(target.alphabet))
-        ]
-        return pinned + [frozenset((t, c) for q, c in pairs for t in target.delta[q])]
-
-    return minimize(_explore(
-        target.alphabet + (BOX,), frozenset({(target.start, 0)}), step,
-        lambda pairs: any(q in target.accepting for q, _ in pairs),
-        100_000, "forward patterns passed 100000 states",
-    ))
-
-
-def test_pattern_automaton_matches_the_forward_subset_construction(monkeypatch):
-    from diffchain.closure import _normalize, _pattern_automaton, _universal_projection
-
-    _, targets = inclusion_corpus()
-    targets.append(period_65_counter())
-    for d in targets:
-        target = _normalize(d)
-        for k in (1, 2, 3):
-            want = forward_patterns(target, k)
-            assert _pattern_automaton(target, k, 10_000) == want, (d, k)
-    monkeypatch.setattr(closure, "DEFAULT_K_CAP", 4)
-    for d in targets:
-        target = _normalize(d)
-        want = forward_patterns(target, 4)
-        assert _pattern_automaton(target, 4, 10_000) == want, d
-        projection = _universal_projection(want, target.alphabet, 4, 10_000)
-        assert pi1_closure(d, 4) == minimize(projection), d
-
-
-@pytest.mark.parametrize(
-    "d, passes_done",
-    [
-        (literal("ab"), 0),  # the passes build 7 and 4 states
-        (a_star_b(), 1),  # the passes build 5 and 8 states
-    ],
-    ids=["pass-1", "pass-2"],
-)
-def test_pattern_automaton_stops_in_either_pass(monkeypatch, d, passes_done):
-    from diffchain.automata import _explore
-    from diffchain.closure import _normalize, _pattern_automaton
-
-    built = []
-
-    def explore(*args):
-        built.append(None)  # None until the pass finishes
-        built[-1] = _explore(*args)
-        return built[-1]
-
-    monkeypatch.setattr(closure, "_explore", explore)
-    with pytest.raises(CapacityError, match=r"^pattern automaton passed 6 states at k=2$"):
-        _pattern_automaton(_normalize(d), 2, 6)
-    assert len(built) == passes_done + 1 and built[-1] is None
+    assert _pattern_automaton(_normalize(d), 5, 20_000).n_states < 20_000
 
 
 def rerooted_inclusions(d):
@@ -253,6 +187,84 @@ def inclusion_corpus():
     return rng, targets
 
 
+def period_65_counter() -> Dfa:
+    """The lengths divisible by 5 or by 13: a length set of period 65."""
+    return Dfa(AB, [[(q + 1) % 65] * 2 for q in range(65)], 0,
+               [q for q in range(65) if q % 5 == 0 or q % 13 == 0])
+
+
+def forward_patterns(target: Dfa, k: int) -> Dfa:
+    """The minimal pattern automaton from its definition: the subset
+    construction of the pattern NFA, whose states are pairs (q, c) of a
+    target state and the pins used, with no pruning and no length sets,
+    then ``minimize``.  A letter moves q along it and adds a pin, the box
+    moves q along any letter."""
+    from diffchain.automata import _explore
+    from diffchain.closure import BOX
+
+    def step(pairs):
+        pinned = [
+            frozenset((target.delta[q][i], c + 1) for q, c in pairs if c < k)
+            for i in range(len(target.alphabet))
+        ]
+        return pinned + [frozenset((t, c) for q, c in pairs for t in target.delta[q])]
+
+    return minimize(_explore(
+        target.alphabet + (BOX,), frozenset({(target.start, 0)}), step,
+        lambda pairs: any(q in target.accepting for q, _ in pairs),
+        100_000, "forward patterns passed 100000 states",
+    ))
+
+
+def test_pattern_automaton_minimizes_to_the_forward_subset_construction():
+    # the inclusion pruning and the length sets change the raw automaton,
+    # never its language; k = 4 is past the variable cap, which only
+    # pi1_closure checks
+    from diffchain.closure import _normalize, _pattern_automaton
+
+    _, targets = inclusion_corpus()
+    targets.append(period_65_counter())
+    for d in targets:
+        target = _normalize(d)
+        for k in (1, 2, 3, 4):
+            got = minimize(_pattern_automaton(target, k, 10_000))
+            assert got == forward_patterns(target, k), (d, k)
+
+
+def nth_letter_is_a(n: int) -> Dfa:
+    """The words of length at least n whose n-th letter is a."""
+    delta = [[q + 1, q + 1] for q in range(n - 1)]
+    return Dfa(AB, delta + [[n, n + 1], [n, n], [n + 1, n + 1]], 0, [n])
+
+
+def test_closure_of_a_positional_language_stays_small():
+    # Read backwards, these patterns must remember where their pinned b's
+    # sit among the last n - 1 letters: a determinized reversal needs at
+    # least C(n - 1, k) states (over 100 000 at n = 90, k = 3).  Read
+    # forwards, a pattern state is a position and a pin count.  The cap
+    # bounds every stage, so it bounds time and memory too.
+    for n in (1, 2, 3, 5, 8):
+        d = nth_letter_is_a(n)
+        for k in (1, 2, 3):
+            cl = pi1_closure(d, k)
+            assert cl == minimize(marked_pi1_closure(d, k)), (n, k)
+            assert cl == minimize(d), (n, k)
+    d = nth_letter_is_a(90)
+    assert pi1_closure(d, 3, state_cap=1_000) == minimize(d)
+
+
+def test_language_below_matches_subset_of_on_normalized_targets():
+    from diffchain.closure import _language_below, _normalize
+
+    _, targets = inclusion_corpus()
+    for d in targets:
+        target = _normalize(d)
+        n = target.n_states
+        below = _language_below(target)
+        got = [[1 if below[q] >> p & 1 else 2 for p in range(n)] for q in range(n)]
+        assert got == rerooted_inclusions(target), d
+
+
 @functools.cache
 def minimal_patterns():
     """``(k, pattern, expected)`` for the minimal pattern automaton of every
@@ -265,7 +277,7 @@ def minimal_patterns():
     for d in targets:
         target = _normalize(d)
         for k in (1, 2, 3):
-            pattern = _pattern_automaton(target, k, 10_000)
+            pattern = minimize(_pattern_automaton(target, k, 10_000))
             out.append((k, pattern, rerooted_inclusions(pattern)))
     return out
 
@@ -301,11 +313,18 @@ def settle_every_pair(rng, pattern, sig):
 def test_inclusion_table_agrees_with_the_pair_removal_fixpoint():
     # Settle every pair of each minimal pattern automaton through the table,
     # with acceptance as the only signature, then require every entry to
-    # match subset_of on the re-rooted automata.
+    # match subset_of on the re-rooted automata, and the pair-removal
+    # fixpoint _language_below to match too.
+    from diffchain.closure import _language_below
+
     rng, _ = inclusion_corpus()
     searched = 0
     for k, pattern, expected in minimal_patterns():
         n = pattern.n_states
+        below = _language_below(pattern)
+        assert expected == [
+            [1 if below[q] >> p & 1 else 2 for p in range(n)] for q in range(n)
+        ], k
         accepts = [1 if p in pattern.accepting else 0 for p in range(n)]
         rows, count = settle_every_pair(rng, pattern, accepts)
         assert rows == expected, k
@@ -413,7 +432,7 @@ def test_universal_projection_matches_the_reference_runs():
     for d in targets:
         target = _normalize(d)
         for k in (1, 2, 3):
-            pattern = _pattern_automaton(target, k, 10_000)
+            pattern = minimize(_pattern_automaton(target, k, 10_000))
             got = _universal_projection(pattern, target.alphabet, k, 10_000)
             assert got == reference_projection(pattern, target.alphabet, k), (d, k)
 
