@@ -5,19 +5,19 @@ upsets, and there is a canonical least such chain.  The chain is governed by
 the alternation degree of an element: the length of the longest strictly
 increasing sequence that alternates between the target set (at odd steps) and
 its complement, ending at the element.
+
+The canonical chain is one instance of a recurrence that works for any
+closure operator: ``canonical_terms`` and ``canonical_pairs`` take the
+closure and the set operations as functions, and the language side runs
+them with the k-variable closure of regular languages.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable
+from typing import Callable, Iterable, Iterator
 
-from .errors import (
-    NotDecreasingError,
-    NotUpsetError,
-    TargetMismatchError,
-)
+from .errors import NotDecreasingError, NotUpsetError
 from .poset import EMPTY, ElemSet, FinPoset, bits, mask_of
 
 
@@ -168,59 +168,69 @@ def canonical_chain(poset: FinPoset, target: Iterable[int]) -> DiffChain:
     return DiffChain._of_masks(poset, _padded(tuple(levels[1:])))
 
 
-# ----- minimality --------------------------------------------------------
+# ----- the canonical recurrence over any closure ---------------------------
 
 
-@dataclass(frozen=True)
-class MinimalityReport:
-    """Outcome of checking a competitor chain against the canonical one.
+def canonical_terms(close: Callable, minus: Callable, meet: Callable, target) -> Iterator:
+    r"""The canonical chain of ``target`` under a closure operator C, one
+    term per ``next()``: C(L), then C(prev \ L) and C(prev ∩ L) in turn,
+    where L is the target.  A term is computed only when it is asked for.
 
-    ``ok`` summarizes the three conditions: the competitor has at least as
-    many pairs, dominates the canonical chain componentwise, and its partial
-    difference unions never overtake the canonical ones.
+    C must be extensive, monotone and idempotent; ``minus`` and ``meet`` are
+    set difference and intersection.  Each term lies inside the matching
+    term of every other chain that gives L.  Suppose L = G1 - (G2 - (G3 -
+    ...)) for closed G1 ⊇ G2 ⊇ ... .  Then G1 \ L ⊆ G2, G2 ∩ L ⊆ G3, and so
+    on alternately.  C(L) ⊆ G1, since G1 is closed and contains L.  If a
+    term lies inside Gi, the next one closes a set inside Gi \ L or Gi ∩ L,
+    so it lies inside G(i+1).  So a canonical term is empty wherever the
+    matching Gi is: no chain of closed sets gives L in fewer pairs.
     """
-
-    ok: bool
-    canonical: DiffChain
-    competitor_pairs: int
-    canonical_pairs: int
-    component_failures: tuple[int, ...]
-    prefix_failures: tuple[int, ...]
-
-    @property
-    def pair_count_ok(self) -> bool:
-        return self.competitor_pairs >= self.canonical_pairs
+    term = close(target)
+    while True:
+        yield term
+        term = close(minus(term, target))
+        yield term
+        term = close(meet(term, target))
 
 
-def verify_minimality(
-    poset: FinPoset, target: Iterable[int], competitor: DiffChain
-) -> MinimalityReport:
-    """Check that the canonical chain sits below a competitor chain.
+def canonical_pairs(
+    close: Callable, minus: Callable, meet: Callable, is_empty: Callable,
+    target, max_m: int,
+) -> tuple[list, int | None]:
+    r"""The canonical chain of ``target`` (see ``canonical_terms``), up to
+    the pair whose differences give the target.
 
-    The competitor must be a decreasing chain of upsets evaluating to
-    ``target`` (otherwise TargetMismatchError).  The report records which
-    components fail to contain their canonical counterpart and which prefix
-    unions of differences are not dominated by the canonical ones.
+    Returns the terms and the pair count m: 0 with no terms for an empty
+    target; None when a pair repeats its odd term, with the pairs before
+    it as the terms, or when ``max_m`` pairs were built without success.
+    Terms are compared with ``==``: for ``minimize`` outputs over the same
+    letters that is equality of languages, for bitmasks equality of sets.
+
+    After m pairs C1 ⊇ C2 ⊇ ... ⊇ C2m, the differences give L exactly when
+    C2m ∩ L is empty.  Every difference lies inside L, since C(2i) contains
+    C(2i-1) \ L.  A member of L lies in C1, and if it lies in C(2i) for
+    some i < m, it lies in C(2i) ∩ L ⊆ C(2i+1) too.  So unless it lies in
+    C2m, the last term that holds it is odd, and that term's difference
+    covers it.  A chain G of m pairs that gives L has G2m ∩ L empty, and
+    C2m ⊆ G2m, so the canonical chain succeeds within m pairs too: its
+    pair count is the least, and running out proves that no chain of at
+    most ``max_m`` pairs exists.
+
+    The odd term is a closure, so even = C(odd \ L) ⊆ C(odd) = odd, and the
+    pair's difference is empty exactly when the two are equal.  Then odd
+    is the closure of a nonempty part of L, which odd ∩ L contains, so the
+    next odd term C(odd ∩ L) lies between odd and C(odd) = odd: the pair
+    repeats forever, its terms meet L, and no chain of any length gives L.
     """
-    if competitor.poset != poset:
-        raise TargetMismatchError("competitor chain lives on a different poset")
-    value, target = evaluate(competitor), poset._check_subset(target)
-    if value != target:
-        raise TargetMismatchError(
-            f"competitor evaluates to {sorted(value)}, not {sorted(target)}"
-        )
-    canon = canonical_chain(poset, target)
-    comp = _padded(competitor.masks)
-    can = (_padded(canon.masks) + (0,) * len(comp))[: len(comp)]
-    component_failures = tuple(i + 1 for i, (k, c) in enumerate(zip(can, comp)) if k & ~c)
-    prefix_failures = []
-    comp_union = can_union = 0
-    for i in range(0, len(comp), 2):
-        comp_union |= comp[i] & ~comp[i + 1]
-        can_union |= can[i] & ~can[i + 1]
-        if comp_union & ~can_union:
-            prefix_failures.append(i // 2 + 1)
-    ok = competitor.pairs >= canon.pairs and not component_failures and not prefix_failures
-    return MinimalityReport(ok, canon, competitor.pairs, canon.pairs,
-                            component_failures, tuple(prefix_failures))
-
+    if is_empty(target):
+        return [], 0
+    terms = canonical_terms(close, minus, meet, target)
+    comps: list = []
+    for pair in range(1, max_m + 1):
+        odd, even = next(terms), next(terms)
+        if odd == even:
+            break
+        comps += [odd, even]
+        if is_empty(meet(even, target)):
+            return comps, pair
+    return comps, None

@@ -26,7 +26,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from itertools import islice
-from typing import Iterator
 
 from .automata import (
     DEFAULT_STATE_CAP,
@@ -42,6 +41,7 @@ from .automata import (
     _explore,
     _plain_alphabet,
 )
+from .chains import canonical_pairs, canonical_terms
 from .errors import CapacityError
 
 DEFAULT_K_CAP = 3
@@ -434,38 +434,22 @@ class ChainTrace:
         return self.status == "success"
 
 
-def _canonical_terms(target: Dfa, k: int, state_cap: int) -> Iterator[Dfa]:
-    r"""The canonical closure chain of a normalized target, one term per
-    ``next()``: C(L), then C(prev \ L) and C(prev ∩ L) in turn, where C is
-    the k-variable closure and L the target.  A term is computed only when
-    it is asked for.
-
-    Each term lies inside the matching term of every other chain that gives
-    L.  Suppose L = G1 - (G2 - (G3 - ...)) for k-closed languages
-    G1 ⊇ G2 ⊇ ... .  Then G1 \ L ⊆ G2, G2 ∩ L ⊆ G3, and so on alternately.
-    C(L) ⊆ G1, since G1 is closed and contains L.  If a term lies inside
-    Gi, the next one closes a set inside Gi \ L or Gi ∩ L, so it lies
-    inside G(i+1).  So a canonical term is empty wherever the matching Gi
-    is: no chain of k-closed languages gives L in fewer pairs.
-    """
-    term = pi1_closure(target, k, state_cap)
-    while True:
-        yield term
-        term = pi1_closure(difference(term, target), k, state_cap)
-        yield term
-        term = pi1_closure(intersect(term, target), k, state_cap)
-
-
 def closure_chain_terms(
     d: Dfa, k: int, count: int, state_cap: int = DEFAULT_STATE_CAP
 ) -> list[Dfa]:
-    """First ``count`` terms of the canonical closure chain at k variables.
+    """First ``count`` terms of the canonical closure chain at k variables
+    (``chains.canonical_terms`` with the k-variable closure).
 
     Term 1 is the closure of the target; even terms close up what the
     previous term has outside the target, odd terms what it has inside.  No
-    early stopping: the sequence is well defined at every index.
+    early stopping: the sequence is well defined at every index.  Raises
+    ValueError when k is below 1, and CapacityError when k exceeds
+    ``DEFAULT_K_CAP``, whatever ``count``.
     """
-    terms = _canonical_terms(_normalize(d), k, state_cap)
+    _check_variables(k)
+    terms = canonical_terms(
+        lambda lang: pi1_closure(lang, k, state_cap), difference, intersect, _normalize(d)
+    )
     return list(islice(terms, max(count, 0)))
 
 
@@ -475,48 +459,31 @@ def chain_trace(
     max_m: int = DEFAULT_MAX_M,
     state_cap: int = DEFAULT_STATE_CAP,
 ) -> ChainTrace:
-    r"""Difference chain of k-variable closures aimed at d's language.
+    """Difference chain of k-variable closures aimed at d's language.
 
     Builds odd/even pairs until a pair's difference is empty, the
-    differences reconstruct the target, or ``max_m`` pairs were computed.
-    An empty target succeeds with the empty chain.  Raises ValueError when
-    k or ``max_m`` is below 1, and CapacityError when k exceeds
+    differences reconstruct the target, or ``max_m`` pairs were computed
+    (``chains.canonical_pairs`` with the k-variable closure).  An empty
+    target succeeds with the empty chain.  Raises ValueError when k or
+    ``max_m`` is below 1, and CapacityError when k exceeds
     ``DEFAULT_K_CAP``, whatever the target.
 
-    After m pairs C1 ⊇ C2 ⊇ ... ⊇ C2m, the differences give L exactly when
-    C2m ∩ L is empty.  Every difference lies inside L, since C(2i) contains
-    C(2i-1) \ L.  A word of L lies in C1, and if it lies in C(2i) for some
-    i < m, it lies in C(2i) ∩ L ⊆ C(2i+1) too.  So unless the word lies in
-    C2m, the last term that holds it is odd, and that term's difference
-    covers it.
-
-    The chain is canonical (see ``_canonical_terms``): a success's pair
-    count is the least at k, and "exhausted" proves that no chain of
-    k-closed languages gives L in at most ``max_m`` pairs.  A j-closed
-    language is k-closed for every k >= j, so the same holds at every
-    j <= k: a success at j with m pairs means a success at k with at most
-    m, and exhaustion at k refutes every smaller j.
+    The chain is canonical: a success's pair count is the least at k, and
+    "exhausted" proves that no chain of k-closed languages gives L in at
+    most ``max_m`` pairs.  A j-closed language is k-closed for every
+    k >= j, so the same holds at every j <= k: a success at j with m pairs
+    means a success at k with at most m, and exhaustion at k refutes every
+    smaller j.
     """
     _check_variables(k)
     if max_m < 1:
         raise ValueError("need at least one pair")
     target = _normalize(d)
-    if is_empty_lang(target):
-        return ChainTrace(k, target, (), 0, "success")
-    terms = _canonical_terms(target, k, state_cap)
-    comps: list[Dfa] = []
-    for pair in range(1, max_m + 1):
-        odd, even = next(terms), next(terms)
-        # odd is a closure, so even = C(odd \ L) ⊆ C(odd) = odd: the
-        # pair's difference is empty exactly when their languages are equal.
-        # Both are minimize outputs over the same sorted letters, so that is
-        # exactly when they are equal structurally.
-        if odd == even:
-            break
-        comps += [odd, even]
-        if is_empty_lang(intersect(even, target)):
-            return ChainTrace(k, target, tuple(comps), pair, "success")
-    return ChainTrace(k, target, tuple(comps), None, "exhausted")
+    comps, m = canonical_pairs(
+        lambda lang: pi1_closure(lang, k, state_cap),
+        difference, intersect, is_empty_lang, target, max_m,
+    )
+    return ChainTrace(k, target, tuple(comps), m, "exhausted" if m is None else "success")
 
 
 def decompose_bpi1(

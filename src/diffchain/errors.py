@@ -21,10 +21,6 @@ class NotDecreasingError(DiffChainError):
     """A chain that must decrease under inclusion does not."""
 
 
-class TargetMismatchError(DiffChainError):
-    """A difference chain does not evaluate to the required target set."""
-
-
 class CapacityError(DiffChainError):
     """A construction would exceed a configured size guard."""
 

@@ -11,6 +11,9 @@ backward pass over the reached states of the automaton mark every
 with the word there, carries; the word belongs iff each of its own pairs is
 marked every time.  The other is the paper's literal marked-alphabet
 construction (``marked_pi1_closure``).
+The canonical-chain recurrence is checked against ``moore_families``, every
+closure system on a few points, and ``family_chains``, a search over all
+chains of a family's sets.
 Homomorphic images have two routes as well: the subset construction
 ``forward_lp_image`` over the automaton's states, and
 ``monoid_forward_image``, the same construction over ``monoid_dfa``, the
@@ -150,25 +153,60 @@ def brute_degree(poset: FinPoset, members: Iterable[int], x: int) -> int:
     return best
 
 
-# ----- chain enumeration -------------------------------------------------
+# ----- closure systems and their chains ---------------------------------
 
 
-def iter_upset_chains(
-    poset: FinPoset, upsets: Sequence[ElemSet], max_len: int
-) -> Iterator[tuple[ElemSet, ...]]:
-    """Every inclusion-decreasing sequence of the given upsets, of length
-    1..max_len (components may repeat)."""
-    upsets = list(upsets)
+def moore_families(n: int) -> Iterator[tuple[int, ...]]:
+    """Every Moore family on the points 0..n-1: each family of subsets, as
+    bitmasks in decreasing order, that contains the full set and is closed
+    under intersection.  Each one is the family of closed sets of a closure
+    operator, for example the upsets of a poset.
 
-    def grow(prefix: tuple[ElemSet, ...]) -> Iterator[tuple[ElemSet, ...]]:
-        yield prefix
-        if len(prefix) < max_len:
-            for u in upsets:
-                if u <= prefix[-1]:
-                    yield from grow(prefix + (u,))
+    Sets are decided from the full set down.  Taking a set forces its meets
+    with the sets already taken, which are smaller numbers still to be
+    decided, so each family is built exactly once.
+    """
+    if n < 0:
+        raise ValueError("carrier size must be >= 0")
 
-    for u in upsets:
-        yield from grow((u,))
+    def grow(s: int, taken: tuple[int, ...], forced: int) -> Iterator[tuple[int, ...]]:
+        if s < 0:
+            yield taken
+            return
+        if not forced >> s & 1:
+            yield from grow(s - 1, taken, forced)
+        for t in taken:
+            forced |= 1 << (t & s)
+        yield from grow(s - 1, taken + (s,), forced)
+
+    full = (1 << n) - 1
+    return grow(full - 1, (full,), 0)
+
+
+def family_chains(
+    family: Iterable[int], target: int, max_m: int
+) -> Iterator[tuple[int, ...]]:
+    r"""Every chain G1 ⊇ G2 ⊇ ... ⊇ G2m of the family's members, with
+    m <= ``max_m``, whose differences G1 \ G2, G3 \ G4, ... make up
+    exactly ``target`` (all bitmasks; members may repeat).
+
+    Breadth-first by pair count: every chain of m pairs comes before any of
+    m + 1.  A prefix is dropped when a difference leaves the target, or
+    when its last term misses part of the target not yet covered, since
+    every later difference lies inside that term.
+    """
+    members = set(family)
+    pairs = [(a, b) for a in members for b in members
+             if not b & ~a and not a & ~b & ~target]
+    level: list[tuple[tuple[int, ...], int, int]] = [((), -1, 0)]
+    for _ in range(max_m):
+        level = [(chain + (a, b), b, covered | a & ~b)
+                 for chain, last, covered in level
+                 for a, b in pairs
+                 if not a & ~last and not target & ~(covered | a) & ~b]
+        for chain, _, covered in level:
+            if covered == target:
+                yield chain
 
 
 def nested_difference(sets: Sequence[ElemSet]) -> ElemSet:
@@ -176,35 +214,6 @@ def nested_difference(sets: Sequence[ElemSet]) -> ElemSet:
     for s in reversed(sets):
         value = s - value
     return value
-
-
-def brute_all_chains(
-    poset: FinPoset, target: Iterable[int], max_len: int
-) -> list[tuple[ElemSet, ...]]:
-    """Every decreasing upset chain of length <= max_len evaluating to the
-    target, enumerated from scratch."""
-    target = poset._check_subset(target)
-    order = poset.linear_extension()[::-1]
-    found: list[frozenset[int]] = []
-    current: set[int] = set()
-
-    def grow(idx: int) -> None:
-        if idx == len(order):
-            found.append(frozenset(current))
-            return
-        x = order[idx]
-        grow(idx + 1)
-        if poset.up[x] - {x} <= current:
-            current.add(x)
-            grow(idx + 1)
-            current.remove(x)
-
-    grow(0)
-    return [
-        chain
-        for chain in iter_upset_chains(poset, found, max_len)
-        if nested_difference(chain) == target
-    ]
 
 
 # ----- poset corpus ------------------------------------------------------

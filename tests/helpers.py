@@ -5,8 +5,12 @@ Every language builder returns a complete DFA over the two letter alphabet
 deliberately tiny hand-built machines; test_automata checks each one
 against a plain word predicate so the rest of the suite can trust them.
 The chain checks below (``difference_union``, ``nested_difference``,
-``family_monotonicity``) and ``closure_in_sublattice`` with its
-``NotSublatticeError`` are for tests only; the library does not need them.
+``family_monotonicity``) are for tests only; the library does not need
+them.  ``moore_closure`` turns a Moore family from
+``diffchain.oracle.moore_families`` into the closure operator that
+``diffchain.chains.canonical_pairs`` takes, so one recurrence is checked on
+every closure system on a few points; ``upset_closure_of`` and
+``mask_minus`` give it the upsets of a poset.
 """
 
 from __future__ import annotations
@@ -14,11 +18,8 @@ from __future__ import annotations
 from collections.abc import Iterable
 
 from diffchain import (
-    DiffChainError,
     Dfa,
-    ElemSet,
     FinPoset,
-    NotUpsetError,
     closure_chain_terms,
     difference,
     dfa_no_words,
@@ -29,7 +30,6 @@ from diffchain import (
 )
 from diffchain.automata import DEFAULT_STATE_CAP
 from diffchain.oracle import words_upto
-from diffchain.poset import bits, mask_of
 
 AB = ("a", "b")
 
@@ -131,41 +131,37 @@ def family_monotonicity(
     return True, None
 
 
-class NotSublatticeError(DiffChainError):
-    """A family of sets is not a bounded sublattice of the upset lattice."""
+def mask_minus(a: int, b: int) -> int:
+    """Set difference on bitmasks."""
+    return a & ~b
 
 
-def closure_in_sublattice(
-    poset: FinPoset, family: Iterable[ElemSet], subset: Iterable[int]
-) -> ElemSet:
-    """Least member of a bounded sublattice of upsets containing ``subset``.
+def upset_closure_of(p: FinPoset):
+    """Upward closure in p on bitmasks: the union of the principal upsets
+    of the members."""
 
-    ``family`` must consist of upsets, contain the empty set and the full
-    carrier, and be closed under union and intersection; otherwise
-    NotSublatticeError.  The result is the meet of all members above
-    ``subset``.
-    """
-    subset = mask_of(subset, poset.n)
-    members = {mask_of(s, poset.n) for s in family}
-    carrier = (1 << poset.n) - 1
-    for m in members:
-        if not poset._upset_within(m, carrier):
-            raise NotUpsetError(f"family member {bits(m)} is not an upset")
-    if 0 not in members or carrier not in members:
-        raise NotSublatticeError("family must contain the empty set and the carrier")
-    for a in members:
-        for b in members:
-            if a | b not in members or a & b not in members:
-                raise NotSublatticeError(
-                    f"family not closed under union/intersection at {bits(a)}, {bits(b)}"
-                )
-    least = carrier
-    for m in members:
-        if not subset & ~m:
-            least &= m
-    if least not in members or subset & ~least:
-        raise AssertionError("the meet above the subset must be a member containing it")
-    return frozenset(bits(least))
+    def close(s: int) -> int:
+        acc = 0
+        for x, up in enumerate(p.upm):
+            if s >> x & 1:
+                acc |= up
+        return acc
+
+    return close
+
+
+def moore_closure(family: Iterable[int], n: int):
+    """The closure operator of a Moore family on n points, as a lookup
+    table's ``__getitem__``: a bitmask goes to the meet of every member
+    that contains it."""
+    table = []
+    for s in range(1 << n):
+        least = (1 << n) - 1
+        for m in family:
+            if not s & ~m:
+                least &= m
+        table.append(least)
+    return table.__getitem__
 
 
 def assert_lang(dfa: Dfa, predicate, max_len: int = 6) -> None:

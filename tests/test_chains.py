@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import operator
+from itertools import islice
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -11,16 +14,14 @@ from diffchain import (
     NotDecreasingError,
     NotUpsetError,
     RangeError,
-    TargetMismatchError,
     canonical_chain,
     degree,
     degrees,
     evaluate,
-    upsets_of,
-    verify_minimality,
 )
+from diffchain.chains import canonical_pairs, canonical_terms
 
-from helpers import NotSublatticeError, closure_in_sublattice
+from helpers import mask_minus, upset_closure_of
 
 
 @st.composite
@@ -233,120 +234,19 @@ def test_canonical_chain_components_are_degree_levels(case):
     assert evaluate(chain) == v
 
 
-def iterated_closure_chain(p, v):
-    """The chain by alternating upward closures of frozensets: close the
-    target, then what lies outside it, then what lies inside, until an odd
-    step is empty."""
-
-    def close(s):
-        return frozenset(y for x in s for y in p.up[x])
-
-    comps = [close(v)] if v else []
-    while comps:
-        if len(comps) % 2:
-            comps.append(close(comps[-1] - v))
-        else:
-            nxt = close(comps[-1] & v)
-            if not nxt:
-                break
-            comps.append(nxt)
-    return tuple(comps)
+# ----- the recurrence over any closure ------------------------------------
 
 
-@given(poset_and_subset())
-def test_canonical_chain_matches_iterated_upset_closures(case):
-    p, v = case
-    assert canonical_chain(p, v).sets == iterated_closure_chain(p, v)
-
-
-# ----- minimality --------------------------------------------------------
-
-
-def test_minimality_accepts_the_canonical_chain_itself():
-    p = chain_poset(3)
-    report = verify_minimality(p, {0, 2}, canonical_chain(p, {0, 2}))
-    assert report.ok
-    assert report.pair_count_ok
-    assert report.competitor_pairs == report.canonical_pairs == 2
-    assert report.component_failures == () and report.prefix_failures == ()
-
-
-def test_minimality_accepts_a_padded_competitor():
-    p = chain_poset(3)
-    top = frozenset({0, 1, 2})
-    competitor = DiffChain(p, (top, top, frozenset({2}), frozenset()))
-    report = verify_minimality(p, {2}, competitor)
-    assert report.ok
-    assert report.competitor_pairs == 2 and report.canonical_pairs == 1
-
-
-def test_minimality_rejects_wrong_value():
-    p = chain_poset(3)
-    competitor = DiffChain(p, (frozenset({1, 2}),))
-    with pytest.raises(TargetMismatchError):
-        verify_minimality(p, {0, 2}, competitor)
-
-
-def test_minimality_rejects_foreign_poset():
-    p = chain_poset(3)
-    q = chain_poset(4)
-    with pytest.raises(TargetMismatchError):
-        verify_minimality(p, {2}, DiffChain(q, (frozenset({3}),)))
-
-
-def test_minimality_rejects_a_target_outside_the_carrier():
-    p = chain_poset(3)
-    with pytest.raises(RangeError, match="leaves the carrier"):
-        verify_minimality(p, {0, 3}, canonical_chain(p, {0}))
-
-
-@given(poset_and_subset(max_n=3))
-def test_minimality_holds_for_every_chain_over_small_posets(case):
-    p, v = case
-    members = upsets_of(p).upsets
-
-    def chains(prefix, last, budget):
-        yield prefix
-        if budget:
-            for u in members:
-                if u < last:
-                    yield from chains(prefix + (u,), u, budget - 1)
-
-    for start in members:
-        for sets in chains((start,), start, 2):
-            dc = DiffChain(p, sets)
-            if evaluate(dc) == v:
-                assert verify_minimality(p, v, dc).ok
-
-
-# ----- closure inside a coarser family ----------------------------------
-
-
-def test_sublattice_closure_examples():
-    p = chain_poset(3)
-    family = [frozenset(), frozenset({2}), frozenset({0, 1, 2})]
-    assert closure_in_sublattice(p, family, {1}) == frozenset({0, 1, 2})
-    assert closure_in_sublattice(p, family, {2}) == frozenset({2})
-    assert closure_in_sublattice(p, family, set()) == frozenset()
-
-
-def test_sublattice_closure_requires_upsets_and_bounds():
-    p = chain_poset(3)
-    with pytest.raises(NotUpsetError):
-        closure_in_sublattice(p, [frozenset(), frozenset({0}), frozenset({0, 1, 2})], {0})
-    with pytest.raises(NotSublatticeError):
-        closure_in_sublattice(p, [frozenset(), frozenset({2})], {2})
-
-
-def test_sublattice_closure_requires_union_and_meet_closure():
-    p = FinPoset.from_covers([], 3)
-    family = [frozenset(), frozenset({0}), frozenset({1}), frozenset({0, 1, 2})]
-    with pytest.raises(NotSublatticeError):
-        closure_in_sublattice(p, family, {0})
-
-
-@given(poset_and_subset(max_n=4))
-def test_sublattice_closure_over_all_upsets_is_the_upward_closure(case):
-    p, s = case
-    family = upsets_of(p).upsets
-    assert closure_in_sublattice(p, family, s) == p.upset_closure(s)
+def test_canonical_pairs_stops_at_the_target_the_bound_or_a_repeat():
+    up = upset_closure_of(chain_poset(3))  # 0 < 1 < 2
+    ops = (up, mask_minus, operator.and_, operator.not_)
+    assert canonical_pairs(*ops, 0, 1) == ([], 0)
+    # {0, 2} = {0, 1, 2} - ({1, 2} - ({2} - {})): two pairs, not one
+    assert canonical_pairs(*ops, 0b101, 2) == ([0b111, 0b110, 0b100, 0], 2)
+    assert canonical_pairs(*ops, 0b101, 1) == ([0b111, 0b110], None)
+    assert list(islice(canonical_terms(up, mask_minus, operator.and_, 0b101), 6)) == [
+        0b111, 0b110, 0b100, 0, 0, 0]
+    # closed sets {} and {0, 1}: the first pair repeats, and is left out
+    ops = (lambda s: 0b11 if s else 0, mask_minus, operator.and_, operator.not_)
+    assert canonical_pairs(*ops, 0b01, 5) == ([], None)
+    assert canonical_pairs(*ops, 0b11, 5) == ([0b11, 0], 1)

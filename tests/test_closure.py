@@ -605,8 +605,12 @@ def test_chain_trace_checks_its_bounds_whatever_the_target():
     for d in (empty, a_plus()):
         with pytest.raises(ValueError, match="at least one variable"):
             chain_trace(d, 0)
+        with pytest.raises(ValueError, match="at least one variable"):
+            closure_chain_terms(d, 0, 0)
         with pytest.raises(CapacityError, match=r"k=9 exceeds the variable cap 3"):
             chain_trace(d, 9)
+        with pytest.raises(CapacityError, match=r"k=99 exceeds the variable cap 3"):
+            closure_chain_terms(d, 99, 0)
         for max_m in (0, -3):
             with pytest.raises(ValueError):
                 chain_trace(d, 1, max_m=max_m)

@@ -24,18 +24,19 @@ from diffchain.oracle import (
     LpHom,
     all_posets,
     all_posets_upto,
-    brute_all_chains,
     brute_degree,
     brute_pi1_closure_member,
+    family_chains,
     forward_lp_image,
-    iter_upset_chains,
     lang_eq_upto,
     monoid_dfa,
     monoid_forward_image,
+    moore_families,
     nested_difference,
     random_dfa,
     words_upto,
 )
+from diffchain.poset import bits, mask_of
 
 from helpers import (
     AB,
@@ -81,6 +82,14 @@ def test_only_the_cli_imports_the_oracle():
         checked.append(path.stem)
     assert {"poset", "lattice", "chains", "automata", "closure", "errors"} <= set(checked)
     assert "diffchain.oracle" in imported_modules(package / "cli.py")
+
+
+def test_the_chain_recurrence_knows_no_automata():
+    # closure.py runs chains.canonical_pairs with the k-variable closure, so
+    # the recurrence stays generic only while the import goes that way
+    imported = imported_modules(Path(diffchain.__file__).parent / "chains.py")
+    for module in ("diffchain.automata", "diffchain.closure", "diffchain.oracle"):
+        assert not {m for m in imported if m == module or m.startswith(module + ".")}, module
 
 
 # ----- word enumeration --------------------------------------------------
@@ -181,17 +190,44 @@ def test_degrees_agree_with_brute_enumeration_exhaustively():
                 assert fast[x] == brute_degree(p, v, x), (p, sorted(v), x)
 
 
-# ----- chain enumeration -------------------------------------------------
+# ----- closure systems and their chains ---------------------------------
 
 
-def test_iter_upset_chains_counts():
+def test_moore_families_counts():
+    # the numbers of Moore families on n points, OEIS A102896
+    assert [sum(1 for _ in moore_families(n)) for n in range(5)] == [1, 2, 7, 61, 2480]
+    with pytest.raises(ValueError):
+        moore_families(-1)
+    for n in range(5):
+        full = (1 << n) - 1
+        families = set(moore_families(n))
+        for family in families:
+            assert full in family
+            assert all(a & b in family for a in family for b in family)
+        # every upset lattice is a closure system of its carrier
+        for poset in all_posets(n):
+            upsets = tuple(sorted((mask_of(u, n) for u in upsets_of(poset).upsets), reverse=True))
+            assert upsets in families
+
+
+def test_family_chains_finds_the_canonical_chain():
+    # the upsets of 0 < 1 are {}, {1} and {0, 1}: masks 0b00, 0b10, 0b11
     p = chain_poset(2)
-    members = upsets_of(p).upsets
-    chains = list(iter_upset_chains(p, members, 2))
-    assert len(chains) == 3 + 6  # three singletons, six ordered pairs
-    for chain in chains:
-        for earlier, later in zip(chain, chain[1:]):
-            assert later <= earlier
+    family = [mask_of(u, 2) for u in upsets_of(p).upsets]
+    # one chain of one pair per target, then three of two pairs
+    chains = list(family_chains(family, 0b10, 2))
+    assert chains[0] == canonical_chain(p, {1}).masks == (0b10, 0b00)
+    assert len(chains) == 4 and set(chains[1:]) == {
+        (0b10, 0, 0, 0), (0b11, 0b11, 0b10, 0), (0b10, 0b10, 0b10, 0)}
+    chains = list(family_chains(family, 0b01, 2))
+    assert chains[0] == canonical_chain(p, {0}).masks == (0b11, 0b10)
+    assert len(chains) == 4 and set(chains[1:]) == {
+        (0b11, 0b10, 0b10, 0b10), (0b11, 0b10, 0, 0), (0b11, 0b11, 0b11, 0b10)}
+    for target in (0b01, 0b10):
+        for chain in family_chains(family, target, 3):
+            sets = [frozenset(bits(m)) for m in chain]
+            assert nested_difference(sets) == frozenset(bits(target))
+    assert list(family_chains([0b11], 0b11, 3)) == []
 
 
 def test_nested_difference_examples():
@@ -199,19 +235,6 @@ def test_nested_difference_examples():
     assert nested_difference(()) == frozenset()
     assert nested_difference((top,)) == top
     assert nested_difference((top, frozenset({1, 2}), frozenset({2}))) == frozenset({0, 2})
-
-
-def test_brute_all_chains_finds_the_canonical_chain():
-    p = chain_poset(2)
-    target = frozenset({1})
-    chains = brute_all_chains(p, target, 2)
-    assert (frozenset({1}),) in chains
-    assert (frozenset({1}), frozenset()) in chains
-    assert len(chains) == 2
-    canon = canonical_chain(p, target)
-    assert canon.sets in chains
-    for chain in brute_all_chains(p, frozenset({0}), 3):
-        assert nested_difference(chain) == frozenset({0})
 
 
 # ----- poset corpus ------------------------------------------------------
