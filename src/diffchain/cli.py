@@ -247,15 +247,17 @@ def _suite_poset_chains(args) -> tuple[bool, str]:
     size = min(args.max_len, 5)
     checked = 0
     for poset in oracle.all_posets_upto(size):
-        for bits in range(1 << poset.n):
-            members = frozenset(i for i in range(poset.n) if bits >> i & 1)
+        sequences = oracle.increasing_sequences(poset)
+        for chosen in range(1 << poset.n):
+            members = frozenset(bits(chosen))
             chain = chains.canonical_chain(poset, members)
             if chains.evaluate(chain) != members:
-                return False, f"reconstruction fails on n={poset.n} bits={bits}"
+                return False, f"reconstruction fails on n={poset.n} bits={chosen}"
             degs = chains.degrees(poset, members)
+            want = oracle.sequence_degrees(sequences, poset.n, chosen)
             for x in range(poset.n):
-                if degs[x] != oracle.brute_degree(poset, members, x):
-                    return False, f"degree mismatch on n={poset.n} bits={bits} x={x}"
+                if degs[x] != want[x]:
+                    return False, f"degree mismatch on n={poset.n} bits={chosen} x={x}"
             checked += 1
     return True, f"{checked} poset/subset pairs, sizes 1..{size}"
 
@@ -263,13 +265,18 @@ def _suite_poset_chains(args) -> tuple[bool, str]:
 def _suite_closure(args) -> tuple[bool, str]:
     rng = random.Random(args.seed)
     cap = _state_cap()
+    letters = ("a", "b")
     for case in range(args.cases):
-        dfa = oracle.random_dfa(rng, 3, ("a", "b"))
+        dfa = oracle.random_dfa(rng, 3, letters)
         for k in (1, 2):
             closed = closure.pi1_closure(dfa, k, state_cap=cap)
-            for word in oracle.words_upto(("a", "b"), args.max_len):
-                want = oracle.brute_pi1_closure_member(dfa, k, word)
-                if closed.accepts(word) != want:
+            for n in range(1, args.max_len + 1):
+                word = oracle.slice_difference(
+                    oracle.accepted_slice(closed, letters, n),
+                    oracle.closure_slice(dfa, k, letters, n),
+                    letters, n,
+                )
+                if word is not None:
                     return False, f"case {case} k={k} word={''.join(word)}"
     return True, f"{args.cases} automata, k in {{1,2}}, words <= {args.max_len}"
 

@@ -3,14 +3,27 @@
 Everything here recomputes results of the other modules by direct
 enumeration or by a structurally different construction, so the two routes
 can be compared in tests.  Nothing in this module calls the chain, lattice
-or closure algorithms it is used to check.  The closure has two reference
-routes.  One is an extension-mask search (``brute_pi1_closure_member``):
-for each multiset of k - 1 of a word's positions, one forward and one
-backward pass over the reached states of the automaton mark every
-(position, letter) pair that some accepted word of the same length, agreeing
-with the word there, carries; the word belongs iff each of its own pairs is
-marked every time.  The other is the paper's literal marked-alphabet
-construction (``marked_pi1_closure``).
+or closure algorithms it is used to check.
+
+Words are checked a length slice at a time.  ``accepted_slice`` finds the
+acceptance of every length-n word in one layered walk over an automaton,
+the words in lexicographic order as in ``words_upto``; ``lang_eq_upto``
+compares two automata slice by slice.  The closure has three reference
+routes.  ``closure_slice`` reads a whole slice of it off the definition by
+position profiles: each word is an int with a fixed bit field per letter,
+its letters on a set P of positions are one AND with P's mask, and a word
+belongs iff on every P of min(k, n) positions it matches the profile of
+some accepted word of its length.  ``brute_pi1_closure_member`` decides one
+word by an extension-mask search: for each multiset of k - 1 of its
+positions, one forward and one backward pass over the reached states of the
+automaton mark every (position, letter) pair that some accepted word of the
+same length, agreeing with the word there, carries; the word belongs iff
+each of its own pairs is marked every time.  The third is the paper's
+literal marked-alphabet construction (``marked_pi1_closure``).
+Alternation degrees are checked against ``brute_degree``, which enumerates
+the increasing sequences below one element, and ``sequence_degrees``, which
+reads every element's degree for one subset off a poset's table of
+``increasing_sequences``, listed once.
 The canonical-chain recurrence is checked against ``moore_families``, every
 closure system on a few points, and ``family_chains``, a search over all
 chains of a family's sets.
@@ -26,7 +39,13 @@ from __future__ import annotations
 
 import random
 from functools import lru_cache
-from itertools import combinations_with_replacement, product as iter_product
+from itertools import (
+    combinations,
+    combinations_with_replacement,
+    compress,
+    islice,
+    product as iter_product,
+)
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .automata import (
@@ -43,9 +62,9 @@ from .automata import (
     _plain_alphabet,
 )
 from .errors import AlphabetMismatchError
-from .poset import ElemSet, FinPoset
+from .poset import ElemSet, FinPoset, bits
 
-# ----- word enumeration --------------------------------------------------
+# ----- word enumeration and length slices --------------------------------
 
 
 def words_upto(alphabet: Sequence[Letter], max_len: int) -> Iterator[tuple[Letter, ...]]:
@@ -54,17 +73,94 @@ def words_upto(alphabet: Sequence[Letter], max_len: int) -> Iterator[tuple[Lette
         yield from iter_product(alphabet, repeat=n)
 
 
+def accepted_slice(d: Dfa, letters: Sequence[Letter], n: int) -> list[bool]:
+    """Acceptance of every length-n word over ``letters``, listed in the
+    order of ``iter_product(letters, repeat=n)``: lexicographic in the order
+    of ``letters``, as in ``words_upto``.
+
+    One layered walk: layer p lists the state each length-p word reaches,
+    and layer p + 1 the successors of those states, letter by letter.
+    Letters are resolved through ``d.letter_index``, so the columns of
+    ``d.delta`` may be in any order.
+    """
+    cols = [d.letter_index(a) for a in letters]
+    succ = [[row[i] for i in cols] for row in d.delta]
+    layer = [d.start]
+    for _ in range(n):
+        layer = [t for q in layer for t in succ[q]]
+    accepting = d.accepting
+    return [q in accepting for q in layer]
+
+
+def closure_slice(d: Dfa, k: int, letters: Sequence[Letter], n: int) -> list[bool]:
+    """Membership of every length-n word in the k-variable universal closure
+    of d's language, in ``accepted_slice``'s order over ``letters`` (d's
+    whole alphabet, in any order), read off the definition by position
+    profiles.
+
+    A word belongs iff for every set P of min(k, n) of its positions some
+    accepted word of length n carries the same letters on P.  A word is an
+    int of b = max(1, (|A| - 1).bit_length()) bits per letter, the first
+    letter highest, so its profile on P is one AND with P's mask; the
+    profiles of the accepted words on P form a set S_P, and a word belongs
+    iff its profile lies in S_P for every P.  The empty word belongs to no
+    closure.
+    """
+    if k < 1:
+        raise ValueError("need at least one variable")
+    letters = tuple(letters)
+    if len(letters) != len(d.alphabet) or set(letters) != set(d.alphabet):
+        raise AlphabetMismatchError("a closure slice needs the automaton's whole alphabet")
+    if n == 0:
+        return [False]
+    b = max(1, (len(letters) - 1).bit_length())
+    digits = range(len(letters))
+    codes = [0]
+    for _ in range(n):
+        codes = [c << b | i for c in codes for i in digits]
+    language = list(compress(codes, accepted_slice(d, letters, n)))
+    field = (1 << b) - 1
+    inside = codes
+    for positions in combinations(range(n), min(k, n)):
+        if len(inside) == len(language):
+            break  # L lies inside the closure, so nothing more can go
+        mask = 0
+        for p in positions:
+            mask |= field << b * (n - 1 - p)
+        profiles = set(map(mask.__and__, language))
+        inside = list(compress(inside, map(profiles.__contains__, map(mask.__and__, inside))))
+    inside = set(inside)
+    return [c in inside for c in codes]
+
+
+def slice_difference(
+    left: Sequence[bool], right: Sequence[bool], letters: Sequence[Letter], n: int
+) -> tuple[Letter, ...] | None:
+    """The first length-n word on which two slices over ``letters``
+    disagree, or None when they agree."""
+    if left == right:
+        return None
+    rank = next(r for r, (x, y) in enumerate(zip(left, right)) if x != y)
+    return next(islice(iter_product(letters, repeat=n), rank, None))
+
+
 def lang_eq_upto(
     d1: Dfa, d2: Dfa, max_len: int
 ) -> tuple[bool, tuple[Letter, ...] | None]:
-    """Compare two automata on every nonempty word of length <= max_len.
+    """Compare two automata on every nonempty word of length <= max_len,
+    one length slice at a time, with both walked in sorted-letter order.
 
-    Returns (True, None) on agreement, else (False, first disagreeing word).
+    Returns (True, None) on agreement, else (False, first disagreeing word
+    in ``words_upto`` order).
     """
     if set(d1.alphabet) != set(d2.alphabet):
         raise AlphabetMismatchError("cannot compare automata over different alphabets")
-    for word in words_upto(sorted(d1.alphabet, key=letter_key), max_len):
-        if d1.accepts(word) != d2.accepts(word):
+    letters = sorted(d1.alphabet, key=letter_key)
+    for n in range(1, max_len + 1):
+        word = slice_difference(
+            accepted_slice(d1, letters, n), accepted_slice(d2, letters, n), letters, n
+        )
+        if word is not None:
             return False, word
     return True, None
 
@@ -153,6 +249,37 @@ def brute_degree(poset: FinPoset, members: Iterable[int], x: int) -> int:
     return best
 
 
+def increasing_sequences(poset: FinPoset) -> list[tuple[int, int, int, int]]:
+    """Every strictly increasing sequence of the poset, shortest first, as
+    (top, mask, even, length): its last element, the bitmask of its
+    elements, the bitmask of those at even positions counted from 0 at the
+    bottom, and its length."""
+    level = [(x, 1 << x, 1 << x, 1) for x in range(poset.n)]
+    out: list[tuple[int, int, int, int]] = []
+    while level:
+        out.extend(level)
+        level = [
+            (y, mask | 1 << y, even | (0 if length % 2 else 1 << y), length + 1)
+            for top, mask, even, length in level
+            for y in bits(poset.upm[top] & ~(1 << top))
+        ]
+    return out
+
+
+def sequence_degrees(
+    sequences: Iterable[tuple[int, int, int, int]], n: int, members: int
+) -> list[int]:
+    """``brute_degree`` of every element of an n-element poset at once,
+    from its ``increasing_sequences``: a sequence alternates iff its
+    elements in the member bitmask ``members`` are exactly those at even
+    positions, and a longer one replaces a shorter."""
+    degrees = [0] * n
+    for top, mask, even, length in sequences:
+        if members & mask == even:
+            degrees[top] = length
+    return degrees
+
+
 # ----- closure systems and their chains ---------------------------------
 
 
@@ -231,10 +358,10 @@ def all_posets(n: int) -> tuple[FinPoset, ...]:
         return _POSET_CACHE[n]
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     out: list[FinPoset] = []
-    for bits in range(1 << len(pairs)):
+    for relation in range(1 << len(pairs)):
         succ = [0] * n
         for idx, (i, j) in enumerate(pairs):
-            if bits >> idx & 1:
+            if relation >> idx & 1:
                 succ[i] |= 1 << j
         ok = True
         for i in range(n):
@@ -312,8 +439,8 @@ def variables(count: int) -> tuple[str, ...]:
 def mark_subsets(variables_: Sequence[str]) -> list[frozenset[str]]:
     variables_ = tuple(variables_)
     out = []
-    for bits in range(1 << len(variables_)):
-        out.append(frozenset(v for i, v in enumerate(variables_) if bits >> i & 1))
+    for chosen in range(1 << len(variables_)):
+        out.append(frozenset(v for i, v in enumerate(variables_) if chosen >> i & 1))
     return sorted(out, key=lambda s: (len(s), sorted(s)))
 
 

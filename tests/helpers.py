@@ -62,6 +62,14 @@ def contains(letter: str) -> Dfa:
     return Dfa(AB, [[1 if x == letter else 0 for x in AB], [1, 1]], 0, [1])
 
 
+def with_columns(d: Dfa, letters: Iterable) -> Dfa:
+    """The same automaton with its alphabet, and so its columns, in the
+    order of ``letters``."""
+    letters = tuple(letters)
+    cols = [d.letter_index(a) for a in letters]
+    return Dfa(letters, [[row[i] for i in cols] for row in d.delta], d.start, d.accepting)
+
+
 def literal(word: str) -> Dfa:
     """The single word `word` (must be nonempty over ('a', 'b'))."""
     assert word and all(x in AB for x in word)

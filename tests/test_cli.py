@@ -5,6 +5,8 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,10 +19,10 @@ from diffchain import (
     equivalent,
     poset_to_json,
 )
-from diffchain import cli, closure
+from diffchain import automata, chains, cli, closure, oracle
 from diffchain.cli import main
 
-from helpers import AB, a_plus_or_b_plus, contains
+from helpers import AB, a_plus_or_b_plus, contains, with_columns
 
 
 @pytest.fixture()
@@ -455,6 +457,114 @@ def test_verify_rejects_bounds_that_check_nothing(capsys, suite, flag, value):
     assert captured.out == ""
     err = captured.err.strip()
     assert err.startswith("error:") and flag in err and "\n" not in err
+
+
+# The suites compare whole length slices; each must still report the first
+# failure of the word-by-word (or element-by-element) check written out in
+# these loops, in the same order.
+
+
+def first_closure_failure(seed, cases, max_len):
+    rng = random.Random(seed)
+    for case in range(cases):
+        dfa = oracle.random_dfa(rng, 3, AB)
+        for k in (1, 2):
+            closed = closure.pi1_closure(dfa, k, state_cap=automata.DEFAULT_STATE_CAP)
+            for word in oracle.words_upto(AB, max_len):
+                if closed.accepts(word) != oracle.brute_pi1_closure_member(dfa, k, word):
+                    return f"case {case} k={k} word={''.join(word)}"
+    return None
+
+
+def first_image_failure(seed, cases, max_len):
+    rng = random.Random(seed)
+    for case in range(cases):
+        dfa = oracle.random_dfa(rng, 3, ("a", "b", "c"))
+        hom = oracle.LpHom(
+            ("a", "b", "c"), ("d", "e"),
+            {a: rng.choice(("d", "e")) for a in ("a", "b", "c")},
+        )
+        left = oracle.forward_lp_image(dfa, hom)
+        right = oracle.monoid_forward_image(dfa, hom)
+        for word in oracle.words_upto(("d", "e"), max_len):
+            if left.accepts(word) != right.accepts(word):
+                return f"case {case} word={''.join(word)}"
+    return None
+
+
+def first_poset_failure(size):
+    for poset in oracle.all_posets_upto(size):
+        for chosen in range(1 << poset.n):
+            members = frozenset(i for i in range(poset.n) if chosen >> i & 1)
+            chain = cli.chains.canonical_chain(poset, members)
+            if cli.chains.evaluate(chain) != members:
+                return f"reconstruction fails on n={poset.n} bits={chosen}"
+            degs = cli.chains.degrees(poset, members)
+            for x in range(poset.n):
+                if degs[x] != oracle.brute_degree(poset, members, x):
+                    return f"degree mismatch on n={poset.n} bits={chosen} x={x}"
+    return None
+
+
+def assert_mismatch(capsys, argv, suite, detail):
+    assert detail is not None
+    assert main(argv) == 1
+    assert capsys.readouterr().out == f"suite {suite}: {detail} ... MISMATCH\n"
+
+
+@pytest.mark.parametrize("seed", [2, 7, 12])
+@pytest.mark.parametrize("wrong", ["identity", "one variable"])
+def test_verify_closure_names_the_first_wrong_word(monkeypatch, capsys, seed, wrong):
+    # the language itself, or its closure with one variable at k = 2
+    real = closure.pi1_closure
+    monkeypatch.setattr(closure, "pi1_closure", {
+        "identity": lambda d, k, state_cap: d,
+        "one variable": lambda d, k, state_cap: real(d, 1, state_cap=state_cap),
+    }[wrong])
+    detail = first_closure_failure(seed, 5, 6)
+    assert ("k=2" in detail) == (wrong == "one variable")
+    assert_mismatch(capsys, ["verify", "--suite", "closure", "--max-len", "6",
+                             "--cases", "5", "--seed", str(seed)], "closure", detail)
+
+
+@pytest.mark.parametrize("seed", [7, 271828, 1607])
+def test_verify_images_names_the_first_wrong_word(monkeypatch, capsys, seed):
+    # the image along the hom with its two target letters swapped, with its
+    # columns in reverse order
+    real = oracle.monoid_forward_image
+
+    def swapped(d, h, state_cap=automata.DEFAULT_STATE_CAP):
+        other = {"d": "e", "e": "d"}
+        h = oracle.LpHom(h.source, h.target, {a: other[h.letter_image(a)] for a in h.source})
+        return with_columns(real(d, h, state_cap), ("e", "d"))
+
+    monkeypatch.setattr(oracle, "monoid_forward_image", swapped)
+    detail = first_image_failure(seed, 5, 6)
+    assert_mismatch(capsys, ["verify", "--suite", "images", "--max-len", "6",
+                             "--cases", "5", "--seed", str(seed)], "images", detail)
+
+
+def test_verify_poset_chains_names_the_first_wrong_subset(monkeypatch, capsys):
+    # off by one in the module, the canonical chain goes wrong with it
+    real = chains.degrees
+    monkeypatch.setattr(chains, "degrees", lambda p, m: tuple(d + 1 for d in real(p, m)))
+    detail = first_poset_failure(3)
+    assert detail.startswith("reconstruction fails")
+    assert_mismatch(capsys, ["verify", "--suite", "poset-chains", "--max-len", "3"],
+                    "poset-chains", detail)
+
+
+def test_verify_poset_chains_names_the_first_wrong_degree(monkeypatch, capsys):
+    # off by one where the suite reads the degrees, from degree 2 up
+    real = chains.degrees
+    monkeypatch.setattr(cli, "chains", SimpleNamespace(
+        canonical_chain=chains.canonical_chain, evaluate=chains.evaluate,
+        degrees=lambda p, m: tuple(d + (d >= 2) for d in real(p, m)),
+    ))
+    detail = first_poset_failure(4)
+    assert detail.startswith("degree mismatch") and detail != "degree mismatch on n=1 bits=0 x=0"
+    assert_mismatch(capsys, ["verify", "--suite", "poset-chains", "--max-len", "4"],
+                    "poset-chains", detail)
 
 
 # ----- environment guard -------------------------------------------------

@@ -17,23 +17,30 @@ from diffchain import (
     FinPoset,
     canonical_chain,
     degrees,
+    dfa_no_words,
     equivalent,
     upsets_of,
 )
 from diffchain.oracle import (
     LpHom,
+    accepted_slice,
     all_posets,
     all_posets_upto,
     brute_degree,
     brute_pi1_closure_member,
+    closure_slice,
     family_chains,
     forward_lp_image,
+    increasing_sequences,
     lang_eq_upto,
+    marked_pi1_closure,
     monoid_dfa,
     monoid_forward_image,
     moore_families,
     nested_difference,
     random_dfa,
+    sequence_degrees,
+    slice_difference,
     words_upto,
 )
 from diffchain.poset import bits, mask_of
@@ -47,6 +54,7 @@ from helpers import (
     b_plus,
     contains,
     literal,
+    with_columns,
 )
 
 
@@ -84,6 +92,14 @@ def test_only_the_cli_imports_the_oracle():
     assert "diffchain.oracle" in imported_modules(package / "cli.py")
 
 
+def test_the_oracle_does_not_import_the_closure():
+    # closure_slice is a reference route only while it shares no code with
+    # the closure it checks
+    imported = imported_modules(Path(diffchain.__file__).parent / "oracle.py")
+    assert not {m for m in imported if m == "diffchain.closure" or m.startswith("diffchain.closure.")}
+    assert "diffchain.automata" in imported
+
+
 def test_the_chain_recurrence_knows_no_automata():
     # closure.py runs chains.canonical_pairs with the k-variable closure, so
     # the recurrence stays generic only while the import goes that way
@@ -111,6 +127,48 @@ def test_lang_eq_upto_finds_the_first_disagreement():
     assert not ok and witness == ("a", "b")
     with pytest.raises(AlphabetMismatchError):
         lang_eq_upto(a_plus(), random_dfa(random.Random(0), 2, ("a", "c")), 3)
+
+
+def test_accepted_slice_lists_words_upto_order():
+    rng = random.Random(1602)
+    for d in [a_plus(), contains("b"), literal("ab")] + [
+            random_dfa(rng, 4, ("a", "b", "c")) for _ in range(20)]:
+        letters = sorted(d.alphabet)
+        for order in (letters, letters[::-1]):
+            # the columns in either order: the walk reads letters by name
+            for walked in (d, with_columns(d, order[::-1])):
+                for n in range(5):
+                    words = list(iter_product(order, repeat=n))
+                    assert accepted_slice(walked, order, n) == [d.accepts(w) for w in words]
+    with pytest.raises(AlphabetMismatchError):
+        accepted_slice(a_plus(), ("a", "z"), 2)
+
+
+def test_slice_difference_names_the_first_differing_word():
+    assert slice_difference([True, False], [True, False], AB, 1) is None
+    left = accepted_slice(a_plus(), AB, 3)
+    right = accepted_slice(contains("a"), AB, 3)
+    assert slice_difference(left, right, AB, 3) == ("a", "a", "b")
+    assert slice_difference(left, right, ("b", "a"), 3) == ("b", "b", "a")
+
+
+def test_lang_eq_upto_reads_each_automaton_by_letter_name():
+    # same letters, different column orders: the witness is the first word
+    # in sorted-letter order, as a word-by-word comparison finds it
+    ok, witness = lang_eq_upto(a_plus(), with_columns(contains("a"), ("b", "a")), 5)
+    assert not ok and witness == ("a", "b")
+    ok, witness = lang_eq_upto(with_columns(literal("ab"), ("b", "a")), literal("ab"), 4)
+    assert ok and witness is None
+    rng = random.Random(1603)
+    abc = ("a", "b", "c")
+    disagreements = 0
+    for _ in range(100):
+        d1 = with_columns(random_dfa(rng, 3, abc), rng.sample(abc, 3))
+        d2 = with_columns(random_dfa(rng, 3, abc), rng.sample(abc, 3))
+        want = next((w for w in words_upto(abc, 4) if d1.accepts(w) != d2.accepts(w)), None)
+        assert lang_eq_upto(d1, d2, 4) == (want is None, want)
+        disagreements += want is not None and len(want) > 1
+    assert disagreements > 5
 
 
 # ----- closure membership ------------------------------------------------
@@ -171,6 +229,46 @@ def test_brute_closure_membership_matches_the_definition():
                 assert brute_pi1_closure_member(d, k, word) == want, (d, k, word)
 
 
+def closure_slice_corpus():
+    """Seeded random automata over {a, b} (words up to length 6) and
+    {a, b, c} (up to 4), each with its letters in a random order, plus
+    languages with empty slices: one word, and nothing at all."""
+    yield literal("ab"), AB, 6
+    yield literal("bab"), ("b", "a"), 6
+    yield dfa_no_words(AB), AB, 6
+    rng = random.Random(1604)
+    for _ in range(80):
+        yield random_dfa(rng, 4, AB), tuple(rng.sample(AB, 2)), 6
+    abc = ("a", "b", "c")
+    for _ in range(70):
+        yield random_dfa(rng, 4, abc), tuple(rng.sample(abc, 3)), 4
+
+
+def test_closure_slice_matches_the_pinned_and_marked_routes():
+    checked = short = empty = 0
+    for d, letters, max_len in closure_slice_corpus():
+        for k in (1, 2, 3):
+            marked = marked_pi1_closure(d, k)
+            assert closure_slice(d, k, letters, 0) == [False]
+            for n in range(1, max_len + 1):
+                got = closure_slice(d, k, letters, n)
+                words = list(iter_product(letters, repeat=n))
+                assert got == [brute_pi1_closure_member(d, k, w) for w in words], (d, k, n)
+                assert got == [marked.accepts(w) for w in words], (d, k, n)
+                checked += len(words)
+                short += n < k
+                empty += not any(accepted_slice(d, letters, n))
+    assert checked > 55_000 and short and empty
+
+
+def test_closure_slice_checks_its_arguments():
+    with pytest.raises(ValueError, match="need at least one variable"):
+        closure_slice(a_plus(), 0, AB, 2)
+    for letters in (("a",), ("a", "b", "b"), ("a", "z")):
+        with pytest.raises(AlphabetMismatchError):
+            closure_slice(a_plus(), 1, letters, 2)
+
+
 # ----- alternation degree ------------------------------------------------
 
 
@@ -188,6 +286,28 @@ def test_degrees_agree_with_brute_enumeration_exhaustively():
             fast = degrees(p, v)
             for x in range(p.n):
                 assert fast[x] == brute_degree(p, v, x), (p, sorted(v), x)
+
+
+def test_increasing_sequences_of_a_chain():
+    table = increasing_sequences(chain_poset(3))
+    # 0 < 1 < 2: every nonempty subset, listed shortest first
+    assert [length for _, _, _, length in table] == [1, 1, 1, 2, 2, 2, 3]
+    assert (2, 0b111, 0b101, 3) in table and (2, 0b101, 0b001, 2) in table
+    assert sequence_degrees(table, 3, 0b101) == [1, 2, 3]
+    assert increasing_sequences(FinPoset.from_covers([], 2)) == [
+        (0, 1, 1, 1), (1, 2, 2, 1)]
+
+
+def test_sequence_table_gives_brute_degree_on_every_small_poset():
+    checked = 0
+    for p in all_posets_upto(5):
+        table = increasing_sequences(p)
+        for chosen in range(1 << p.n):
+            members = frozenset(bits(chosen))
+            want = [brute_degree(p, members, x) for x in range(p.n)]
+            assert sequence_degrees(table, p.n, chosen) == want, (p, chosen)
+            checked += 1
+    assert checked == 12_130
 
 
 # ----- closure systems and their chains ---------------------------------
