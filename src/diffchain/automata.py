@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from typing import Hashable, Iterable, Sequence
 
 from .errors import AlphabetMismatchError, CapacityError
+from .poset import dot_string
 
 Letter = Hashable
 
@@ -57,7 +58,7 @@ def letter_key(letter: Letter):
 def _plain_alphabet(d: Dfa) -> tuple[str, ...]:
     if not all(isinstance(a, str) for a in d.alphabet):
         raise AlphabetMismatchError("expected an automaton over plain letters")
-    return tuple(sorted(d.alphabet))
+    return d.alphabet
 
 
 # ----- the automaton -----------------------------------------------------
@@ -67,7 +68,10 @@ class Dfa:
     """A complete deterministic automaton.
 
     ``delta[q]`` lists the successor of state ``q`` for each letter, in
-    alphabet order.  Instances are immutable; equality is structural.
+    alphabet order, which the constructor makes canonical: it sorts the
+    letters by ``letter_key`` (rejecting ties such as 1 and "1") and
+    permutes every row to match.  Instances are immutable; equality is
+    structural.
     """
 
     __slots__ = ("alphabet", "delta", "start", "accepting", "_index", "_hash")
@@ -86,6 +90,9 @@ class Dfa:
             raise ValueError("alphabet must be nonempty")
         if len(set(alphabet)) != len(alphabet):
             raise ValueError("alphabet letters must be distinct")
+        keys = [letter_key(a) for a in alphabet]
+        if len(set(keys)) != len(keys):
+            raise ValueError("alphabet letters must have distinct letter_key values")
         n = len(delta)
         if n == 0:
             raise ValueError("need at least one state")
@@ -100,6 +107,10 @@ class Dfa:
         if not all(type(q) is int and 0 <= q < n for q in accepting):
             raise ValueError("accepting states out of range")
         accepting = frozenset(accepting)
+        cols = sorted(range(len(keys)), key=keys.__getitem__)
+        if cols != list(range(len(keys))):
+            alphabet = tuple(alphabet[i] for i in cols)
+            delta = tuple(tuple(row[i] for i in cols) for row in delta)
         object.__setattr__(self, "alphabet", alphabet)
         object.__setattr__(self, "delta", delta)
         object.__setattr__(self, "start", start)
@@ -206,17 +217,11 @@ def complement(d: Dfa) -> Dfa:
 
 
 def _product(d1: Dfa, d2: Dfa, keep) -> Dfa:
-    if set(d1.alphabet) != set(d2.alphabet):
+    if d1.alphabet != d2.alphabet:
         raise AlphabetMismatchError("operands have different alphabets")
-    letters = tuple(sorted(d1.alphabet, key=letter_key))
-    cols = [(d1.letter_index(a), d2.letter_index(a)) for a in letters]
-
-    def step(pair):
-        row1, row2 = d1.delta[pair[0]], d2.delta[pair[1]]
-        return [(row1[c1], row2[c2]) for c1, c2 in cols]
-
     return _explore(
-        letters, (d1.start, d2.start), step,
+        d1.alphabet, (d1.start, d2.start),
+        lambda p: zip(d1.delta[p[0]], d2.delta[p[1]]),
         lambda p: keep(p[0] in d1.accepting, p[1] in d2.accepting),
     )
 
@@ -289,18 +294,15 @@ def minimize(d: Dfa) -> Dfa:
     The blocks are language classes, so exploring the quotient from the
     start state's block reaches exactly the minimal automaton, whatever
     unreachable states ``d`` has."""
-    letters = tuple(sorted(d.alphabet, key=letter_key))
-    cols = [d.letter_index(a) for a in letters]
     cls = _hopcroft_blocks(d)
     # any member represents its block: the partition is stable
     rep = dict(zip(cls, range(d.n_states)))
     accepting = {cls[q] for q in d.accepting}
 
     def step(block):
-        row = d.delta[rep[block]]
-        return [cls[row[c]] for c in cols]
+        return [cls[t] for t in d.delta[rep[block]]]
 
-    return _explore(letters, cls[d.start], step, accepting.__contains__)
+    return _explore(d.alphabet, cls[d.start], step, accepting.__contains__)
 
 
 def _hopcroft_blocks(d: Dfa) -> list[int]:
@@ -349,7 +351,7 @@ def _hopcroft_blocks(d: Dfa) -> list[int]:
 
 
 def equivalent(d1: Dfa, d2: Dfa) -> bool:
-    if set(d1.alphabet) != set(d2.alphabet):
+    if d1.alphabet != d2.alphabet:
         raise AlphabetMismatchError("cannot compare automata over different alphabets")
     return minimize(d1) == minimize(d2)
 
@@ -441,6 +443,6 @@ def dfa_to_dot(d: Dfa) -> str:
             by_target.setdefault(t, []).append(str(a))
         for t in sorted(by_target):
             label = ", ".join(by_target[t])
-            lines.append(f'  {q} -> {t} [label="{label}"];')
+            lines.append(f"  {q} -> {t} [label={dot_string(label)}];")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -160,40 +160,45 @@ def _cmd_poset_chain(args) -> int:
     poset, labels = poset_from_json(Path(args.poset).read_text(encoding="utf-8"))
     members = frozenset(_parse_members(args.members))
     chain = chains.canonical_chain(poset, members)
-    degs = chains.degrees(poset, members)
     ok = chains.evaluate(chain) == members
     dot = poset_to_dot(poset, labels) if args.dot else None
-    _emit(_chain_lines(members, chain, degs), args.out, dot, args.dot)
+    _emit(_chain_lines(members, chain), args.out, dot, args.dot)
     return 0 if ok else 1
 
 
-def _chain_lines(members, chain, degs):
+def _chain_lines(members, chain):
     """The chain report as JSON, one top-level key per line and one chain
     component per line, so no part needs the pure-Python indenting encoder."""
     yield "{"
     yield f'  "V": {json.dumps(sorted(members))},'
     yield f'  "m": {chain.pairs},'
     yield '  "K": ['
-    comps = _sorted_components(chain)
+    comps, degs = _sorted_components(chain)
     for i, comp in enumerate(comps):
-        yield f"    {json.dumps(comp)}{',' if i + 1 < len(comps) else ''}"
+        yield f"    {comp}{',' if i + 1 < len(comps) else ''}"
     yield "  ],"
-    yield f'  "degrees": {json.dumps(list(degs))}'
+    yield f'  "degrees": {json.dumps(degs)}'
     yield "}"
 
 
-def _sorted_components(chain) -> list[list[int]]:
-    """Sorted members of each component, built innermost first: each adds
-    its difference to the next one, so every element is enumerated once."""
-    comps: list[list[int]] = []
+def _sorted_components(chain) -> tuple[list[str], list[int]]:
+    """Sorted members of each component as JSON text, and every element's
+    degree, built innermost first: each component adds its difference to the
+    next one, so every element is enumerated once.  Component i holds the
+    elements of degree >= i, so i is the degree of the elements it adds."""
+    comps: list[str] = []
+    degs = [0] * chain.poset.n
     inner: list[int] = []
     prev = 0
-    for m in reversed(chain.masks):
-        inner = sorted(inner + bits(m & ~prev))
-        comps.append(inner)
-        prev = m
+    for i in range(len(chain.masks), 0, -1):
+        new = bits(chain.masks[i - 1] & ~prev)
+        for x in new:
+            degs[x] = i
+        inner = sorted(inner + new)
+        comps.append(json.dumps(inner))
+        prev = chain.masks[i - 1]
     comps.reverse()
-    return comps
+    return comps, degs
 
 
 def _cmd_lang_closure(args) -> int:
@@ -265,16 +270,15 @@ def _suite_poset_chains(args) -> tuple[bool, str]:
 def _suite_closure(args) -> tuple[bool, str]:
     rng = random.Random(args.seed)
     cap = _state_cap()
-    letters = ("a", "b")
     for case in range(args.cases):
-        dfa = oracle.random_dfa(rng, 3, letters)
+        dfa = oracle.random_dfa(rng, 3, ("a", "b"))
         for k in (1, 2):
             closed = closure.pi1_closure(dfa, k, state_cap=cap)
             for n in range(1, args.max_len + 1):
                 word = oracle.slice_difference(
-                    oracle.accepted_slice(closed, letters, n),
-                    oracle.closure_slice(dfa, k, letters, n),
-                    letters, n,
+                    oracle.accepted_slice(closed, n),
+                    oracle.closure_slice(dfa, k, n),
+                    dfa.alphabet, n,
                 )
                 if word is not None:
                     return False, f"case {case} k={k} word={''.join(word)}"

@@ -78,7 +78,7 @@ def pi1_closure(d: Dfa, k: int, state_cap: int = DEFAULT_STATE_CAP) -> Dfa:
     _check_variables(k)
     target = _normalize(d)
     pattern = minimize(_pattern_automaton(target, k, state_cap))
-    return minimize(_universal_projection(pattern, target.alphabet, k, state_cap))
+    return minimize(_universal_projection(pattern, k, state_cap))
 
 
 def _language_below(d: Dfa) -> list[int]:
@@ -250,11 +250,9 @@ def _reaching(target: Dfa, accepting: int) -> tuple[list[int], int] | None:
         reaching.append(earlier)
 
 
-def _universal_projection(
-    pattern: Dfa, letters: tuple[str, ...], k: int, state_cap: int
-) -> Dfa:
+def _universal_projection(pattern: Dfa, k: int, state_cap: int) -> Dfa:
     """Words all of whose patterns with at most k pins the minimal pattern
-    automaton accepts.
+    automaton accepts.  BOX, after every plain letter, is its last column.
 
     A state is an antichain of runs ``(p, c)``: a pattern state and the pins
     its pattern used.  A run is dropped when another run has at most as many
@@ -269,8 +267,7 @@ def _universal_projection(
     the ``_pin_counts`` signatures.  The antichains do not depend on how the
     inclusions are found.
     """
-    box = pattern.letter_index(BOX)
-    cols = [pattern.letter_index(a) for a in letters]
+    box = len(pattern.alphabet) - 1
     pdelta = pattern.delta
     paccepting = pattern.accepting
     sig = _pin_counts(pattern, box, k)
@@ -298,9 +295,9 @@ def _universal_projection(
     def step(runs):
         base: list[tuple[int, int]] = []
         if not all(add(base, pdelta[p][box], c) for p, c in runs):
-            return [dead_runs] * len(cols)
+            return [dead_runs] * box
         succ = []
-        for col in cols:
+        for col in range(box):
             kept = base.copy()
             alive = all(add(kept, pdelta[p][col], c + 1) for p, c in runs if c < k)
             succ.append(tuple(sorted(kept)) if alive else dead_runs)
@@ -308,7 +305,7 @@ def _universal_projection(
 
     start = pattern.start
     return _explore(
-        letters, dead_runs if start == dead else ((start, 0),), step,
+        pattern.alphabet[:box], dead_runs if start == dead else ((start, 0),), step,
         lambda runs: all(p in paccepting for p, _ in runs),
         state_cap, f"universal projection passed {state_cap} states at k={k}",
     )

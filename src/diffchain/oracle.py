@@ -7,8 +7,9 @@ or closure algorithms it is used to check.
 
 Words are checked a length slice at a time.  ``accepted_slice`` finds the
 acceptance of every length-n word in one layered walk over an automaton,
-the words in lexicographic order as in ``words_upto``; ``lang_eq_upto``
-compares two automata slice by slice.  The closure has three reference
+the words in lexicographic order over its alphabet, which ``Dfa`` keeps in
+canonical order, as in ``words_upto``; ``lang_eq_upto`` compares two
+automata slice by slice.  The closure has three reference
 routes.  ``closure_slice`` reads a whole slice of it off the definition by
 position profiles: each word is an int with a fixed bit field per letter,
 its letters on a set P of positions are one AND with P's mask, and a word
@@ -73,30 +74,26 @@ def words_upto(alphabet: Sequence[Letter], max_len: int) -> Iterator[tuple[Lette
         yield from iter_product(alphabet, repeat=n)
 
 
-def accepted_slice(d: Dfa, letters: Sequence[Letter], n: int) -> list[bool]:
-    """Acceptance of every length-n word over ``letters``, listed in the
-    order of ``iter_product(letters, repeat=n)``: lexicographic in the order
-    of ``letters``, as in ``words_upto``.
+def accepted_slice(d: Dfa, n: int) -> list[bool]:
+    """Acceptance of every length-n word over d's alphabet, listed in the
+    order of ``iter_product(d.alphabet, repeat=n)``: lexicographic in the
+    canonical letter order, as in ``words_upto``.
 
     One layered walk: layer p lists the state each length-p word reaches,
-    and layer p + 1 the successors of those states, letter by letter.
-    Letters are resolved through ``d.letter_index``, so the columns of
-    ``d.delta`` may be in any order.
+    and layer p + 1 the successors of those states, column by column.
     """
-    cols = [d.letter_index(a) for a in letters]
-    succ = [[row[i] for i in cols] for row in d.delta]
+    delta = d.delta
     layer = [d.start]
     for _ in range(n):
-        layer = [t for q in layer for t in succ[q]]
+        layer = [t for q in layer for t in delta[q]]
     accepting = d.accepting
     return [q in accepting for q in layer]
 
 
-def closure_slice(d: Dfa, k: int, letters: Sequence[Letter], n: int) -> list[bool]:
+def closure_slice(d: Dfa, k: int, n: int) -> list[bool]:
     """Membership of every length-n word in the k-variable universal closure
-    of d's language, in ``accepted_slice``'s order over ``letters`` (d's
-    whole alphabet, in any order), read off the definition by position
-    profiles.
+    of d's language, in ``accepted_slice``'s order, read off the definition
+    by position profiles.
 
     A word belongs iff for every set P of min(k, n) of its positions some
     accepted word of length n carries the same letters on P.  A word is an
@@ -108,17 +105,14 @@ def closure_slice(d: Dfa, k: int, letters: Sequence[Letter], n: int) -> list[boo
     """
     if k < 1:
         raise ValueError("need at least one variable")
-    letters = tuple(letters)
-    if len(letters) != len(d.alphabet) or set(letters) != set(d.alphabet):
-        raise AlphabetMismatchError("a closure slice needs the automaton's whole alphabet")
     if n == 0:
         return [False]
-    b = max(1, (len(letters) - 1).bit_length())
-    digits = range(len(letters))
+    digits = range(len(d.alphabet))
+    b = max(1, (len(digits) - 1).bit_length())
     codes = [0]
     for _ in range(n):
         codes = [c << b | i for c in codes for i in digits]
-    language = list(compress(codes, accepted_slice(d, letters, n)))
+    language = list(compress(codes, accepted_slice(d, n)))
     field = (1 << b) - 1
     inside = codes
     for positions in combinations(range(n), min(k, n)):
@@ -148,18 +142,15 @@ def lang_eq_upto(
     d1: Dfa, d2: Dfa, max_len: int
 ) -> tuple[bool, tuple[Letter, ...] | None]:
     """Compare two automata on every nonempty word of length <= max_len,
-    one length slice at a time, with both walked in sorted-letter order.
+    one length slice at a time.
 
     Returns (True, None) on agreement, else (False, first disagreeing word
     in ``words_upto`` order).
     """
-    if set(d1.alphabet) != set(d2.alphabet):
+    if d1.alphabet != d2.alphabet:
         raise AlphabetMismatchError("cannot compare automata over different alphabets")
-    letters = sorted(d1.alphabet, key=letter_key)
     for n in range(1, max_len + 1):
-        word = slice_difference(
-            accepted_slice(d1, letters, n), accepted_slice(d2, letters, n), letters, n
-        )
+        word = slice_difference(accepted_slice(d1, n), accepted_slice(d2, n), d1.alphabet, n)
         if word is not None:
             return False, word
     return True, None
@@ -552,8 +543,8 @@ def forward_lp_image(d: Dfa, h: LpHom, state_cap: int = DEFAULT_STATE_CAP) -> Df
         raise AlphabetMismatchError("hom source and automaton alphabet differ")
     letters = tuple(sorted(h.target, key=letter_key))
     sources: dict[Letter, list[int]] = {b: [] for b in letters}
-    for a in h.source:
-        sources[h.letter_image(a)].append(d.letter_index(a))
+    for i, a in enumerate(d.alphabet):
+        sources[h.letter_image(a)].append(i)
     columns = [sources[b] for b in letters]
     return _explore(
         letters, frozenset([d.start]),
@@ -658,8 +649,7 @@ def forall_adjoint(
 def _check_marked_operand(
     d: Dfa, base_letters: Sequence[str], variables_: Sequence[str]
 ) -> None:
-    want = set(marked_alphabet(base_letters, variables_))
-    if set(d.alphabet) != want:
+    if d.alphabet != marked_alphabet(base_letters, variables_):
         raise AlphabetMismatchError(
             "operand alphabet is not the marked alphabet of the given letters "
             "and variables"
@@ -694,10 +684,9 @@ def monoid_dfa(d: Dfa, state_cap: int = DEFAULT_STATE_CAP) -> Dfa:
     automaton recognizes d's language.  Raises CapacityError past
     ``state_cap`` elements.
     """
-    letters = tuple(sorted(d.alphabet, key=letter_key))
-    gens = [[row[d.letter_index(a)] for row in d.delta] for a in letters]
+    gens = list(zip(*d.delta))
     return _explore(
-        letters, tuple(range(d.n_states)),
+        d.alphabet, tuple(range(d.n_states)),
         lambda t: [tuple(g[q] for q in t) for g in gens],
         lambda t: t[d.start] in d.accepting,
         state_cap, f"transition monoid passed {state_cap} elements",

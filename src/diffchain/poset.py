@@ -254,11 +254,16 @@ def poset_from_json(text: str) -> tuple[FinPoset, list[str] | None]:
     return FinPoset.from_covers(pairs, n), labels
 
 
+def dot_string(text) -> str:
+    """``text`` as a quoted DOT string, its backslashes and quotes escaped."""
+    return '"' + str(text).replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
 def poset_to_dot(poset: FinPoset, labels: Sequence[str] | None = None) -> str:
     """Hasse diagram in DOT format (cover edges only, drawn upward)."""
-    name = labels if labels is not None else [str(i) for i in range(poset.n)]
+    name = labels if labels is not None else range(poset.n)
     lines = ["digraph poset {", "  rankdir=BT;"]
-    lines += [f'  {i} [label="{name[i]}"];' for i in range(poset.n)]
+    lines += [f"  {i} [label={dot_string(name[i])}];" for i in range(poset.n)]
     lines += [f"  {i} -> {j};" for i, j in poset.covers()]
     lines.append("}")
     return "\n".join(lines) + "\n"

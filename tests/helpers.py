@@ -63,8 +63,8 @@ def contains(letter: str) -> Dfa:
 
 
 def with_columns(d: Dfa, letters: Iterable) -> Dfa:
-    """The same automaton with its alphabet, and so its columns, in the
-    order of ``letters``."""
+    """The same automaton given with its alphabet, and so its columns, in
+    the order of ``letters``; the constructor sorts them back."""
     letters = tuple(letters)
     cols = [d.letter_index(a) for a in letters]
     return Dfa(letters, [[row[i] for i in cols] for row in d.delta], d.start, d.accepting)

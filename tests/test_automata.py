@@ -160,6 +160,31 @@ def test_dfa_validation():
         Dfa(AB, [[0, 0]], 0, [True])
 
 
+def test_dfa_puts_its_columns_in_canonical_order():
+    # plain letters first, then the erased letter, then marked ones
+    canonical = ("a", "b", Marked(None), Marked("a", {"x1"}))
+    rng = random.Random(1701)
+    d = Dfa(canonical, [[rng.randrange(4) for _ in canonical] for _ in range(4)], 0, [1, 3])
+    words = list(words_upto(canonical, 3))
+    for order in itertools.permutations(canonical):
+        cols = [canonical.index(a) for a in order]
+        e = Dfa(order, [[row[i] for i in cols] for row in d.delta], d.start, d.accepting)
+        assert e.alphabet == canonical and e.delta == d.delta
+        assert e == d and hash(e) == hash(d)
+        assert [e.accepts(w) for w in words] == [d.accepts(w) for w in words]
+    swapped = Dfa(("b", "a"), [[1, 0], [1, 1]], 0, [1])
+    assert swapped == Dfa(AB, [[0, 1], [1, 1]], 0, [1])
+    assert swapped.alphabet == AB
+
+
+def test_dfa_rejects_letters_without_a_canonical_order():
+    # 1 and "1" are distinct letters with the same letter_key
+    with pytest.raises(ValueError, match="letter_key"):
+        Dfa((1, "1"), [[0, 0]], 0, [])
+    with pytest.raises(ValueError, match="letter_key"):
+        Dfa(("a", 1, "b", "1"), [[0, 0, 0, 0]], 0, [])
+
+
 def test_dfa_is_immutable_and_hashable():
     d = a_plus()
     with pytest.raises(AttributeError):
@@ -390,7 +415,7 @@ def _minimize_corpus():
         for k in (1, 2, 3):
             pattern = _pattern_automaton(target, k, 10_000)
             yield pattern
-            yield _universal_projection(minimize(pattern), target.alphabet, k, 10_000)
+            yield _universal_projection(minimize(pattern), k, 10_000)
 
 
 def test_minimize_matches_moore_refinement():
@@ -690,6 +715,22 @@ def test_dfa_json_erased_letter_spelling():
     assert dfa_from_json(text) == d
     with pytest.raises(ValueError):
         dfa_to_json(dfa_all_words((1, 2)))
+
+
+def test_dfa_dot_output_escapes_quotes_and_backslashes_in_letters():
+    d = Dfa(('a"', "b", "c\\"), [[1, 1, 0], [1, 1, 1]], 0, [1])
+    assert dfa_to_dot(d).splitlines() == [
+        "digraph dfa {",
+        "  rankdir=LR;",
+        '  hidden [shape=none, label=""];',
+        "  0 [shape=circle];",
+        "  1 [shape=doublecircle];",
+        "  hidden -> 0;",
+        r'  0 -> 0 [label="c\\"];',
+        r'  0 -> 1 [label="a\", b"];',
+        r'  1 -> 1 [label="a\", b, c\\"];',
+        "}",
+    ]
 
 
 def test_dfa_dot_output():

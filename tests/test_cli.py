@@ -22,7 +22,7 @@ from diffchain import (
 from diffchain import automata, chains, cli, closure, oracle
 from diffchain.cli import main
 
-from helpers import AB, a_plus_or_b_plus, contains, with_columns
+from helpers import AB, a_plus_or_b_plus, contains
 
 
 @pytest.fixture()
@@ -60,6 +60,33 @@ def test_poset_chain_output(chain_poset_file, capsys):
     assert obj["m"] == 2
     assert obj["K"] == [[0, 1, 2], [1, 2], [2], []]
     assert obj["degrees"] == [1, 2, 3]
+
+
+def test_poset_chain_computes_the_degrees_once(chain_poset_file, monkeypatch, capsys):
+    # the canonical chain computes the degrees; the report reads them off
+    # the chain's components
+    real = chains.degrees
+    calls = []
+    monkeypatch.setattr(chains, "degrees", lambda p, m: calls.append(m) or real(p, m))
+    assert main(["poset", "chain", "--poset", str(chain_poset_file), "--set", "0,2"]) == 0
+    assert len(calls) == 1
+    assert json.loads(capsys.readouterr().out)["degrees"] == [1, 2, 3]
+
+
+def test_chain_components_give_every_degree():
+    # every subset of every poset on at most 4 points, then random subsets
+    # of a 60-chain and of random orders on 12 points (edges i -> j, i < j)
+    cases = [(p, chosen) for p in oracle.all_posets_upto(4) for chosen in range(1 << p.n)]
+    rng = random.Random(1702)
+    posets = [FinPoset.from_covers([(i, i + 1) for i in range(59)], 60)]
+    for _ in range(20):
+        edges = [(i, j) for i in range(12) for j in range(i + 1, 12) if rng.random() < 0.2]
+        posets.append(FinPoset.from_covers(edges, 12))
+    cases += [(p, rng.getrandbits(p.n)) for p in posets for _ in range(30)]
+    for poset, chosen in cases:
+        members = frozenset(i for i in range(poset.n) if chosen >> i & 1)
+        _, degs = cli._sorted_components(chains.canonical_chain(poset, members))
+        assert degs == list(chains.degrees(poset, members)), (poset, chosen)
 
 
 def test_poset_chain_empty_set(chain_poset_file, capsys):
@@ -529,14 +556,13 @@ def test_verify_closure_names_the_first_wrong_word(monkeypatch, capsys, seed, wr
 
 @pytest.mark.parametrize("seed", [7, 271828, 1607])
 def test_verify_images_names_the_first_wrong_word(monkeypatch, capsys, seed):
-    # the image along the hom with its two target letters swapped, with its
-    # columns in reverse order
+    # the image along the hom with its two target letters swapped
     real = oracle.monoid_forward_image
 
     def swapped(d, h, state_cap=automata.DEFAULT_STATE_CAP):
         other = {"d": "e", "e": "d"}
         h = oracle.LpHom(h.source, h.target, {a: other[h.letter_image(a)] for a in h.source})
-        return with_columns(real(d, h, state_cap), ("e", "d"))
+        return real(d, h, state_cap)
 
     monkeypatch.setattr(oracle, "monoid_forward_image", swapped)
     detail = first_image_failure(seed, 5, 6)

@@ -433,7 +433,7 @@ def test_universal_projection_matches_the_reference_runs():
         target = _normalize(d)
         for k in (1, 2, 3):
             pattern = minimize(_pattern_automaton(target, k, 10_000))
-            got = _universal_projection(pattern, target.alphabet, k, 10_000)
+            got = _universal_projection(pattern, k, 10_000)
             assert got == reference_projection(pattern, target.alphabet, k), (d, k)
 
 

@@ -280,3 +280,15 @@ def test_dot_output_lists_cover_edges_only():
     assert "digraph" in dot
     assert "0 -> 1;" in dot and "2 -> 3;" in dot
     assert "0 -> 3" not in dot  # transitive edge stays implicit
+
+
+def test_dot_output_escapes_quotes_and_backslashes_in_labels():
+    dot = poset_to_dot(FinPoset.from_covers([(0, 1)], 2), labels=['say "hi"', "back\\slash"])
+    assert dot.splitlines() == [
+        "digraph poset {",
+        "  rankdir=BT;",
+        r'  0 [label="say \"hi\""];',
+        r'  1 [label="back\\slash"];',
+        "  0 -> 1;",
+        "}",
+    ]
