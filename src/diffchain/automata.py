@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import sys
 from dataclasses import dataclass
+from itertools import chain
 from typing import Hashable, Iterable, Sequence
 
 from .errors import AlphabetMismatchError, CapacityError
@@ -84,7 +85,7 @@ class Dfa:
         accepting: Iterable[int],
     ):
         alphabet = tuple(alphabet)
-        delta = tuple(tuple(row) for row in delta)
+        delta = tuple(map(tuple, delta))
         accepting = tuple(accepting)
         if not alphabet:
             raise ValueError("alphabet must be nonempty")
@@ -96,12 +97,21 @@ class Dfa:
         n = len(delta)
         if n == 0:
             raise ValueError("need at least one state")
-        for q, row in enumerate(delta):
-            if len(row) != len(alphabet):
-                raise ValueError(f"state {q} has {len(row)} transitions, want {len(alphabet)}")
-            # exact type test: bool is an int subclass but not a state
-            if not all(type(t) is int and 0 <= t < n for t in row):
-                raise ValueError(f"state {q} has a transition outside 0..{n - 1}")
+        # one pass over all rows at C speed; the loop below names the first
+        # bad state.  Exact type test: bool is an int subclass but not a
+        # state, and a set of values would fold True into 1
+        flat = list(chain.from_iterable(delta))
+        if (
+            set(map(len, delta)) != {len(alphabet)}
+            or set(map(type, flat)) != {int}
+            or min(flat) < 0
+            or max(flat) >= n
+        ):
+            for q, row in enumerate(delta):
+                if len(row) != len(alphabet):
+                    raise ValueError(f"state {q} has {len(row)} transitions, want {len(alphabet)}")
+                if not all(type(t) is int and 0 <= t < n for t in row):
+                    raise ValueError(f"state {q} has a transition outside 0..{n - 1}")
         if not (type(start) is int and 0 <= start < n):
             raise ValueError("start state out of range")
         if not all(type(q) is int and 0 <= q < n for q in accepting):

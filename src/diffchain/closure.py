@@ -13,7 +13,11 @@ target in two determinizations, with a minimization in between:
 * the *universal projection* reads a word and tracks every pattern of it at
   once, keeping only the hardest runs (an antichain, as in De Wulf, Doyen,
   Henzinger and Raskin, *Antichains: a new algorithm for checking
-  universality of finite automata*, CAV 2006).
+  universality of finite automata*, CAV 2006).  Runs are ints, and the
+  inclusions between pattern states that prune them are searched on
+  demand: a pattern's letter is a pin, so a plain letter always leads to a
+  lower layer of pin counts, and each search walks one box chain of state
+  pairs, settling every pair on it.
 
 ``diffchain.oracle.marked_pi1_closure`` is the paper's literal construction
 over marked alphabets, kept as the independent reference route.  All
@@ -254,59 +258,107 @@ def _universal_projection(pattern: Dfa, k: int, state_cap: int) -> Dfa:
     """Words all of whose patterns with at most k pins the minimal pattern
     automaton accepts.  BOX, after every plain letter, is its last column.
 
-    A state is an antichain of runs ``(p, c)``: a pattern state and the pins
-    its pattern used.  A run is dropped when another run has at most as many
-    pins and a pattern language included in its own, since every suffix the
-    smaller run allows the larger one allows too.  A run in the dead pattern
-    state makes the whole state the dead antichain ``((dead, 0),)``.  Every
-    letter's runs include the box successors of all runs, so ``step`` prunes
-    those once per state and adds each letter's pinned runs to a copy: the
-    minimal runs of A ∪ B are those of min(A) ∪ B.
+    A state is an antichain of runs: a pattern state p and the pins c its
+    pattern used, as the int ``p << k.bit_length() | c``, so that sorted
+    runs are sorted pairs.  A run is dropped when another run has at most
+    as many pins and a pattern language included in its own, since every
+    suffix the smaller run allows the larger one allows too.  A run in the
+    dead pattern state makes the whole state the dead antichain, the one run
+    ``(dead, 0)``.  Every letter's runs include the box successors of all
+    runs, so ``step`` prunes those once per state and inserts each letter's
+    pinned runs into a copy: the minimal runs of A ∪ B are those of
+    min(A) ∪ B.  The successor run of every run on every column is
+    computed once.
 
     The inclusions are read inline from ``_inclusion_table``, preset from
-    the ``_pin_counts`` signatures.  The antichains do not depend on how the
-    inclusions are found.
+    the ``_pin_counts`` signatures.  Its search needs the pattern's layers:
+    a plain letter into a live state must lower the highest pin count the
+    state accepts, the top bit of its signature (the box never raises it).
+    In a pattern automaton it does, since a pattern's letter is a pin;
+    ValueError names a transition that does not, checked before any search
+    could misread it.  The antichains do not depend on how the inclusions
+    are found.
     """
     box = len(pattern.alphabet) - 1
     pdelta = pattern.delta
-    paccepting = pattern.accepting
     sig = _pin_counts(pattern, box, k)
+    top = [bits.bit_length() for bits in sig]  # 0 for the dead state
+    for p, row in enumerate(pdelta):
+        for t in row[:box]:
+            if top[t] and top[t] >= top[p]:
+                raise ValueError(
+                    f"a letter from pattern state {p} to {t} keeps its highest pin count"
+                )
     # only the empty language has no pattern
     dead = next((p for p, bits in enumerate(sig) if not bits), None)
     rows, new_row, search = _inclusion_table(pattern, dead, sig)
-    dead_runs = ((dead, 0),)
+    shift = k.bit_length()
+    pins = (1 << shift) - 1
+    # the dead antichain; no run can reach it when no state is dead
+    dead_runs = None if dead is None else (dead << shift,)
 
-    def add(kept: list[tuple[int, int]], p: int, c: int) -> bool:
-        """Insert the run ``(p, c)`` into the antichain ``kept`` unless a
-        kept run is below it; False when p is the dead state."""
-        if p == dead:
-            return False
+    def successor_runs(col: int, added: int) -> list[int | None]:
+        """Per run ``p << shift | c``: its successor run on column col,
+        adding ``added`` pins; -1 in the dead state, None past k pins."""
+        out: list[int | None] = [None] * (len(pdelta) << shift)
+        moved = [-1 if row[col] == dead else row[col] << shift for row in pdelta]
+        for c in range(k + 1 - added):
+            out[c::1 << shift] = [t | c + added for t in moved]  # -1 stays -1
+        return out
+
+    box_runs = successor_runs(box, 0)
+    letter_runs = [successor_runs(col, 1) for col in range(box)]
+
+    def insert(kept: list[int], run: int) -> None:
+        """Insert a live run into the antichain ``kept`` unless a kept run
+        is below it, in one pass.  Once the run is below a kept run, no
+        kept run is below it (kept is an antichain), so the rest of the
+        pass only drops the kept runs above it."""
+        p = run >> shift
+        c = run & pins
         row = rows[p] or new_row(p)
-        for p2, c2 in kept:
-            if c2 <= c and (row[p2] or search(p2, p)) == 1:
-                return True
-        kept[:] = [
-            run for run in kept
-            if run[1] < c or (rows[run[0]][p] or search(p, run[0])) == 2
-        ]
-        kept.append((p, c))
-        return True
+        for other in kept:
+            q = other >> shift
+            d = other & pins
+            if d <= c and (row[q] or search(q, p)) == 1:
+                return
+            if c <= d and (rows[q][p] or search(p, q)) == 1:
+                i = kept.index(other)
+                kept[i:] = [
+                    run2 for run2 in kept[i + 1:]
+                    if run2 & pins < c
+                    or (rows[run2 >> shift][p] or search(p, run2 >> shift)) == 2
+                ]
+                break
+        kept.append(run)
 
     def step(runs):
-        base: list[tuple[int, int]] = []
-        if not all(add(base, pdelta[p][box], c) for p, c in runs):
-            return [dead_runs] * box
+        base: list[int] = []
+        for run in runs:
+            t = box_runs[run]
+            if t < 0:
+                return [dead_runs] * box
+            insert(base, t)
         succ = []
-        for col in range(box):
+        for moves in letter_runs:
             kept = base.copy()
-            alive = all(add(kept, pdelta[p][col], c + 1) for p, c in runs if c < k)
-            succ.append(tuple(sorted(kept)) if alive else dead_runs)
+            for run in runs:
+                t = moves[run]
+                if t is None:
+                    continue
+                if t < 0:
+                    succ.append(dead_runs)
+                    break
+                insert(kept, t)
+            else:
+                kept.sort()
+                succ.append(tuple(kept))
         return succ
 
     start = pattern.start
     return _explore(
-        pattern.alphabet[:box], dead_runs if start == dead else ((start, 0),), step,
-        lambda runs: all(p in paccepting for p, _ in runs),
+        pattern.alphabet[:box], dead_runs if start == dead else (start << shift,), step,
+        {p << shift | c for p in pattern.accepting for c in range(k + 1)}.issuperset,
         state_cap, f"universal projection passed {state_cap} states at k={k}",
     )
 
@@ -340,22 +392,38 @@ def _pin_counts(pattern: Dfa, box: int, k: int) -> list[int]:
 
 
 def _inclusion_table(d: Dfa, dead: int | None, sig: list[int]):
-    """A table of language inclusions between the states of a minimal DFA,
-    filled on demand: ``rows[q][p]`` is 1 when L(p) is included in L(q), 2
-    when it is not and 0 while unknown.  ``sig`` is a bitmask per state,
-    with sig[p] a subset of sig[q] whenever L(p) ⊆ L(q); the acceptance bit
-    alone is one.
+    """A table of language inclusions between the states of a minimal
+    pattern automaton, filled on demand: ``rows[q][p]`` is 1 when L(p) is
+    included in L(q), 2 when it is not and 0 while unknown.  ``sig`` is a
+    bitmask per state, with sig[p] a subset of sig[q] whenever
+    L(p) ⊆ L(q); the acceptance bit alone is one.
 
     Returns ``(rows, new_row, search)``.  ``rows[q]`` is None until
     ``new_row(q)`` allocates it as a copy of sig[q]'s template: 2 for every
     p whose signature has a bit that sig[q] lacks, 1 on the diagonal and
     for the dead state.  ``search(p, q)`` settles an unknown entry
-    ``rows[q][p]`` of an allocated row by a depth-first search of the pair
-    product and returns it: on success every visited pair is included; on
-    failure every pair on the path from (p, q) to the failing pair is not,
-    since a letter leads each to the next.
+    ``rows[q][p]`` of an allocated row and returns it, settling every pair
+    it visits: no pair is searched twice.
+
+    The search relies on the layers of a pattern automaton, whose box is
+    its last column.  Call the layer of a live state the highest pin count
+    it accepts, the top bit of its ``_pin_counts`` signature.  The box
+    never raises it, and a plain letter into a live state lowers it, so
+    every cycle of the pair product moves on the box alone.  The search
+    walks the box chain of pairs from (p, q), marking each 3 while in
+    progress.  At each pair it first settles the plain-letter successor
+    pairs, each by a recursive search in a lower layer; one that is not
+    included fails every pair of the chain, since each leads to the next.
+    Otherwise the walk goes on until a settled pair, a pair of equal states
+    or a pair of its own chain.  That pair's verdict, or inclusion for a
+    cycle all of whose pairs passed their letters, holds for every pair of
+    the chain.  A recursion stays below the layer of every pair its callers
+    have marked, so a mark it meets closes its own cycle, and it nests at
+    most k + 1 deep.  ``_universal_projection`` checks the layers first.
     """
-    delta = d.delta
+    box = len(d.alphabet) - 1
+    box_of = [row[box] for row in d.delta]
+    letters_of = [row[:box] for row in d.delta]
     templates: dict[int, bytearray] = {}
     rows: list[bytearray | None] = [None] * d.n_states
 
@@ -371,31 +439,24 @@ def _inclusion_table(d: Dfa, dead: int | None, sig: list[int]):
         return row
 
     def search(p: int, q: int) -> int:
-        rows[q][p] = 3  # 3: visited by this search
-        visited = [(p, q, -1)]  # each pair with the index of its parent
-        stack = [0]
-        while stack:
-            i = stack.pop()
-            x, y, _ = visited[i]
-            for nx, ny in zip(delta[x], delta[y]):
-                if nx == ny:
-                    continue
-                row = rows[ny] or new_row(ny)
-                known = row[nx]
-                if known == 2:
-                    for x, y, _ in visited:
-                        rows[y][x] = 0
-                    while i >= 0:
-                        x, y, i = visited[i]
-                        rows[y][x] = 2
-                    return 2
-                if not known:
-                    row[nx] = 3
-                    stack.append(len(visited))
-                    visited.append((nx, ny, i))
-        for x, y, _ in visited:
-            rows[y][x] = 1
-        return 1
+        x, y, row = p, q, rows[q]
+        chain = []
+        verdict = 0
+        while not verdict:
+            row[x] = 3  # 3: on the chain of a search in progress
+            chain.append((row, x))
+            for nx, ny in zip(letters_of[x], letters_of[y]):
+                if nx != ny and ((rows[ny] or new_row(ny))[nx] or search(nx, ny)) == 2:
+                    verdict = 2
+                    break
+            else:
+                x, y = box_of[x], box_of[y]
+                row = rows[y] or new_row(y)
+                verdict = row[x]  # 1 on the diagonal
+        verdict = 2 if verdict == 2 else 1  # 3: the chain closed a cycle
+        for row, x in chain:
+            row[x] = verdict
+        return verdict
 
     return rows, new_row, search
 

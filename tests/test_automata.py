@@ -160,6 +160,21 @@ def test_dfa_validation():
         Dfa(AB, [[0, 0]], 0, [True])
 
 
+@pytest.mark.parametrize("row, message", [
+    ([1, True], "state 777 has a transition outside 0..999"),
+    ([-1, 1], "state 777 has a transition outside 0..999"),
+    ([1, 1000], "state 777 has a transition outside 0..999"),
+    ([1], "state 777 has 1 transitions, want 2"),
+])
+def test_dfa_names_the_bad_state_deep_in_a_large_table(row, message):
+    # the other rows hold the state 1, so a check on the set of values
+    # rather than on their types would take True for a state
+    delta = [[(q + 1) % 1000, 1] for q in range(1000)]
+    delta[777] = row
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        Dfa(AB, delta, 0, [])
+
+
 def test_dfa_puts_its_columns_in_canonical_order():
     # plain letters first, then the erased letter, then marked ones
     canonical = ("a", "b", Marked(None), Marked("a", {"x1"}))

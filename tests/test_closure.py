@@ -294,7 +294,8 @@ def empty_state(d: Dfa) -> int | None:
 def settle_every_pair(rng, pattern, sig):
     """Settle every entry of ``_inclusion_table(pattern, dead, sig)``, in a
     shuffled order so that later questions read what earlier searches
-    memoized.  Returns the rows and the number of searches."""
+    memoized, and check after each search that no pair is left marked in
+    progress.  Returns the rows and the number of searches."""
     from diffchain.closure import _inclusion_table
 
     n = pattern.n_states
@@ -307,6 +308,8 @@ def settle_every_pair(rng, pattern, sig):
         if not row[p]:
             searched += 1
             assert search(p, q) == row[p], (p, q)
+            # every pair the search visited is settled, none left in progress
+            assert not any(3 in other for other in rows if other), (p, q)
     return [list(row) for row in rows], searched
 
 
@@ -382,8 +385,34 @@ def test_inclusion_table_with_pin_counts_settles_every_pair():
         accepts = [1 if p in pattern.accepting else 0 for p in range(n)]
         with_acceptance += settle_every_pair(rng, pattern, accepts)[1]
     # the presets settle pairs that acceptance alone leaves to a search
-    # (5 305 searches against 9 425 on this corpus)
+    # (5 199 searches against 9 609 on this corpus)
     assert with_pins < with_acceptance
+
+
+def test_plain_letters_lower_the_top_pin_count():
+    # the layers that _inclusion_table's search relies on
+    from diffchain.closure import BOX, _normalize, _pattern_automaton, _pin_counts
+
+    patterns = [(k, pattern) for k, pattern, _ in minimal_patterns()]
+    target = _normalize(period_65_counter())
+    patterns += [(k, minimize(_pattern_automaton(target, k, 10_000))) for k in (1, 2, 3)]
+    for k, pattern in patterns:
+        box = pattern.letter_index(BOX)
+        top = [bits.bit_length() for bits in _pin_counts(pattern, box, k)]
+        for p, row in enumerate(pattern.delta):
+            assert top[row[box]] <= top[p], (p, k)
+            for t in row[:box]:
+                assert not top[t] or top[t] < top[p], (p, t, k)
+
+
+def test_universal_projection_refuses_a_letter_that_keeps_the_pin_count():
+    from diffchain.closure import BOX, _universal_projection
+
+    # every pattern of a's and boxes: a letter leads back to the same layer
+    looping = Dfa(("a", BOX), [[0, 0]], 0, [0])
+    for k in (1, 2, 3):
+        with pytest.raises(ValueError, match=r"^a letter from pattern state 0 to 0 "):
+            _universal_projection(looping, k, 100)
 
 
 def reference_projection(pattern: Dfa, letters, k: int) -> Dfa:
@@ -435,6 +464,22 @@ def test_universal_projection_matches_the_reference_runs():
             pattern = minimize(_pattern_automaton(target, k, 10_000))
             got = _universal_projection(pattern, k, 10_000)
             assert got == reference_projection(pattern, target.alphabet, k), (d, k)
+
+
+def test_universal_projection_matches_the_reference_runs_above_the_cap(monkeypatch):
+    # k = 4 and 5 nest the inclusion search deeper than the default cap allows
+    from diffchain.closure import _normalize, _pattern_automaton, _universal_projection
+
+    monkeypatch.setattr(closure, "DEFAULT_K_CAP", 5)
+    rng = random.Random(4242)
+    for _ in range(10):
+        d = random_dfa(rng, 5, AB)
+        target = _normalize(d)
+        for k in (4, 5):
+            pattern = minimize(_pattern_automaton(target, k, 10_000))
+            got = _universal_projection(pattern, k, 10_000)
+            assert got == reference_projection(pattern, target.alphabet, k), (d, k)
+            assert pi1_closure(d, k) == minimize(got), (d, k)
 
 
 # ----- chains of closures ------------------------------------------------
