@@ -168,7 +168,9 @@ def _cmd_poset_chain(args) -> int:
 
 def _chain_lines(members, chain):
     """The chain report as JSON, one top-level key per line and one chain
-    component per line, so no part needs the pure-Python indenting encoder."""
+    component per line, so no part needs the pure-Python indenting encoder.
+    The report is quadratic in size on tall posets, so the components' text
+    comes spliced from ``_sorted_components``, not from ``json.dumps``."""
     yield "{"
     yield f'  "V": {json.dumps(sorted(members))},'
     yield f'  "m": {chain.pairs},'
@@ -185,18 +187,37 @@ def _sorted_components(chain) -> tuple[list[str], list[int]]:
     """Sorted members of each component as JSON text, and every element's
     degree, built innermost first: each component adds its difference to the
     next one, so every element is enumerated once.  Component i holds the
-    elements of degree >= i, so i is the degree of the elements it adds."""
+    elements of degree >= i, so i is the degree of the elements it adds.
+
+    On a tall poset the report is quadratic in size (a 1200-element chain
+    with every second element chosen has 1200 nested components), so each
+    component's text is spliced from the next one's: the new elements'
+    text goes in front when they all come first, as on a chain, or at the
+    end when they all come last.  Only new elements that fall between the
+    inner ones make the component's text be rebuilt from its mask."""
+    n = chain.poset.n
+    names = list(map(str, range(n)))
     comps: list[str] = []
-    degs = [0] * chain.poset.n
-    inner: list[int] = []
+    degs = [0] * n
+    text = "[]"
     prev = 0
     for i in range(len(chain.masks), 0, -1):
-        new = bits(chain.masks[i - 1] & ~prev)
+        mask = chain.masks[i - 1]
+        new = bits(mask & ~prev)
         for x in new:
             degs[x] = i
-        inner = sorted(inner + new)
-        comps.append(json.dumps(inner))
-        prev = chain.masks[i - 1]
+        if new:
+            added = ", ".join([names[x] for x in new])
+            if not prev:
+                text = f"[{added}]"
+            elif new[-1] < (prev & -prev).bit_length() - 1:
+                text = f"[{added}, {text[1:]}"
+            elif new[0] >= prev.bit_length():
+                text = f"{text[:-1]}, {added}]"
+            else:
+                text = f"[{', '.join([names[x] for x in bits(mask)])}]"
+        comps.append(text)
+        prev = mask
     comps.reverse()
     return comps, degs
 

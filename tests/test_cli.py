@@ -89,6 +89,73 @@ def test_chain_components_give_every_degree():
         assert degs == list(chains.degrees(poset, members)), (poset, chosen)
 
 
+def _component_text_cases():
+    """(poset, members) pairs: every subset of every poset on at most 4
+    points, random posets on up to 40 points with shuffled numbering, and
+    chains of 50 and 51 points numbered upward and downward."""
+    cases = [
+        (p, frozenset(i for i in range(p.n) if chosen >> i & 1))
+        for p in oracle.all_posets_upto(4) for chosen in range(1 << p.n)
+    ]
+    rng = random.Random(1907)
+    for _ in range(200):
+        n = rng.randint(1, 40)
+        perm = rng.sample(range(n), n)
+        edges = [
+            (perm[i], perm[j]) for i in range(n) for j in range(i + 1, n)
+            if rng.random() < 0.15
+        ]
+        poset = FinPoset.from_covers(edges, n)
+        cases.append((poset, frozenset(x for x in range(n) if rng.random() < 0.5)))
+    for n in (50, 51):
+        for down in (False, True):
+            covers = [(i + 1, i) if down else (i, i + 1) for i in range(n - 1)]
+            poset = FinPoset.from_covers(covers, n)
+            cases += [
+                (poset, frozenset(range(0, n, 2))),
+                (poset, frozenset(range(1, n, 3))),
+                (poset, frozenset(rng.sample(range(n), n // 2))),
+            ]
+    return cases
+
+
+def test_chain_component_text_matches_the_json_encoder():
+    # the components' text is spliced from the next component's; it must
+    # read exactly as json.dumps writes the sorted component.  The cases
+    # put new elements before, after and between the inner ones
+    seen = set()
+    for poset, members in _component_text_cases():
+        chain = chains.canonical_chain(poset, members)
+        comps, _ = cli._sorted_components(chain)
+        assert comps == [json.dumps(sorted(s)) for s in chain.sets], (poset, members)
+        for outer, inner in zip(chain.masks, chain.masks[1:]):
+            new = outer & ~inner
+            if new and inner:
+                seen.add(
+                    "before" if new < inner & -inner
+                    else "after" if inner < new & -new
+                    else "between"
+                )
+    assert seen == {"before", "after", "between"}
+    empty = chains.canonical_chain(FinPoset.from_covers([(0, 1)], 2), frozenset())
+    assert cli._sorted_components(empty) == ([], [0, 0])
+
+
+def test_poset_chain_encodes_no_component(tmp_path, monkeypatch, capsys):
+    # json.dumps writes V and the degrees; the components' text never goes
+    # through it, however many components there are
+    n = 300
+    path = poset_doc_file(tmp_path, {"n": n, "covers": [[i, i + 1] for i in range(n - 1)]})
+    real = cli.json.dumps
+    calls = []
+    monkeypatch.setattr(cli.json, "dumps", lambda obj: calls.append(obj) or real(obj))
+    for members, count in (("0", 2), (",".join(map(str, range(0, n, 2))), n)):
+        calls.clear()
+        assert main(["poset", "chain", "--poset", str(path), "--set", members]) == 0
+        assert len(json.loads(capsys.readouterr().out)["K"]) == count
+        assert len(calls) == 2
+
+
 def test_poset_chain_empty_set(chain_poset_file, capsys):
     code = main(["poset", "chain", "--poset", str(chain_poset_file), "--set", ""])
     assert code == 0
