@@ -40,13 +40,7 @@ class Marked:
     marks: frozenset[str] = frozenset()
 
     def __post_init__(self):
-        marks = frozenset(self.marks)
-        object.__setattr__(self, "marks", marks)
-        # ``letter_key``'s value, computed once: not a field, so equality,
-        # hash and repr do not see it
-        object.__setattr__(
-            self, "_key", (1, self.base is not None, self.base or "", tuple(sorted(marks)))
-        )
+        object.__setattr__(self, "marks", frozenset(self.marks))
 
     def __str__(self):
         base = self.base if self.base is not None else "ε"
@@ -58,7 +52,7 @@ class Marked:
 def letter_key(letter: Letter):
     """Total order on letters; plain strings first, then marked letters."""
     if isinstance(letter, Marked):
-        return letter._key
+        return (1, letter.base is not None, letter.base or "", tuple(sorted(letter.marks)))
     return (0, str(letter))
 
 

@@ -185,16 +185,15 @@ def _chain_lines(members, chain):
 
 def _sorted_components(chain) -> tuple[list[str], list[int]]:
     """Sorted members of each component as JSON text, and every element's
-    degree, built innermost first: each component adds its difference to the
-    next one, so every element is enumerated once.  Component i holds the
-    elements of degree >= i, so i is the degree of the elements it adds.
+    degree, built innermost first: each component adds its difference to
+    the next one.  Component i holds the elements of degree >= i, so i is
+    the degree of the elements it adds.
 
     On a tall poset the report is quadratic in size (a 1200-element chain
-    with every second element chosen has 1200 nested components), so each
-    component's text is spliced from the next one's: the new elements'
-    text goes in front when they all come first, as on a chain, or at the
-    end when they all come last.  Only new elements that fall between the
-    inner ones make the component's text be rebuilt from its mask."""
+    with every second element chosen has 1200 nested components), so when
+    every new element comes before the inner ones, as on a chain, the
+    component's text is the new elements' text spliced in front of the
+    next one's.  Otherwise it is rebuilt from the component's mask."""
     n = chain.poset.n
     names = list(map(str, range(n)))
     comps: list[str] = []
@@ -207,13 +206,8 @@ def _sorted_components(chain) -> tuple[list[str], list[int]]:
         for x in new:
             degs[x] = i
         if new:
-            added = ", ".join([names[x] for x in new])
-            if not prev:
-                text = f"[{added}]"
-            elif new[-1] < (prev & -prev).bit_length() - 1:
-                text = f"[{added}, {text[1:]}"
-            elif new[0] >= prev.bit_length():
-                text = f"{text[:-1]}, {added}]"
+            if prev and new[-1] < (prev & -prev).bit_length() - 1:
+                text = f"[{', '.join([names[x] for x in new])}, {text[1:]}"
             else:
                 text = f"[{', '.join([names[x] for x in bits(mask)])}]"
         comps.append(text)

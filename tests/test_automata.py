@@ -4,7 +4,6 @@ homomorphic images, structures, quantifier adjoints)."""
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import random
 import time
@@ -98,19 +97,6 @@ def test_letter_key_orders_plain_before_marked():
     ordered = sorted(letters, key=letter_key)
     assert ordered[:2] == ["a", "b"]
     assert ordered[2] == Marked(None)  # erased letters sort first among marked
-
-
-@pytest.mark.parametrize("n", [1, 2, 3])
-def test_marked_letter_key_is_computed_once_and_unchanged(n):
-    # the key is stored when the letter is built; it must still be the
-    # sort of the marks, and stay out of equality, hash and repr
-    for letter in marked_alphabet(AB, variables(n), with_erased=True):
-        old = (1, letter.base is not None, letter.base or "", tuple(sorted(letter.marks)))
-        assert letter_key(letter) == old
-        twin = Marked(letter.base, list(reversed(sorted(letter.marks))))
-        assert twin == letter and hash(twin) == hash(letter)
-        assert repr(letter) == f"Marked(base={letter.base!r}, marks={letter.marks!r})"
-    assert [f.name for f in dataclasses.fields(Marked)] == ["base", "marks"]
 
 
 def test_marked_alphabet_sizes():
