@@ -14,6 +14,7 @@ import json
 import sys
 from dataclasses import dataclass
 from itertools import chain
+from operator import itemgetter
 from typing import Hashable, Iterable, Sequence
 
 from .errors import AlphabetMismatchError, CapacityError
@@ -64,6 +65,71 @@ def _plain_alphabet(d: Dfa) -> tuple[str, ...]:
 
 # ----- the automaton -----------------------------------------------------
 
+# The canonical order, checks and letter index of an alphabet depend on the
+# alphabet alone, so they are computed once per alphabet and shared by every
+# automaton over it.  _ALPHABET_CACHE maps an alphabet to (its canonical
+# tuple, the column permutation or None, the letter index); each canonical
+# tuple is interned, and is its own key with permutation None.
+# _CANONICAL_BY_ID finds that entry by the tuple's identity, which is what
+# automata pass on (``d.alphabet``), without hashing a letter.  The cache
+# holds every tuple it indexes, so an id there names a live canonical tuple.
+# Equal letters of different types (1, 1.0, True) must not share letter
+# objects, so only alphabets of plain strings and string-based Marked
+# letters are interned; failures are never cached.
+_ALPHABET_CACHE: dict[tuple, tuple] = {}
+_CANONICAL_BY_ID: dict[int, tuple] = {}
+_ALPHABET_CACHE_LIMIT = 1024
+_INTERNED_TYPES = frozenset({str, Marked})
+
+
+def _internable(letter: Letter) -> bool:
+    if type(letter) is str:
+        return True
+    return (
+        type(letter) is Marked
+        and (letter.base is None or type(letter.base) is str)
+        and all(type(v) is str for v in letter.marks)
+    )
+
+
+def _canonical_alphabet(letters: tuple) -> tuple[tuple, itemgetter | None, dict]:
+    """(canonical tuple, column permutation or None, letter index) of an
+    alphabet: its letters sorted by ``letter_key``, after checking that
+    there is at least one, that they are distinct and that no two keys tie."""
+    entry = _CANONICAL_BY_ID.get(id(letters))
+    if entry is not None and entry[0] is letters:
+        return entry
+    interned = set(map(type, letters)) <= _INTERNED_TYPES
+    if interned:
+        entry = _ALPHABET_CACHE.get(letters)
+        if entry is not None:
+            return entry
+    if not letters:
+        raise ValueError("alphabet must be nonempty")
+    if len(set(letters)) != len(letters):
+        raise ValueError("alphabet letters must be distinct")
+    keys = [letter_key(a) for a in letters]
+    if len(set(keys)) != len(keys):
+        raise ValueError("alphabet letters must have distinct letter_key values")
+    cols = sorted(range(len(keys)), key=keys.__getitem__)
+    if cols == list(range(len(keys))):
+        canonical, perm = letters, None
+    else:
+        canonical, perm = tuple(letters[i] for i in cols), itemgetter(*cols)
+    if not (interned and all(map(_internable, letters))):
+        return canonical, perm, {a: i for i, a in enumerate(canonical)}
+    if len(_ALPHABET_CACHE) >= _ALPHABET_CACHE_LIMIT:
+        _ALPHABET_CACHE.clear()
+        _CANONICAL_BY_ID.clear()
+    base = _ALPHABET_CACHE.get(canonical)
+    if base is None:
+        base = (canonical, None, {a: i for i, a in enumerate(canonical)})
+        _ALPHABET_CACHE[canonical] = base
+        _CANONICAL_BY_ID[id(canonical)] = base
+    entry = base if perm is None else (base[0], perm, base[2])
+    _ALPHABET_CACHE[letters] = entry
+    return entry
+
 
 class Dfa:
     """A complete deterministic automaton.
@@ -72,7 +138,8 @@ class Dfa:
     alphabet order, which the constructor makes canonical: it sorts the
     letters by ``letter_key`` (rejecting ties such as 1 and "1") and
     permutes every row to match.  Instances are immutable; equality is
-    structural.
+    structural.  Automata over one alphabet share its canonical tuple and
+    letter index.
     """
 
     __slots__ = ("alphabet", "delta", "start", "accepting", "_index", "_hash")
@@ -87,13 +154,7 @@ class Dfa:
         alphabet = tuple(alphabet)
         delta = tuple(map(tuple, delta))
         accepting = tuple(accepting)
-        if not alphabet:
-            raise ValueError("alphabet must be nonempty")
-        if len(set(alphabet)) != len(alphabet):
-            raise ValueError("alphabet letters must be distinct")
-        keys = [letter_key(a) for a in alphabet]
-        if len(set(keys)) != len(keys):
-            raise ValueError("alphabet letters must have distinct letter_key values")
+        alphabet, perm, index = _canonical_alphabet(alphabet)
         n = len(delta)
         if n == 0:
             raise ValueError("need at least one state")
@@ -116,17 +177,13 @@ class Dfa:
             raise ValueError("start state out of range")
         if not all(type(q) is int and 0 <= q < n for q in accepting):
             raise ValueError("accepting states out of range")
-        accepting = frozenset(accepting)
-        cols = sorted(range(len(keys)), key=keys.__getitem__)
-        if cols != list(range(len(keys))):
-            alphabet = tuple(alphabet[i] for i in cols)
-            delta = tuple(tuple(row[i] for i in cols) for row in delta)
+        if perm is not None:
+            delta = tuple(map(perm, delta))
         object.__setattr__(self, "alphabet", alphabet)
         object.__setattr__(self, "delta", delta)
         object.__setattr__(self, "start", start)
-        object.__setattr__(self, "accepting", accepting)
-        object.__setattr__(self, "_index", {a: i for i, a in enumerate(alphabet)})
-        object.__setattr__(self, "_hash", hash((alphabet, delta, start, accepting)))
+        object.__setattr__(self, "accepting", frozenset(accepting))
+        object.__setattr__(self, "_index", index)
 
     def __setattr__(self, name, value):
         raise AttributeError("Dfa is immutable")
@@ -159,7 +216,13 @@ class Dfa:
         )
 
     def __hash__(self):
-        return self._hash
+        # computed on first use: most automata are never hashed
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash((self.alphabet, self.delta, self.start, self.accepting))
+            object.__setattr__(self, "_hash", h)
+            return h
 
     def __repr__(self):
         return f"Dfa(states={self.n_states}, letters={len(self.alphabet)})"
@@ -245,7 +308,7 @@ def union(d1: Dfa, d2: Dfa) -> Dfa:
 
 
 def difference(d1: Dfa, d2: Dfa) -> Dfa:
-    return intersect(d1, complement(d2))
+    return _product(d1, d2, lambda a, b: a and not b)
 
 
 def is_empty_lang(d: Dfa) -> bool:

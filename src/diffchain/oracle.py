@@ -444,7 +444,8 @@ def marked_alphabet(
     bases: list[str | None] = list(base_letters)
     if with_erased:
         bases.append(None)
-    letters = [Marked(b, s) for b in bases for s in mark_subsets(variables_)]
+    subsets = mark_subsets(variables_)
+    letters = [Marked(b, s) for b in bases for s in subsets]
     return tuple(sorted(letters, key=letter_key))
 
 

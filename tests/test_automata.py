@@ -5,8 +5,12 @@ homomorphic images, structures, quantifier adjoints)."""
 from __future__ import annotations
 
 import itertools
+import os
 import random
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -32,6 +36,8 @@ from diffchain import (
     subset_of,
     union,
 )
+import diffchain
+from diffchain import automata
 from diffchain.automata import letter_key
 from diffchain.oracle import (
     Hom,
@@ -112,6 +118,16 @@ def test_mark_subsets_order():
     assert subs[0] == frozenset()
     assert set(subs[1:3]) == {frozenset({"x1"}), frozenset({"x2"})}
     assert subs[3] == frozenset({"x1", "x2"})
+
+
+def test_marked_alphabet_matches_one_mark_subsets_per_base_letter():
+    # the list of mark sets is computed once and shared by every base letter
+    for n in (1, 2, 3):
+        xs = variables(n)
+        for with_erased in (False, True):
+            bases = list(AB) + ([None] if with_erased else [])
+            old = sorted((Marked(b, s) for b in bases for s in mark_subsets(xs)), key=letter_key)
+            assert marked_alphabet(AB, xs, with_erased) == tuple(old)
 
 
 def test_variable_validation():
@@ -200,6 +216,96 @@ def test_dfa_rejects_letters_without_a_canonical_order():
         Dfa(("a", 1, "b", "1"), [[0, 0, 0, 0]], 0, [])
 
 
+@pytest.fixture
+def empty_alphabet_cache(monkeypatch):
+    """A fresh alphabet cache, so a test sees each alphabet for the first
+    time; the shared one comes back afterwards."""
+    monkeypatch.setattr(automata, "_ALPHABET_CACHE", {})
+    monkeypatch.setattr(automata, "_CANONICAL_BY_ID", {})
+
+
+def test_equal_letters_of_different_types_keep_their_own_objects(empty_alphabet_cache):
+    # 1 == True == 1.0 and Marked(1) == Marked(True), with equal hashes
+    for first in (1, True, 1.0, 1, Marked(1), Marked(True), Marked(1)):
+        d = Dfa((first, "b"), [[0, 0]], 0, [0])
+        assert any(a is first for a in d.alphabet)
+        assert sorted(map(repr, d.alphabet)) == sorted([repr(first), "'b'"])
+        assert d.accepts([first, "b"]) and d.accepts(["b", first])
+
+
+def test_canonical_alphabet_passed_back_gives_the_same_automaton(empty_alphabet_cache):
+    canonical = ("a", "b", Marked(None), Marked("a", {"x1"}))
+    rng = random.Random(2003)
+    for order in itertools.permutations(canonical):
+        automata._ALPHABET_CACHE.clear()
+        automata._CANONICAL_BY_ID.clear()
+        cols = [order.index(a) for a in canonical]
+        for _ in range(5):
+            delta = [[rng.randrange(4) for _ in order] for _ in range(4)]
+            d = Dfa(order, delta, 0, [1, 3])
+            assert d.alphabet == canonical
+            assert d.delta == tuple(tuple(row[i] for i in cols) for row in delta)
+            again = Dfa(d.alphabet, d.delta, d.start, d.accepting)
+            assert again == d and again.delta == d.delta and again.alphabet is d.alphabet
+            # a fresh tuple in the first order still takes its permutation
+            assert Dfa(list(order), delta, 0, [1, 3]) == d
+            assert minimize(d) == minimize(again)
+
+
+def test_alphabet_cache_stays_small(empty_alphabet_cache, monkeypatch):
+    monkeypatch.setattr(automata, "_ALPHABET_CACHE_LIMIT", 4)
+    for order in itertools.permutations(("a", "b", "c", Marked(None))):
+        d = Dfa(order, [[0, 0, 0, 0], [int(a == "c") for a in order]], 1, [0])
+        assert len(automata._ALPHABET_CACHE) <= 5
+        again = Dfa(d.alphabet, d.delta, d.start, d.accepting)
+        assert again == d and again.alphabet == ("a", "b", "c", Marked(None))
+        assert d.delta[1] == (0, 0, 1, 0)
+
+
+@pytest.mark.parametrize("letters, error, message", [
+    (("a", "a"), ValueError, "alphabet letters must be distinct"),
+    ((Marked("a"), "b", Marked("a")), ValueError, "alphabet letters must be distinct"),
+    ((1, "1"), ValueError, "alphabet letters must have distinct letter_key values"),
+    (("a", ["b"]), TypeError, "unhashable type: 'list'"),
+    ((Marked(["a"]), "b"), TypeError, "unhashable type: 'list'"),
+])
+def test_bad_alphabets_fail_on_every_construction(letters, error, message):
+    for _ in range(3):
+        with pytest.raises(error, match=f"^{message}$"):
+            Dfa(letters, [[0] * len(letters)], 0, [])
+
+
+def test_repeated_alphabet_computes_its_keys_once(empty_alphabet_cache, monkeypatch):
+    calls = []
+
+    def counting_key(letter):
+        calls.append(letter)
+        return letter_key(letter)
+
+    monkeypatch.setattr(automata, "letter_key", counting_key)
+    letters = ["b", Marked("a", {"x1"}), "a", Marked(None)]
+    d = Dfa(letters, [[0] * 4], 0, [0])
+    for i in range(1000):
+        e = Dfa(list(letters) if i % 2 else d.alphabet, [[0] * 4], 0, [0])
+        assert e == d
+    assert len(calls) <= len(letters)
+
+
+def test_importing_the_library_builds_no_automaton():
+    # the benchmark's cold-start check reads module attributes named *_CACHE
+    code = (
+        "import sys, diffchain, diffchain.cli, diffchain.oracle\n"
+        "from diffchain import automata\n"
+        "sys.exit(len(automata._ALPHABET_CACHE) + len(automata._CANONICAL_BY_ID))\n"
+    )
+    src = str(Path(diffchain.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    Dfa(AB, [[0, 0]], 0, [])
+    assert any(name.endswith("_CACHE") and value for name, value in vars(automata).items())
+
+
 def test_dfa_is_immutable_and_hashable():
     d = a_plus()
     with pytest.raises(AttributeError):
@@ -259,6 +365,11 @@ def test_boolean_operations_match_set_algebra(d1, d2):
         assert i.accepts(w) == (a1 and a2)
         assert m.accepts(w) == (a1 and not a2)
         assert c.accepts(w) == (not a1)
+
+
+@given(dfas(), dfas())
+def test_difference_equals_intersection_with_the_complement(d1, d2):
+    assert difference(d1, d2) == intersect(d1, complement(d2))
 
 
 @given(dfas(), dfas())
