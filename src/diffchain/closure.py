@@ -14,10 +14,11 @@ target in two determinizations, with a minimization in between:
   once, keeping only the hardest runs (an antichain, as in De Wulf, Doyen,
   Henzinger and Raskin, *Antichains: a new algorithm for checking
   universality of finite automata*, CAV 2006).  Runs are ints, and the
-  inclusions between pattern states that prune them are searched on
-  demand: a pattern's letter is a pin, so a plain letter always leads to a
-  lower layer of pin counts, and each search walks one box chain of state
-  pairs, settling every pair on it.
+  inclusions between pattern states that prune them are read off the keys
+  the pattern automaton built its states from where these prove them, and
+  otherwise searched on demand: a pattern's letter is a pin, so a plain
+  letter always leads to a lower layer of pin counts, and each search
+  walks one box chain of state pairs, settling every pair on it.
 
 ``diffchain.oracle.marked_pi1_closure`` is the paper's literal construction
 over marked alphabets, kept as the independent reference route.  All
@@ -28,6 +29,7 @@ dropping the empty word.
 from __future__ import annotations
 
 import json
+from bisect import insort
 from dataclasses import dataclass
 from itertools import islice
 
@@ -61,7 +63,9 @@ _LENGTH_BITS = 64
 def _normalize(d: Dfa) -> Dfa:
     """Canonical form of the nonempty-word part of the language."""
     base = _plain_alphabet(d)
-    return minimize(intersect(d, dfa_nonempty_words(base)))
+    if d.start in d.accepting:  # L ∩ A⁺ = L exactly when ε is not in L
+        d = intersect(d, dfa_nonempty_words(base))
+    return minimize(d)
 
 
 def _check_variables(k: int) -> None:
@@ -81,8 +85,35 @@ def pi1_closure(d: Dfa, k: int, state_cap: int = DEFAULT_STATE_CAP) -> Dfa:
     """
     _check_variables(k)
     target = _normalize(d)
-    pattern = minimize(_pattern_automaton(target, k, state_cap))
-    return minimize(_universal_projection(pattern, k, state_cap))
+    pattern, keys = _keyed_pattern(target, k, state_cap)
+    return minimize(_universal_projection(pattern, k, state_cap, keys))
+
+
+def _keyed_pattern(
+    target: Dfa, k: int, state_cap: int
+) -> tuple[Dfa, list[tuple[int, int]]]:
+    """The minimal pattern automaton, and for each of its states the key of
+    a raw state with its language.  The raw automaton and the other keys
+    are dropped on return, before the projection."""
+    recorded: list[tuple[int, int]] = []
+    raw = _pattern_automaton(target, k, state_cap, recorded)
+    pattern = minimize(raw)
+    return pattern, [recorded[r] for r in _representatives(raw, pattern)]
+
+
+def _representatives(raw: Dfa, minimal: Dfa) -> list[int]:
+    """For each state of ``minimal``, the minimal automaton of ``raw``, a
+    raw state of its block, found by walking both from their starts in
+    lockstep: the two states of a visited pair have one language."""
+    rep = [-1] * minimal.n_states
+    rep[minimal.start] = raw.start
+    todo = [(raw.start, minimal.start)]
+    for r, m in todo:  # the loop reaches the pairs it appends
+        for t, u in zip(raw.delta[r], minimal.delta[m]):
+            if rep[u] < 0:
+                rep[u] = t
+                todo.append((t, u))
+    return rep
 
 
 def _language_below(d: Dfa) -> list[int]:
@@ -124,7 +155,9 @@ def _language_below(d: Dfa) -> list[int]:
     return below
 
 
-def _pattern_automaton(target: Dfa, k: int, state_cap: int) -> Dfa:
+def _pattern_automaton(
+    target: Dfa, k: int, state_cap: int, keys: list[tuple[int, int]] | None = None
+) -> Dfa:
     """Patterns over the target's letters and BOX with at most k pinned
     letters that some word of the target matches, letter for letter.
 
@@ -145,6 +178,13 @@ def _pattern_automaton(target: Dfa, k: int, state_cap: int) -> Dfa:
     one state where the subsets S, Post(S), Post^2(S), ... gave many.  When
     T + P exceeds ``_LENGTH_BITS``, the top layer keeps the subset states
     ``(k, S)`` of the layers below.
+
+    ``keys``, when given, receives each state's key in numbering order.
+    A key proves inclusions: L(c, S) ⊆ L(c', S') when c >= c' and
+    S ⊆ S', and L(k, λ) ⊆ L(k, λ') when the length set λ ⊆ λ'.  A length
+    set is recorded with every bit from ``_LENGTH_BITS`` up set, so that
+    the one test, c >= c' and S ⊆ S', compares two length sets as sets and
+    never passes between a length set and a subset of target states.
     """
     n = target.n_states
     width = len(target.alphabet)
@@ -156,11 +196,10 @@ def _pattern_automaton(target: Dfa, k: int, state_cap: int) -> Dfa:
     ]
     tables = []
     for low_state in range(0, n, 8):
-        table = [0] * 256
-        for byte in range(1, 256):
+        table = [0] * (1 << min(8, n - low_state))
+        for byte in range(1, len(table)):
             low = byte & -byte
-            q = low_state + low.bit_length() - 1
-            table[byte] = table[byte ^ low] | (packed[q] if q < n else 0)
+            table[byte] = table[byte ^ low] | packed[low_state + low.bit_length() - 1]
         tables.append(table)
     full = (1 << n) - 1
     accepting = sum(1 << q for q in target.accepting)
@@ -190,6 +229,10 @@ def _pattern_automaton(target: Dfa, k: int, state_cap: int) -> Dfa:
     reaching, threshold = periodic or ([], 0)
     last_bit = len(reaching) - 1
     lengths_of: dict[int, tuple[int, int]] = {}
+    if keys is None:
+        keys = []
+    record = keys.append
+    length_key = -1 << _LENGTH_BITS
 
     def enter(subset: int) -> tuple[int, int]:
         """The top-layer state of the target states ``subset``."""
@@ -205,9 +248,11 @@ def _pattern_automaton(target: Dfa, k: int, state_cap: int) -> Dfa:
     def step(state):
         c, subset = state
         if c == collapsed:
+            record((c, subset | length_key))
             # only the box moves: every length one down
             shifted = subset >> 1 | (subset >> threshold & 1) << last_bit
             return [dead] * width + [(c, shifted) if shifted else dead]
+        record(state)
         succ = []
         for j, mask in enumerate(post(subset)):
             if not mask:
@@ -254,7 +299,9 @@ def _reaching(target: Dfa, accepting: int) -> tuple[list[int], int] | None:
         reaching.append(earlier)
 
 
-def _universal_projection(pattern: Dfa, k: int, state_cap: int) -> Dfa:
+def _universal_projection(
+    pattern: Dfa, k: int, state_cap: int, keys: list[tuple[int, int]] | None = None
+) -> Dfa:
     """Words all of whose patterns with at most k pins the minimal pattern
     automaton accepts.  BOX, after every plain letter, is its last column.
 
@@ -264,20 +311,27 @@ def _universal_projection(pattern: Dfa, k: int, state_cap: int) -> Dfa:
     as many pins and a pattern language included in its own, since every
     suffix the smaller run allows the larger one allows too.  A run in the
     dead pattern state makes the whole state the dead antichain, the one run
-    ``(dead, 0)``.  Every letter's runs include the box successors of all
-    runs, so ``step`` prunes those once per state and inserts each letter's
-    pinned runs into a copy: the minimal runs of A ∪ B are those of
-    min(A) ∪ B.  The successor run of every run on every column is
-    computed once.
+    ``(dead, 0)``.
+
+    Every live state holds exactly one run with no pins, which only follows
+    the box, and which no run can drop.  So a state is the tuple
+    ``(zero run, *sorted other runs)``.  The successors of the other runs
+    depend on them alone: per distinct tuple of them, their box successors
+    are pruned once, each letter's pinned runs are inserted into a copy,
+    and the result is kept for the rest of the projection.  ``step`` then
+    adds only the zero run's two successors, in one pass over each kept
+    tuple, the minimal runs of A ∪ B being those of min(A) ∪ B.  The
+    successor run of every run on every column is computed once.
 
     The inclusions are read inline from ``_inclusion_table``, preset from
-    the ``_pin_counts`` signatures.  Its search needs the pattern's layers:
-    a plain letter into a live state must lower the highest pin count the
-    state accepts, the top bit of its signature (the box never raises it).
-    In a pattern automaton it does, since a pattern's letter is a pin;
-    ValueError names a transition that does not, checked before any search
-    could misread it.  The antichains do not depend on how the inclusions
-    are found.
+    the ``_pin_counts`` signatures and, when given, tested on the pattern
+    states' ``keys`` (see ``_pattern_automaton``).  Its search needs the
+    pattern's layers: a plain letter into a live state must lower the
+    highest pin count the state accepts, the top bit of its signature (the
+    box never raises it).  In a pattern automaton it does, since a
+    pattern's letter is a pin; ValueError names a transition that does
+    not, checked before any search could misread it.  The antichains do not
+    depend on how the inclusions are found.
     """
     box = len(pattern.alphabet) - 1
     pdelta = pattern.delta
@@ -291,11 +345,11 @@ def _universal_projection(pattern: Dfa, k: int, state_cap: int) -> Dfa:
                 )
     # only the empty language has no pattern
     dead = next((p for p, bits in enumerate(sig) if not bits), None)
-    rows, new_row, search = _inclusion_table(pattern, dead, sig)
+    rows, new_row, search = _inclusion_table(pattern, dead, sig, keys)
     shift = k.bit_length()
     pins = (1 << shift) - 1
     # the dead antichain; no run can reach it when no state is dead
-    dead_runs = None if dead is None else (dead << shift,)
+    dead_state = None if dead is None else (dead << shift,)
 
     def successor_runs(col: int, added: int) -> list[int | None]:
         """Per run ``p << shift | c``: its successor run on column col,
@@ -332,32 +386,76 @@ def _universal_projection(pattern: Dfa, k: int, state_cap: int) -> Dfa:
                 break
         kept.append(run)
 
-    def step(runs):
+    successors_of: dict[tuple[int, ...], list[tuple[int, ...] | None]] = {}
+
+    def successors(rest: tuple[int, ...]) -> list[tuple[int, ...] | None]:
+        """Per letter, the pruned successors of the pinned runs ``rest``,
+        None where a run reaches the dead state."""
         base: list[int] = []
-        for run in runs:
+        for run in rest:
             t = box_runs[run]
             if t < 0:
-                return [dead_runs] * box
+                return [None] * box
             insert(base, t)
-        succ = []
+        out: list[tuple[int, ...] | None] = []
         for moves in letter_runs:
             kept = base.copy()
-            for run in runs:
+            for run in rest:
                 t = moves[run]
                 if t is None:
                     continue
                 if t < 0:
-                    succ.append(dead_runs)
+                    out.append(None)
                     break
                 insert(kept, t)
             else:
                 kept.sort()
-                succ.append(tuple(kept))
-        return succ
+                out.append(tuple(kept))
+        return out
+
+    def step(state):
+        zero = state[0]
+        z = box_runs[zero]
+        if z < 0:
+            return [dead_state] * box
+        rest = state[1:]
+        after = successors_of.get(rest)
+        if after is None:
+            after = successors_of[rest] = successors(rest)
+        pz = z >> shift
+        out = []
+        for kept, moves in zip(after, letter_runs):
+            t = moves[zero]
+            if kept is None or t < 0:
+                out.append(dead_state)
+                continue
+            # One pass over the other runs: the new zero run z drops every
+            # run above it, and the zero run's pinned successor t goes in
+            # unless z or a run with one pin, as many as t, is below it.
+            # A run above t is dropped at once: then no kept run is below
+            # t, as the kept runs are an antichain.
+            pt = t >> shift
+            row = rows[pt] or new_row(pt)
+            add = (row[pz] or search(pz, pt)) == 2
+            runs = [z]
+            for run in kept:
+                q = run >> shift
+                if (rows[q][pz] or search(pz, q)) == 1:
+                    continue
+                if add:
+                    if run & pins == 1 and (row[q] or search(q, pt)) == 1:
+                        add = False
+                    elif (rows[q][pt] or search(pt, q)) == 1:
+                        continue
+                runs.append(run)
+            if add:
+                insort(runs, t, 1)
+            out.append(tuple(runs))
+        return out
 
     start = pattern.start
     return _explore(
-        pattern.alphabet[:box], dead_runs if start == dead else (start << shift,), step,
+        pattern.alphabet[:box], dead_state if start == dead else (start << shift,), step,
         {p << shift | c for p in pattern.accepting for c in range(k + 1)}.issuperset,
         state_cap, f"universal projection passed {state_cap} states at k={k}",
     )
@@ -391,7 +489,9 @@ def _pin_counts(pattern: Dfa, box: int, k: int) -> list[int]:
     return sig
 
 
-def _inclusion_table(d: Dfa, dead: int | None, sig: list[int]):
+def _inclusion_table(
+    d: Dfa, dead: int | None, sig: list[int], keys: list[tuple[int, int]] | None = None
+):
     """A table of language inclusions between the states of a minimal
     pattern automaton, filled on demand: ``rows[q][p]`` is 1 when L(p) is
     included in L(q), 2 when it is not and 0 while unknown.  ``sig`` is a
@@ -420,6 +520,13 @@ def _inclusion_table(d: Dfa, dead: int | None, sig: list[int]):
     the chain.  A recursion stays below the layer of every pair its callers
     have marked, so a mark it meets closes its own cycle, and it nests at
     most k + 1 deep.  ``_universal_projection`` checks the layers first.
+
+    ``keys``, optional (a hand-built pattern has none), gives each state
+    the key ``(c, S)`` that ``_pattern_automaton`` recorded for a raw state
+    of its language: L(p) ⊆ L(q) whenever c_p >= c_q and S_p ⊆ S_q.
+    Before it marks a pair, the search tries that test, and a pair that
+    passes is settled as included and ends the chain as a settled pair
+    would.
     """
     box = len(d.alphabet) - 1
     box_of = [row[box] for row in d.delta]
@@ -438,11 +545,18 @@ def _inclusion_table(d: Dfa, dead: int | None, sig: list[int]):
         row[q] = 1
         return row
 
+    keyed = keys is not None
+    key_pins = [c for c, _ in keys or ()]
+    key_sets = [subset for _, subset in keys or ()]
+
     def search(p: int, q: int) -> int:
         x, y, row = p, q, rows[q]
         chain = []
         verdict = 0
         while not verdict:
+            if keyed and key_pins[x] >= key_pins[y] and not key_sets[x] & ~key_sets[y]:
+                row[x] = verdict = 1
+                break
             row[x] = 3  # 3: on the chain of a search in progress
             chain.append((row, x))
             for nx, ny in zip(letters_of[x], letters_of[y]):

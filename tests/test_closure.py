@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import functools
+import inspect
 import json
 import random
+import sys
+from collections import Counter
 
 import pytest
 
@@ -265,20 +268,34 @@ def test_language_below_matches_subset_of_on_normalized_targets():
         assert got == rerooted_inclusions(target), d
 
 
+def keyed_pattern(target: Dfa, k: int) -> tuple[Dfa, Dfa, list, list[int]]:
+    """``(raw, pattern, keys, rep)``: the pattern automaton of a normalized
+    target at k, its minimal automaton, and for each minimal state a raw
+    state ``rep`` of its block and the key recorded for that raw state, as
+    ``pi1_closure`` finds them."""
+    from diffchain.closure import _pattern_automaton, _representatives
+
+    recorded = []
+    raw = _pattern_automaton(target, k, 10_000, recorded)
+    pattern = minimize(raw)
+    rep = _representatives(raw, pattern)
+    return raw, pattern, [recorded[r] for r in rep], rep
+
+
 @functools.cache
 def minimal_patterns():
-    """``(k, pattern, expected)`` for the minimal pattern automaton of every
-    ``inclusion_corpus()`` target at k = 1..3, with its
-    ``rerooted_inclusions``."""
-    from diffchain.closure import _normalize, _pattern_automaton
+    """``(k, pattern, expected, keys)`` for the minimal pattern automaton of
+    every ``inclusion_corpus()`` target at k = 1..3, with its
+    ``rerooted_inclusions`` and the key of each state (``keyed_pattern``)."""
+    from diffchain.closure import _normalize
 
     _, targets = inclusion_corpus()
     out = []
     for d in targets:
         target = _normalize(d)
         for k in (1, 2, 3):
-            pattern = minimize(_pattern_automaton(target, k, 10_000))
-            out.append((k, pattern, rerooted_inclusions(pattern)))
+            _, pattern, keys, _ = keyed_pattern(target, k)
+            out.append((k, pattern, rerooted_inclusions(pattern), keys))
     return out
 
 
@@ -291,15 +308,33 @@ def empty_state(d: Dfa) -> int | None:
     )
 
 
-def settle_every_pair(rng, pattern, sig):
-    """Settle every entry of ``_inclusion_table(pattern, dead, sig)``, in a
-    shuffled order so that later questions read what earlier searches
+def settle_every_pair(rng, pattern, sig, keys=None):
+    """Settle every entry of ``_inclusion_table(pattern, dead, sig, keys)``,
+    in a shuffled order so that later questions read what earlier searches
     memoized, and check after each search that no pair is left marked in
-    progress.  Returns the rows and the number of searches."""
+    progress.  Returns the rows, the number of searches and the number of
+    pairs the searches marked in progress, counted by tracing the line of
+    the search that marks them."""
     from diffchain.closure import _inclusion_table
 
+    lines, first = inspect.getsourcelines(_inclusion_table)
+    marking = first + next(i for i, line in enumerate(lines) if "row[x] = 3" in line)
+    marked = 0
+
+    def trace(frame, event, arg):
+        if frame.f_code.co_name != "search":
+            return None
+
+        def count(frame, event, arg):
+            nonlocal marked
+            if event == "line" and frame.f_lineno == marking:
+                marked += 1
+            return count
+
+        return count
+
     n = pattern.n_states
-    rows, new_row, search = _inclusion_table(pattern, empty_state(pattern), sig)
+    rows, new_row, search = _inclusion_table(pattern, empty_state(pattern), sig, keys)
     pairs = [(p, q) for p in range(n) for q in range(n)]
     rng.shuffle(pairs)
     searched = 0
@@ -307,10 +342,16 @@ def settle_every_pair(rng, pattern, sig):
         row = rows[q] or new_row(q)
         if not row[p]:
             searched += 1
-            assert search(p, q) == row[p], (p, q)
+            before = sys.gettrace()
+            sys.settrace(trace)
+            try:
+                verdict = search(p, q)
+            finally:
+                sys.settrace(before)
+            assert verdict == row[p], (p, q)
             # every pair the search visited is settled, none left in progress
             assert not any(3 in other for other in rows if other), (p, q)
-    return [list(row) for row in rows], searched
+    return [list(row) for row in rows], searched, marked
 
 
 def test_inclusion_table_agrees_with_the_pair_removal_fixpoint():
@@ -322,14 +363,14 @@ def test_inclusion_table_agrees_with_the_pair_removal_fixpoint():
 
     rng, _ = inclusion_corpus()
     searched = 0
-    for k, pattern, expected in minimal_patterns():
+    for k, pattern, expected, _ in minimal_patterns():
         n = pattern.n_states
         below = _language_below(pattern)
         assert expected == [
             [1 if below[q] >> p & 1 else 2 for p in range(n)] for q in range(n)
         ], k
         accepts = [1 if p in pattern.accepting else 0 for p in range(n)]
-        rows, count = settle_every_pair(rng, pattern, accepts)
+        rows, count, _ = settle_every_pair(rng, pattern, accepts)
         assert rows == expected, k
         searched += count
     assert searched > 1000  # the searches, not the presets, settle most pairs
@@ -338,7 +379,7 @@ def test_inclusion_table_agrees_with_the_pair_removal_fixpoint():
 def test_pin_counts_are_monotone_under_inclusion():
     from diffchain.closure import BOX, _pin_counts
 
-    for k, pattern, expected in minimal_patterns():
+    for k, pattern, expected, _ in minimal_patterns():
         sig = _pin_counts(pattern, pattern.letter_index(BOX), k)
         for q, row in enumerate(expected):
             for p, included in enumerate(row):
@@ -351,7 +392,7 @@ def test_pin_counts_match_a_forward_search_of_state_and_pins():
     # (p, 0), where a letter adds a pin and the box does not
     from diffchain.closure import BOX, _pin_counts
 
-    for k, pattern, _ in minimal_patterns():
+    for k, pattern, _, _ in minimal_patterns():
         box = pattern.letter_index(BOX)
         sig = _pin_counts(pattern, box, k)
         for p in range(pattern.n_states):
@@ -375,25 +416,131 @@ def test_inclusion_table_with_pin_counts_settles_every_pair():
     from diffchain.closure import BOX, _pin_counts
 
     rng, _ = inclusion_corpus()
-    with_acceptance = with_pins = 0
-    for k, pattern, expected in minimal_patterns():
+    keyed_rng = random.Random(7)
+    with_acceptance = with_pins = marked_with_pins = marked_with_keys = 0
+    for k, pattern, expected, keys in minimal_patterns():
         n = pattern.n_states
         sig = _pin_counts(pattern, pattern.letter_index(BOX), k)
-        rows, count = settle_every_pair(rng, pattern, sig)
+        rows, count, marked = settle_every_pair(rng, pattern, sig)
         assert rows == expected, k
         with_pins += count
+        marked_with_pins += marked
         accepts = [1 if p in pattern.accepting else 0 for p in range(n)]
         with_acceptance += settle_every_pair(rng, pattern, accepts)[1]
+        rows, _, marked = settle_every_pair(keyed_rng, pattern, sig, keys)
+        assert rows == expected, k
+        marked_with_keys += marked
     # the presets settle pairs that acceptance alone leaves to a search
     # (5 199 searches against 9 609 on this corpus)
     assert with_pins < with_acceptance
+    # Every pair the presets leave open is settled once, by a mark or, with
+    # keys, by the key test before its mark, so the marks count the pairs
+    # the searches walked: 5 202 with keys against 7 851.  A key test ends
+    # a chain early, so the number of searches does not fall with it.
+    assert marked_with_keys < marked_with_pins, (marked_with_keys, marked_with_pins)
+
+
+def key_below(keys, p: int, q: int) -> bool:
+    """The key test: L(p) ⊆ L(q) when c_p >= c_q and S_p ⊆ S_q."""
+    (cp, sp), (cq, sq) = keys[p], keys[q]
+    return cp >= cq and not sp & ~sq
+
+
+def test_the_search_takes_a_passing_key_for_an_inclusion():
+    # Keys that claim L(x) ⊆ L(y) where it is false, for a pair that the
+    # presets leave open: x has more pins used than y and an empty set,
+    # and no other key is below another.  The search trusts the key test
+    # and settles the pair as included; a search that ignored the keys or
+    # compared the pins the other way would find 2.
+    from diffchain.closure import BOX, _inclusion_table, _pin_counts
+
+    checked = 0
+    for k, pattern, expected, _ in minimal_patterns():
+        n = pattern.n_states
+        sig = _pin_counts(pattern, pattern.letter_index(BOX), k)
+        open_pairs = [(x, y) for y in range(n) for x in range(n)
+                      if expected[y][x] == 2 and not sig[x] & ~sig[y]]
+        if not open_pairs:
+            continue
+        x, y = open_pairs[0]
+        keys = [(0, 1 << p) for p in range(n)]
+        keys[x] = (1, 0)
+        rows, new_row, search = _inclusion_table(pattern, empty_state(pattern), sig, keys)
+        assert new_row(y)[x] == 0
+        assert search(x, y) == 1 == rows[y][x], (k, x, y)
+        checked += 1
+    assert checked > 50
+
+
+def wide_and_positional_targets() -> list[tuple[str, Dfa]]:
+    """A top layer too wide to collapse, and positional targets."""
+    return [("period 65", period_65_counter())] + [
+        ("positional", nth_letter_is_a(n)) for n in (1, 2, 3, 5, 8)
+    ]
+
+
+def test_representatives_have_their_minimal_states_languages():
+    # The walk from both starts maps every raw pattern state to a minimal
+    # one; that map commutes with every letter and keeps acceptance, so a
+    # raw state and its image have one language, and each representative
+    # is mapped to the minimal state it represents.
+    from diffchain.closure import _normalize
+
+    targets = inclusion_corpus()[1] + [d for _, d in wide_and_positional_targets()]
+    for d in targets:
+        for k in (1, 2, 3):
+            raw, pattern, _, rep = keyed_pattern(_normalize(d), k)
+            image = {raw.start: pattern.start}
+            todo = [raw.start]
+            for r in todo:
+                m = image[r]
+                assert (r in raw.accepting) == (m in pattern.accepting), (d, k)
+                for t, u in zip(raw.delta[r], pattern.delta[m]):
+                    if t not in image:
+                        image[t] = u
+                        todo.append(t)
+                    assert image[t] == u, (d, k)
+            assert len(image) == raw.n_states
+            assert [image[r] for r in rep] == list(range(pattern.n_states)), (d, k)
+
+
+def test_keys_prove_only_true_inclusions():
+    # Every pair of minimal pattern states whose keys pass the key test is
+    # an inclusion.  The expected inclusions are rerooted_inclusions on the
+    # corpus and the pair-removal fixpoint, which agrees with them, on the
+    # other targets.  Length-set keys have their high bits set, so they
+    # are negative; with a period of 65 every key is a set of target states.
+    from diffchain.closure import _language_below, _normalize
+
+    cases = [("corpus", k, pattern, expected, keys)
+             for k, pattern, expected, keys in minimal_patterns()]
+    for label, d in wide_and_positional_targets():
+        for k in (1, 2, 3):
+            _, pattern, keys, _ = keyed_pattern(_normalize(d), k)
+            n = pattern.n_states
+            below = _language_below(pattern)
+            expected = [[1 if below[q] >> p & 1 else 2 for p in range(n)] for q in range(n)]
+            cases.append((label, k, pattern, expected, keys))
+    passed: Counter = Counter()
+    for label, k, pattern, expected, keys in cases:
+        if label == "period 65":
+            assert all(subset >= 0 for _, subset in keys), k
+        for q in range(pattern.n_states):
+            for p in range(pattern.n_states):
+                if p != q and key_below(keys, p, q):
+                    assert expected[q][p] == 1, (label, k, p, q)
+                    passed[label] += 1
+                    passed["length sets" if keys[p][1] < 0 else "target sets"] += 1
+    assert set(passed) == {
+        "corpus", "period 65", "positional", "length sets", "target sets"
+    }, passed
 
 
 def test_plain_letters_lower_the_top_pin_count():
     # the layers that _inclusion_table's search relies on
     from diffchain.closure import BOX, _normalize, _pattern_automaton, _pin_counts
 
-    patterns = [(k, pattern) for k, pattern, _ in minimal_patterns()]
+    patterns = [(k, pattern) for k, pattern, _, _ in minimal_patterns()]
     target = _normalize(period_65_counter())
     patterns += [(k, minimize(_pattern_automaton(target, k, 10_000))) for k in (1, 2, 3)]
     for k, pattern in patterns:
@@ -415,11 +562,13 @@ def test_universal_projection_refuses_a_letter_that_keeps_the_pin_count():
             _universal_projection(looping, k, 100)
 
 
-def reference_projection(pattern: Dfa, letters, k: int) -> Dfa:
+def reference_projection(pattern: Dfa, letters, k: int, explored=None) -> Dfa:
     """The universal projection from its definition, with no table and no
     signature: every state is the set of minimal runs (p, c) under fewer
     pins and included languages, as ``rerooted_inclusions`` decides them,
-    and a run in the empty-language state makes it ``((dead, 0),)``."""
+    and a run in the empty-language state makes it ``((dead, 0),)``.  The
+    list ``explored``, when given, receives the states in numbering
+    order."""
     from diffchain.automata import _explore
     from diffchain.closure import BOX
 
@@ -437,6 +586,8 @@ def reference_projection(pattern: Dfa, letters, k: int) -> Dfa:
         ))
 
     def step(runs):
+        if explored is not None:
+            explored.append(runs)
         moved = {(pattern.delta[p][box], c) for p, c in runs}
         return [
             minimal(moved | {(pattern.delta[p][col], c + 1) for p, c in runs if c < k})
@@ -450,8 +601,48 @@ def reference_projection(pattern: Dfa, letters, k: int) -> Dfa:
     )
 
 
-def test_universal_projection_matches_the_reference_runs():
-    from diffchain.closure import _normalize, _pattern_automaton, _universal_projection
+def projected_runs(monkeypatch, pattern: Dfa, k: int, keys=None):
+    """``(projection, runs)``: ``_universal_projection``'s automaton, and
+    for each state it explored, in numbering order, its set of runs
+    (p, c).  A run that should have been dropped changes no automaton when
+    it comes and goes with the runs that are kept, so only the runs show
+    it."""
+    from diffchain.closure import _universal_projection
+
+    explored = []
+    real = closure._explore
+
+    def recording(letters, start, step, *rest):
+        def recorded(state):
+            explored.append(state)
+            return step(state)
+
+        return real(letters, start, recorded, *rest)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(closure, "_explore", recording)
+        got = _universal_projection(pattern, k, 10_000, keys)
+    shift = k.bit_length()
+    pins = (1 << shift) - 1
+    return got, [{(run >> shift, run & pins) for run in state} for state in explored]
+
+
+def check_against_the_reference(monkeypatch, target: Dfa, k: int) -> Dfa:
+    """The projection of the target's minimal pattern automaton, with keys
+    and without, has the reference's automaton and the reference's runs in
+    every state."""
+    _, pattern, keys, _ = keyed_pattern(target, k)
+    explored = []
+    want = reference_projection(pattern, target.alphabet, k, explored)
+    for given in (None, keys):
+        got, runs = projected_runs(monkeypatch, pattern, k, given)
+        assert got == want
+        assert runs == [set(state) for state in explored]
+    return want
+
+
+def test_universal_projection_matches_the_reference_runs(monkeypatch):
+    from diffchain.closure import _normalize
 
     rng = random.Random(6061)
     targets = [a_plus(), b_plus(), a_plus_or_b_plus(), contains("a"),
@@ -461,14 +652,12 @@ def test_universal_projection_matches_the_reference_runs():
     for d in targets:
         target = _normalize(d)
         for k in (1, 2, 3):
-            pattern = minimize(_pattern_automaton(target, k, 10_000))
-            got = _universal_projection(pattern, k, 10_000)
-            assert got == reference_projection(pattern, target.alphabet, k), (d, k)
+            check_against_the_reference(monkeypatch, target, k)
 
 
 def test_universal_projection_matches_the_reference_runs_above_the_cap(monkeypatch):
     # k = 4 and 5 nest the inclusion search deeper than the default cap allows
-    from diffchain.closure import _normalize, _pattern_automaton, _universal_projection
+    from diffchain.closure import _normalize
 
     monkeypatch.setattr(closure, "DEFAULT_K_CAP", 5)
     rng = random.Random(4242)
@@ -476,9 +665,7 @@ def test_universal_projection_matches_the_reference_runs_above_the_cap(monkeypat
         d = random_dfa(rng, 5, AB)
         target = _normalize(d)
         for k in (4, 5):
-            pattern = minimize(_pattern_automaton(target, k, 10_000))
-            got = _universal_projection(pattern, k, 10_000)
-            assert got == reference_projection(pattern, target.alphabet, k), (d, k)
+            got = check_against_the_reference(monkeypatch, target, k)
             assert pi1_closure(d, k) == minimize(got), (d, k)
 
 
