@@ -300,7 +300,7 @@ def _reaching(target: Dfa, accepting: int) -> tuple[list[int], int] | None:
 
 
 def _universal_projection(
-    pattern: Dfa, k: int, state_cap: int, keys: list[tuple[int, int]] | None = None
+    pattern: Dfa, k: int, state_cap: int, keys: list[tuple[int, int]]
 ) -> Dfa:
     """Words all of whose patterns with at most k pins the minimal pattern
     automaton accepts.  BOX, after every plain letter, is its last column.
@@ -324,8 +324,8 @@ def _universal_projection(
     successor run of every run on every column is computed once.
 
     The inclusions are read inline from ``_inclusion_table``, preset from
-    the ``_pin_counts`` signatures and, when given, tested on the pattern
-    states' ``keys`` (see ``_pattern_automaton``).  Its search needs the
+    the ``_pin_counts`` signatures and tested on the pattern states'
+    ``keys`` (see ``_pattern_automaton``).  Its search needs the
     pattern's layers: a plain letter into a live state must lower the
     highest pin count the state accepts, the top bit of its signature (the
     box never raises it).  In a pattern automaton it does, since a
@@ -490,7 +490,7 @@ def _pin_counts(pattern: Dfa, box: int, k: int) -> list[int]:
 
 
 def _inclusion_table(
-    d: Dfa, dead: int | None, sig: list[int], keys: list[tuple[int, int]] | None = None
+    d: Dfa, dead: int | None, sig: list[int], keys: list[tuple[int, int]]
 ):
     """A table of language inclusions between the states of a minimal
     pattern automaton, filled on demand: ``rows[q][p]`` is 1 when L(p) is
@@ -521,12 +521,13 @@ def _inclusion_table(
     have marked, so a mark it meets closes its own cycle, and it nests at
     most k + 1 deep.  ``_universal_projection`` checks the layers first.
 
-    ``keys``, optional (a hand-built pattern has none), gives each state
-    the key ``(c, S)`` that ``_pattern_automaton`` recorded for a raw state
-    of its language: L(p) ⊆ L(q) whenever c_p >= c_q and S_p ⊆ S_q.
-    Before it marks a pair, the search tries that test, and a pair that
-    passes is settled as included and ends the chain as a settled pair
-    would.
+    ``keys`` gives each state the key ``(c, S)`` that ``_pattern_automaton``
+    recorded for a raw state of its language: L(p) ⊆ L(q) whenever
+    c_p >= c_q and S_p ⊆ S_q.  Before it marks a pair, the search tries
+    that test, and a pair that passes is settled as included and ends the
+    chain as a settled pair would.  The keys ``(0, 1 << p)`` pass only on
+    the diagonal, which the search never enters, so they leave every
+    inclusion to the walk.
     """
     box = len(d.alphabet) - 1
     box_of = [row[box] for row in d.delta]
@@ -545,16 +546,15 @@ def _inclusion_table(
         row[q] = 1
         return row
 
-    keyed = keys is not None
-    key_pins = [c for c, _ in keys or ()]
-    key_sets = [subset for _, subset in keys or ()]
+    key_pins = [c for c, _ in keys]
+    key_sets = [subset for _, subset in keys]
 
     def search(p: int, q: int) -> int:
         x, y, row = p, q, rows[q]
         chain = []
         verdict = 0
         while not verdict:
-            if keyed and key_pins[x] >= key_pins[y] and not key_sets[x] & ~key_sets[y]:
+            if key_pins[x] >= key_pins[y] and not key_sets[x] & ~key_sets[y]:
                 row[x] = verdict = 1
                 break
             row[x] = 3  # 3: on the chain of a search in progress

@@ -2,8 +2,8 @@
 
 Everything here recomputes results of the other modules by direct
 enumeration or by a structurally different construction, so the two routes
-can be compared in tests.  Nothing in this module calls the chain, lattice
-or closure algorithms it is used to check.
+can be compared in tests.  Nothing in this module calls the chain or
+closure algorithms it is used to check.
 
 Words are checked a length slice at a time.  ``accepted_slice`` finds the
 acceptance of every length-n word in one layered walk over an automaton,
@@ -27,7 +27,9 @@ reads every element's degree for one subset off a poset's table of
 ``increasing_sequences``, listed once.
 The canonical-chain recurrence is checked against ``moore_families``, every
 closure system on a few points, and ``family_chains``, a search over all
-chains of a family's sets.
+chains of a family's sets.  ``upsets`` lists a poset's upset lattice as
+bitmasks, and ``join_irreducibles`` reads a poset back off such a lattice,
+the two sides of Birkhoff duality.
 Homomorphic images have two routes as well: the subset construction
 ``forward_lp_image`` over the automaton's states, and
 ``monoid_forward_image``, the same construction over ``monoid_dfa``, the
@@ -62,7 +64,7 @@ from .automata import (
     _explore,
     _plain_alphabet,
 )
-from .errors import AlphabetMismatchError
+from .errors import AlphabetMismatchError, CapacityError
 from .poset import ElemSet, FinPoset, bits
 
 # ----- word enumeration and length slices --------------------------------
@@ -299,6 +301,48 @@ def moore_families(n: int) -> Iterator[tuple[int, ...]]:
 
     full = (1 << n) - 1
     return grow(full - 1, (full,), 0)
+
+
+def upsets(poset: FinPoset, cap: int = 1 << 20) -> list[int]:
+    """Every upset of ``poset`` as a bitmask, ordered by (size, sorted
+    elements): the upset lattice, the closure system of the poset.
+
+    Adds the elements maximal-first: the upsets inside the elements added so
+    far are kept, and each gains ``x`` when it already holds everything
+    strictly above ``x``.  Raises CapacityError as soon as more than ``cap``
+    upsets would be produced.
+    """
+    found = [0]
+    for x in reversed(poset.order):
+        above = poset.upm[x] ^ 1 << x
+        grown = [u | 1 << x for u in found if not above & ~u]
+        if len(found) + len(grown) > cap:
+            raise CapacityError(f"more than {cap} upsets")
+        found += grown
+    return sorted(found, key=lambda u: (u.bit_count(), bits(u)))
+
+
+def join_irreducibles(family: Sequence[int]) -> FinPoset:
+    """The poset of join-irreducible members of a family of bitmasks under
+    reverse inclusion: the dual of the lattice the family forms.
+
+    A member is join-irreducible when it is not the union of the members
+    strictly below it (this excludes the empty set).  Element i of the
+    result is the i-th join-irreducible member in the order by (size,
+    sorted elements).  For the ``upsets`` of a poset these members are the
+    principal upsets ↑x, and x ↦ ↑x is an isomorphism from that poset.
+    """
+    members = []
+    for m in family:
+        below = 0
+        for other in family:
+            if other != m and not other & ~m:
+                below |= other
+        if below != m:
+            members.append(m)
+    members.sort(key=lambda m: (m.bit_count(), bits(m)))
+    # reverse inclusion: smaller upsets sit higher
+    return FinPoset([[j for j, v in enumerate(members) if not v & ~u] for u in members])
 
 
 def family_chains(

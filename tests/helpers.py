@@ -10,7 +10,8 @@ them.  ``moore_closure`` turns a Moore family from
 ``diffchain.oracle.moore_families`` into the closure operator that
 ``diffchain.chains.canonical_pairs`` takes, so one recurrence is checked on
 every closure system on a few points; ``upset_closure_of`` and
-``mask_minus`` give it the upsets of a poset.
+``mask_minus`` give it the upsets of a poset.  ``identity_keys`` are the
+inclusion keys of a pattern automaton that ``pi1_closure`` did not build.
 """
 
 from __future__ import annotations
@@ -176,6 +177,13 @@ def assert_lang(dfa: Dfa, predicate, max_len: int = 6) -> None:
     """Check `dfa` against `predicate` on every nonempty word up to max_len."""
     for word in words_upto(dfa.alphabet, max_len):
         assert dfa.accepts(word) == predicate(word), word
+
+
+def identity_keys(n: int) -> list[tuple[int, int]]:
+    """Keys for the n states of a hand-built or unkeyed pattern automaton,
+    as the universal projection takes them: state p gets (0, {p}), so the
+    key test passes only on the diagonal and proves no inclusion."""
+    return [(0, 1 << p) for p in range(n)]
 
 
 def principal_upset_map(p: FinPoset, dual: FinPoset) -> list[int] | None:

@@ -14,7 +14,6 @@ from operator import and_, not_
 
 from diffchain import (
     canonical_chain,
-    coheyting_minus,
     decompose_bpi1,
     degrees,
     dfa_nonempty_words,
@@ -23,12 +22,10 @@ from diffchain import (
     evaluate,
     intersect,
     is_pi1_k,
-    join_irreducibles,
     minimize,
     pi1_closure,
     subset_of,
     union,
-    upsets_of,
 )
 from diffchain.chains import canonical_pairs, canonical_terms
 from diffchain.oracle import (
@@ -39,15 +36,17 @@ from diffchain.oracle import (
     family_chains,
     forall_adjoint,
     forward_lp_image,
+    join_irreducibles,
     lang_eq_upto,
     marked_alphabet,
     monoid_forward_image,
     moore_families,
     random_dfa,
     tensor,
+    upsets,
     words_upto,
 )
-from diffchain.poset import mask_of
+from diffchain.poset import bits, mask_of
 
 from helpers import (
     AB,
@@ -176,7 +175,7 @@ def test_lattice_dual_recovers_the_poset():
     start = time.perf_counter()
     ok, detail, count = True, "", 0
     for poset in all_posets_upto(6):
-        dual = join_irreducibles(upsets_of(poset))
+        dual = join_irreducibles(upsets(poset))
         if principal_upset_map(poset, dual) is None:
             ok, detail = False, f"round trip fails on {poset!r}"
             break
@@ -191,10 +190,10 @@ def test_subtraction_is_left_adjoint_to_join():
     start = time.perf_counter()
     ok, detail, triples = True, "", 0
     for poset in all_posets_upto(5):
-        members = upsets_of(poset).upsets
+        members = [frozenset(bits(u)) for u in upsets(poset)]
         for a in members:
             for b in members:
-                diff = coheyting_minus(poset, a, b)
+                diff = poset.upset_closure(a - b)
                 for c in members:
                     if (diff <= c) != (a <= b | c):
                         ok = False

@@ -49,6 +49,7 @@ from helpers import (
     contains,
     difference_union,
     family_monotonicity,
+    identity_keys,
     letters_plus,
     literal,
     nested_difference,
@@ -308,7 +309,7 @@ def empty_state(d: Dfa) -> int | None:
     )
 
 
-def settle_every_pair(rng, pattern, sig, keys=None):
+def settle_every_pair(rng, pattern, sig, keys):
     """Settle every entry of ``_inclusion_table(pattern, dead, sig, keys)``,
     in a shuffled order so that later questions read what earlier searches
     memoized, and check after each search that no pair is left marked in
@@ -370,7 +371,7 @@ def test_inclusion_table_agrees_with_the_pair_removal_fixpoint():
             [1 if below[q] >> p & 1 else 2 for p in range(n)] for q in range(n)
         ], k
         accepts = [1 if p in pattern.accepting else 0 for p in range(n)]
-        rows, count, _ = settle_every_pair(rng, pattern, accepts)
+        rows, count, _ = settle_every_pair(rng, pattern, accepts, identity_keys(n))
         assert rows == expected, k
         searched += count
     assert searched > 1000  # the searches, not the presets, settle most pairs
@@ -421,12 +422,12 @@ def test_inclusion_table_with_pin_counts_settles_every_pair():
     for k, pattern, expected, keys in minimal_patterns():
         n = pattern.n_states
         sig = _pin_counts(pattern, pattern.letter_index(BOX), k)
-        rows, count, marked = settle_every_pair(rng, pattern, sig)
+        rows, count, marked = settle_every_pair(rng, pattern, sig, identity_keys(n))
         assert rows == expected, k
         with_pins += count
         marked_with_pins += marked
         accepts = [1 if p in pattern.accepting else 0 for p in range(n)]
-        with_acceptance += settle_every_pair(rng, pattern, accepts)[1]
+        with_acceptance += settle_every_pair(rng, pattern, accepts, identity_keys(n))[1]
         rows, _, marked = settle_every_pair(keyed_rng, pattern, sig, keys)
         assert rows == expected, k
         marked_with_keys += marked
@@ -463,7 +464,7 @@ def test_the_search_takes_a_passing_key_for_an_inclusion():
         if not open_pairs:
             continue
         x, y = open_pairs[0]
-        keys = [(0, 1 << p) for p in range(n)]
+        keys = identity_keys(n)
         keys[x] = (1, 0)
         rows, new_row, search = _inclusion_table(pattern, empty_state(pattern), sig, keys)
         assert new_row(y)[x] == 0
@@ -559,7 +560,7 @@ def test_universal_projection_refuses_a_letter_that_keeps_the_pin_count():
     looping = Dfa(("a", BOX), [[0, 0]], 0, [0])
     for k in (1, 2, 3):
         with pytest.raises(ValueError, match=r"^a letter from pattern state 0 to 0 "):
-            _universal_projection(looping, k, 100)
+            _universal_projection(looping, k, 100, identity_keys(1))
 
 
 def reference_projection(pattern: Dfa, letters, k: int, explored=None) -> Dfa:
@@ -601,7 +602,7 @@ def reference_projection(pattern: Dfa, letters, k: int, explored=None) -> Dfa:
     )
 
 
-def projected_runs(monkeypatch, pattern: Dfa, k: int, keys=None):
+def projected_runs(monkeypatch, pattern: Dfa, k: int, keys):
     """``(projection, runs)``: ``_universal_projection``'s automaton, and
     for each state it explored, in numbering order, its set of runs
     (p, c).  A run that should have been dropped changes no automaton when
@@ -628,13 +629,13 @@ def projected_runs(monkeypatch, pattern: Dfa, k: int, keys=None):
 
 
 def check_against_the_reference(monkeypatch, target: Dfa, k: int) -> Dfa:
-    """The projection of the target's minimal pattern automaton, with keys
-    and without, has the reference's automaton and the reference's runs in
-    every state."""
+    """The projection of the target's minimal pattern automaton, with its
+    keys and with identity keys, has the reference's automaton and the
+    reference's runs in every state."""
     _, pattern, keys, _ = keyed_pattern(target, k)
     explored = []
     want = reference_projection(pattern, target.alphabet, k, explored)
-    for given in (None, keys):
+    for given in (identity_keys(pattern.n_states), keys):
         got, runs = projected_runs(monkeypatch, pattern, k, given)
         assert got == want
         assert runs == [set(state) for state in explored]

@@ -1,18 +1,17 @@
-"""Upset lattices, join-irreducibles, and co-Heyting subtraction."""
+"""Upset lattices, join-irreducibles, and co-Heyting subtraction, on the
+reference side: ``oracle.upsets`` lists a poset's upsets as bitmasks,
+``oracle.join_irreducibles`` reads the poset back off them, and the
+subtraction a / b, the least upset c with a <= b | c, is the upward closure
+of the set difference."""
 
 from __future__ import annotations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from diffchain import (
-    CapacityError,
-    FinPoset,
-    NotUpsetError,
-    coheyting_minus,
-    join_irreducibles,
-    upsets_of,
-)
+from diffchain import CapacityError, FinPoset
+from diffchain.oracle import join_irreducibles, upsets
+from diffchain.poset import bits, mask_of
 
 from helpers import principal_upset_map
 
@@ -33,44 +32,49 @@ def antichain(n):
     return FinPoset.from_covers([], n)
 
 
+def upset_sets(p):
+    """The upsets of p as frozensets, in ``upsets`` order."""
+    return [frozenset(bits(u)) for u in upsets(p)]
+
+
 # ----- enumeration -------------------------------------------------------
 
 
 def test_upset_counts_on_standard_shapes():
-    assert len(upsets_of(chain(3))) == 4  # empty, {2}, {1,2}, {0,1,2}
-    assert len(upsets_of(antichain(3))) == 8  # every subset
-    assert len(upsets_of(FinPoset.from_covers([], 0))) == 1
+    assert len(upsets(chain(3))) == 4  # empty, {2}, {1,2}, {0,1,2}
+    assert len(upsets(antichain(3))) == 8  # every subset
+    assert len(upsets(FinPoset.from_covers([], 0))) == 1
     v = FinPoset.from_covers([(0, 1), (0, 2)], 3)
-    assert len(upsets_of(v)) == 5
+    assert len(upsets(v)) == 5
 
 
 def test_upsets_are_sorted_and_indexable():
-    lat = upsets_of(chain(3))
-    assert lat.upsets[0] == frozenset()
-    assert lat.upsets[-1] == frozenset({0, 1, 2})
-    sizes = [len(u) for u in lat.upsets]
+    lat = upsets(chain(3))
+    assert lat[0] == 0
+    assert lat[-1] == 0b111
+    sizes = [u.bit_count() for u in lat]
     assert sizes == sorted(sizes)
-    assert frozenset({1, 2}) in lat
-    assert frozenset({0}) not in lat
+    assert 0b110 in lat
+    assert 0b001 not in lat
 
 
 def test_upset_cap_raises_capacity_error():
     with pytest.raises(CapacityError):
-        upsets_of(antichain(5), cap=16)  # 32 upsets exist
-    assert len(upsets_of(antichain(5), cap=32)) == 32
+        upsets(antichain(5), cap=16)  # 32 upsets exist
+    assert len(upsets(antichain(5), cap=32)) == 32
 
 
 def test_upsets_of_a_long_chain():
-    lat = upsets_of(chain(1500))  # one upset per suffix, and the empty one
+    lat = upsets(chain(1500))  # one upset per suffix, and the empty one
     assert len(lat) == 1501
-    assert lat.upsets[1] == frozenset({1499})
+    assert bits(lat[1]) == [1499]
 
 
 @given(posets())
 def test_every_enumerated_set_is_an_upset_and_none_is_missed(p):
-    lat = upsets_of(p)
-    for u in lat.upsets:
-        assert p.is_upset(u)
+    lat = upsets(p)
+    for u in lat:
+        assert p.is_upset(bits(u))
     # independent count: filter the full powerset
     if p.n <= 5:
         from itertools import combinations
@@ -88,27 +92,28 @@ def test_every_enumerated_set_is_an_upset_and_none_is_missed(p):
 
 
 def test_join_irreducibles_of_a_chain():
-    lat = upsets_of(chain(3))
-    dual = join_irreducibles(lat)
+    dual = join_irreducibles(upsets(chain(3)))
     # the three principal upsets, ordered by reverse inclusion, form a chain
     assert dual.n == 3
     assert principal_upset_map(chain(3), dual) == [2, 1, 0]
 
 
 def test_join_irreducibles_of_an_antichain():
-    dual = join_irreducibles(upsets_of(antichain(4)))
+    dual = join_irreducibles(upsets(antichain(4)))
     assert dual.n == 4
     assert principal_upset_map(antichain(4), dual) == [0, 1, 2, 3]
 
 
 def test_join_irreducibles_are_the_principal_upsets():
     p = FinPoset.from_covers([(0, 2), (1, 2), (2, 3)], 4)
-    lat = upsets_of(p)
-    members = {p.upset_closure({i}) for i in range(p.n)}
+    lat = upsets(p)
+    members = {mask_of(p.upset_closure({i}), p.n) for i in range(p.n)}
     masks = []
-    for u in lat.upsets:
-        strictly_below = [v for v in lat.upsets if v < u]
-        union = frozenset().union(*strictly_below) if strictly_below else frozenset()
+    for u in lat:
+        union = 0
+        for v in lat:
+            if v != u and not v & ~u:
+                union |= v
         if union != u:
             masks.append(u)
     assert set(masks) == members
@@ -116,7 +121,7 @@ def test_join_irreducibles_are_the_principal_upsets():
 
 @given(posets())
 def test_round_trip_recovers_the_poset(p):
-    assert principal_upset_map(p, join_irreducibles(upsets_of(p))) is not None
+    assert principal_upset_map(p, join_irreducibles(upsets(p))) is not None
 
 
 # ----- co-Heyting subtraction --------------------------------------------
@@ -125,40 +130,30 @@ def test_round_trip_recovers_the_poset(p):
 def test_coheyting_minus_examples():
     p = chain(3)
     top = frozenset({0, 1, 2})
-    assert coheyting_minus(p, top, frozenset({2})) == frozenset({0, 1, 2})
-    assert coheyting_minus(p, top, frozenset({1, 2})) == frozenset({0, 1, 2})
-    assert coheyting_minus(p, frozenset({1, 2}), top) == frozenset()
-    assert coheyting_minus(p, frozenset({1, 2}), frozenset({2})) == frozenset({1, 2})
-
-
-def test_coheyting_minus_requires_upsets():
-    p = chain(3)
-    with pytest.raises(NotUpsetError):
-        coheyting_minus(p, frozenset({0}), frozenset({2}))
-    with pytest.raises(NotUpsetError):
-        coheyting_minus(p, frozenset({2}), frozenset({0}))
+    assert p.upset_closure(top - frozenset({2})) == frozenset({0, 1, 2})
+    assert p.upset_closure(top - frozenset({1, 2})) == frozenset({0, 1, 2})
+    assert p.upset_closure(frozenset({1, 2}) - top) == frozenset()
+    assert p.upset_closure(frozenset({1, 2}) - frozenset({2})) == frozenset({1, 2})
 
 
 @settings(max_examples=30)
 @given(posets(max_n=4))
 def test_subtraction_is_adjoint_to_join(p):
-    lat = upsets_of(p)
+    lat = upset_sets(p)
     # a / b <= c  iff  a <= b | c, for all triples of upsets
-    for a in lat.upsets:
-        for b in lat.upsets:
-            diff = coheyting_minus(p, a, b)
+    for a in lat:
+        for b in lat:
+            diff = p.upset_closure(a - b)
             assert diff in lat
-            for c in lat.upsets:
+            for c in lat:
                 assert (diff <= c) == (a <= b | c)
 
 
 @given(posets())
 def test_subtraction_edge_laws(p):
-    lat = upsets_of(p)
     top = frozenset(range(p.n))
-    for a in lat.upsets:
-        assert coheyting_minus(p, a, frozenset()) == a
-        assert coheyting_minus(p, a, a) == frozenset()
-        assert coheyting_minus(p, frozenset(), a) == frozenset()
-        assert coheyting_minus(p, a, top) == frozenset()
-
+    for a in upset_sets(p):
+        assert p.upset_closure(a - frozenset()) == a
+        assert p.upset_closure(a - a) == frozenset()
+        assert p.upset_closure(frozenset() - a) == frozenset()
+        assert p.upset_closure(a - top) == frozenset()
