@@ -18,7 +18,7 @@ from functools import cached_property
 from typing import Callable, Iterable, Iterator
 
 from .errors import NotDecreasingError, NotUpsetError
-from .poset import EMPTY, ElemSet, FinPoset, bits, mask_of
+from .poset import ElemSet, FinPoset, bits, mask_of
 
 
 class DiffChain:
@@ -78,10 +78,6 @@ class DiffChain:
         """Number of positive/negative pairs when padded to even length."""
         return (len(self.masks) + 1) // 2
 
-    def padded(self) -> tuple[ElemSet, ...]:
-        """The components, padded with the empty set to even length."""
-        return self.sets + (EMPTY,) * (len(self.masks) % 2)
-
 
 def evaluate(chain: DiffChain) -> ElemSet:
     """Value of the nested difference G1 - (G2 - (G3 - ...)).
@@ -140,12 +136,6 @@ def degrees(poset: FinPoset, members: Iterable[int]) -> tuple[int, ...]:
             deg[x] = best_out[x] = inside + 1 if inside else 0
             best_in[x] = inside
     return tuple(deg)
-
-
-def degree(poset: FinPoset, members: Iterable[int], x: int) -> int:
-    """Alternation degree of a single element."""
-    poset._check_elem(x)
-    return degrees(poset, members)[x]
 
 
 # ----- canonical chain ---------------------------------------------------

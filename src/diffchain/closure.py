@@ -156,7 +156,7 @@ def _language_below(d: Dfa) -> list[int]:
 
 
 def _pattern_automaton(
-    target: Dfa, k: int, state_cap: int, keys: list[tuple[int, int]] | None = None
+    target: Dfa, k: int, state_cap: int, keys: list[tuple[int, int]]
 ) -> Dfa:
     """Patterns over the target's letters and BOX with at most k pinned
     letters that some word of the target matches, letter for letter.
@@ -179,7 +179,7 @@ def _pattern_automaton(
     T + P exceeds ``_LENGTH_BITS``, the top layer keeps the subset states
     ``(k, S)`` of the layers below.
 
-    ``keys``, when given, receives each state's key in numbering order.
+    ``keys`` receives each state's key in numbering order.
     A key proves inclusions: L(c, S) ⊆ L(c', S') when c >= c' and
     S ⊆ S', and L(k, λ) ⊆ L(k, λ') when the length set λ ⊆ λ'.  A length
     set is recorded with every bit from ``_LENGTH_BITS`` up set, so that
@@ -229,8 +229,6 @@ def _pattern_automaton(
     reaching, threshold = periodic or ([], 0)
     last_bit = len(reaching) - 1
     lengths_of: dict[int, tuple[int, int]] = {}
-    if keys is None:
-        keys = []
     record = keys.append
     length_key = -1 << _LENGTH_BITS
 

@@ -65,7 +65,7 @@ from .automata import (
     _plain_alphabet,
 )
 from .errors import AlphabetMismatchError, CapacityError
-from .poset import ElemSet, FinPoset, bits
+from .poset import ElemSet, FinPoset, bits, mask_of
 
 # ----- word enumeration and length slices --------------------------------
 
@@ -228,13 +228,14 @@ def _pinned_extensions(
 def brute_degree(poset: FinPoset, members: Iterable[int], x: int) -> int:
     """Longest alternating strictly increasing sequence ending at x, found by
     enumerating every increasing sequence outright."""
-    members = poset._check_subset(members)
-    poset._check_elem(x)
+    members = mask_of(members, poset.n)
+    mask_of((x,), poset.n)  # x must lie in the carrier too
     best = 0
     stack: list[tuple[int, ...]] = [(x,)]
     while stack:
         seq = stack.pop()
-        if all((seq[i] in members) == (i % 2 == 0) for i in range(len(seq))):
+        # members sit exactly at the even positions
+        if all((members >> y & 1) != i % 2 for i, y in enumerate(seq)):
             best = max(best, len(seq))
         head = seq[0]
         for y in poset.down[head] - {head}:
@@ -504,12 +505,9 @@ def check_base_letters(base_letters: Sequence[str]) -> tuple[str, ...]:
     return base_letters
 
 
-class Hom:
-    """A monoid homomorphism between free monoids, given on letters.
-
-    Each source letter maps to a word (possibly empty) over the target
-    alphabet.
-    """
+class LpHom:
+    """A length-preserving homomorphism between free monoids: every source
+    letter maps to one target letter."""
 
     __slots__ = ("source", "target", "_map")
 
@@ -517,7 +515,7 @@ class Hom:
         self,
         source: Sequence[Letter],
         target: Sequence[Letter],
-        letter_map: Mapping[Letter, Sequence[Letter]],
+        letter_map: Mapping[Letter, Letter],
     ):
         source = tuple(source)
         target = tuple(target)
@@ -525,54 +523,32 @@ class Hom:
             raise ValueError("alphabet letters must be distinct")
         if set(letter_map) != set(source):
             raise AlphabetMismatchError("letter map must cover exactly the source alphabet")
-        mapped = {a: tuple(letter_map[a]) for a in source}
         tset = set(target)
-        for a, w in mapped.items():
-            if not set(w) <= tset:
+        for a in source:
+            if letter_map[a] not in tset:
                 raise AlphabetMismatchError(f"image of {a!r} uses letters outside the target")
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "target", target)
-        object.__setattr__(self, "_map", mapped)
+        object.__setattr__(self, "_map", {a: letter_map[a] for a in source})
 
     def __setattr__(self, name, value):
-        raise AttributeError("Hom is immutable")
+        raise AttributeError("LpHom is immutable")
 
-    def image(self, letter: Letter) -> tuple[Letter, ...]:
+    def letter_image(self, letter: Letter) -> Letter:
         if letter not in self._map:
             raise AlphabetMismatchError(f"letter {letter!r} not in source alphabet")
         return self._map[letter]
 
-    def word_image(self, word: Iterable[Letter]) -> tuple[Letter, ...]:
-        out: list[Letter] = []
-        for a in word:
-            out.extend(self.image(a))
-        return tuple(out)
 
-
-class LpHom(Hom):
-    """A length-preserving homomorphism: every letter maps to one letter."""
-
-    def __init__(
-        self,
-        source: Sequence[Letter],
-        target: Sequence[Letter],
-        letter_map: Mapping[Letter, Letter],
-    ):
-        super().__init__(source, target, {a: (b,) for a, b in letter_map.items()})
-
-    def letter_image(self, letter: Letter) -> Letter:
-        return self.image(letter)[0]
-
-
-def inverse_hom_image(d: Dfa, h: Hom) -> Dfa:
+def inverse_hom_image(d: Dfa, h: LpHom) -> Dfa:
     """The automaton for the preimage of d's language under h.
 
-    Keeps d's state set: each source letter acts as its image word.
+    Keeps d's state set: each source letter acts as its image letter.
     """
     if set(h.target) != set(d.alphabet):
         raise AlphabetMismatchError("hom target and automaton alphabet differ")
     delta = [
-        [d.run(q, h.image(a)) for a in h.source] for q in range(d.n_states)
+        [d.run(q, (h.letter_image(a),)) for a in h.source] for q in range(d.n_states)
     ]
     return Dfa(h.source, delta, d.start, d.accepting)
 

@@ -16,8 +16,6 @@ from .errors import CycleError, RangeError
 
 ElemSet = frozenset[int]
 
-EMPTY: ElemSet = frozenset()
-
 
 def bits(mask: int) -> list[int]:
     """Indices of the set bits of ``mask``, ascending."""
@@ -143,28 +141,11 @@ class FinPoset:
     def __repr__(self):
         return f"FinPoset(n={self.n}, covers={self.covers()})"
 
-    # ----- order queries -------------------------------------------------
-
-    def leq(self, i: int, j: int) -> bool:
-        self._check_elem(i)
-        self._check_elem(j)
-        return bool(self.upm[i] >> j & 1)
-
     def covers(self) -> list[tuple[int, int]]:
         """The Hasse relation: pairs (i, j) with i < j and nothing between."""
         return sorted((i, j) for j in range(self.n) for i in self.lower[j])
 
-    def linear_extension(self) -> list[int]:
-        """Element order compatible with the partial order (minimal first)."""
-        return list(self.order)
-
     # ----- subset operations --------------------------------------------
-
-    def _check_subset(self, subset: Iterable[int]) -> ElemSet:
-        subset = frozenset(subset)
-        if subset and (min(subset) < 0 or max(subset) >= self.n):
-            raise RangeError(f"subset {sorted(subset)} leaves the carrier 0..{self.n - 1}")
-        return subset
 
     def _upset_within(self, m: int, outer: int) -> bool:
         """Whether ``m``, a subset of the upset ``outer``, is itself an upset:
@@ -183,29 +164,8 @@ class FinPoset:
         """Least upward-closed set containing ``subset``."""
         return frozenset(bits(self._span(self.upm, mask_of(subset, self.n))))
 
-    def downset_closure(self, subset: Iterable[int]) -> ElemSet:
-        return frozenset(bits(self._span(self.downm, mask_of(subset, self.n))))
-
     def is_upset(self, subset: Iterable[int]) -> bool:
         return self._upset_within(mask_of(subset, self.n), (1 << self.n) - 1)
-
-    def min_elements(self, subset: Iterable[int]) -> ElemSet:
-        """Minimal elements of ``subset`` in the induced order."""
-        m = mask_of(subset, self.n)
-        return frozenset(i for i in bits(m) if self.downm[i] & m == 1 << i)
-
-    def max_elements(self, subset: Iterable[int]) -> ElemSet:
-        m = mask_of(subset, self.n)
-        return frozenset(i for i in bits(m) if self.upm[i] & m == 1 << i)
-
-    def is_convex(self, subset: Iterable[int]) -> bool:
-        """True when every element between two members is itself a member."""
-        m = mask_of(subset, self.n)
-        return not self._span(self.upm, m) & self._span(self.downm, m) & ~m
-
-    def _check_elem(self, i: int) -> None:
-        if not (0 <= i < self.n):
-            raise RangeError(f"element {i} leaves the carrier 0..{self.n - 1}")
 
 
 def _on_cycle(succ: Sequence[Iterable[int]], indeg: list[int]) -> int:

@@ -40,7 +40,6 @@ import diffchain
 from diffchain import automata
 from diffchain.automata import letter_key
 from diffchain.oracle import (
-    Hom,
     LpHom,
     check_base_letters,
     check_variables,
@@ -540,7 +539,7 @@ def _minimize_corpus():
     targets += [random_dfa(rng, 5, ("a", "b", "c")) for _ in range(3)]
     for target in map(_normalize, targets):
         for k in (1, 2, 3):
-            pattern = _pattern_automaton(target, k, 10_000)
+            pattern = _pattern_automaton(target, k, 10_000, [])
             yield pattern
             minimal = minimize(pattern)
             yield _universal_projection(minimal, k, 10_000, identity_keys(minimal.n_states))
@@ -564,44 +563,43 @@ def test_equivalent_examples():
 
 def test_hom_validation():
     with pytest.raises(AlphabetMismatchError):
-        Hom(AB, AB, {"a": "ab"})  # b missing
+        LpHom(AB, AB, {"a": "b"})  # b missing
     with pytest.raises(AlphabetMismatchError):
-        Hom(("c",), AB, {"c": "cd"})  # image leaves the target
+        LpHom(("c",), AB, {"c": "d"})  # image leaves the target
     with pytest.raises(ValueError):
-        Hom(("a", "a"), AB, {"a": "ab"})
-    h = Hom(("c",), AB, {"c": "ab"})
+        LpHom(("a", "a"), AB, {"a": "b"})
+    h = LpHom(("c",), AB, {"c": "b"})
     with pytest.raises(AlphabetMismatchError):
-        h.image("z")
+        h.letter_image("z")
+    with pytest.raises(AttributeError):
+        h.source = AB
 
 
 def test_hom_word_image():
-    h = Hom(("c", "d"), AB, {"c": "ab", "d": ""})
-    assert h.word_image("cdc") == ("a", "b", "a", "b")
-    assert h.word_image("") == ()
     lp = LpHom(AB, ("a",), {"a": "a", "b": "a"})
     assert lp.letter_image("b") == "a"
-    assert lp.word_image("ab") == ("a", "a")
+    assert tuple(map(lp.letter_image, "ab")) == ("a", "a")
 
 
 def test_inverse_hom_image_example():
-    # c expands to ab, so the preimage of "contains b" is every nonempty word
-    h = Hom(("c",), AB, {"c": "ab"})
+    # c maps to b and d to a, so the preimage of "contains b" is "contains c"
+    h = LpHom(("c", "d"), AB, {"c": "b", "d": "a"})
     pre = inverse_hom_image(contains("b"), h)
-    assert pre.alphabet == ("c",)
-    assert not pre.accepts("")
-    assert pre.accepts("c") and pre.accepts("ccc")
+    assert pre.alphabet == ("c", "d")
+    assert not pre.accepts("") and not pre.accepts("dd")
+    assert pre.accepts("c") and pre.accepts("dcd")
 
 
 @given(dfas())
 def test_inverse_hom_image_membership(d):
-    h = Hom(("c", "d"), AB, {"c": "ab", "d": "b"})
+    h = LpHom(("c", "d", "e"), AB, {"c": "a", "d": "b", "e": "b"})
     pre = inverse_hom_image(d, h)
-    for w in all_words(4, ("c", "d")):
-        assert pre.accepts(w) == d.accepts(h.word_image(w))
+    for w in all_words(4, ("c", "d", "e")):
+        assert pre.accepts(w) == d.accepts(tuple(map(h.letter_image, w)))
 
 
 def test_inverse_hom_image_checks_alphabets():
-    h = Hom(("c",), ("a", "z"), {"c": "z"})
+    h = LpHom(("c",), ("a", "z"), {"c": "z"})
     with pytest.raises(AlphabetMismatchError):
         inverse_hom_image(contains("a"), h)
 
@@ -738,15 +736,15 @@ def test_quantifiers_bracket_the_base_language(d):
 def test_erasing_hom_keeps_marked_positions():
     theta = erasing_hom(AB, ("x1",))
     w = [M("a"), M("b", "x1"), M("a")]
-    assert theta.word_image(w) == (M(None), M("b", "x1"), M(None))
+    assert tuple(map(theta.letter_image, w)) == (M(None), M("b", "x1"), M(None))
     # two structures with the same erased image
     v = [M("b"), M("b", "x1"), M("b")]
-    assert theta.word_image(v) == theta.word_image(w)
+    assert tuple(map(theta.letter_image, v)) == tuple(map(theta.letter_image, w))
 
 
 def test_projection_hom_forgets_marks():
     proj = projection_hom(AB, ("x1",))
-    assert proj.word_image([M("a", "x1"), M("b")]) == ("a", "b")
+    assert tuple(map(proj.letter_image, [M("a", "x1"), M("b")])) == ("a", "b")
     assert proj.target == ("a", "b")
 
 

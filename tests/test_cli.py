@@ -206,6 +206,12 @@ def test_poset_chain_rejects_bad_inputs(chain_poset_file, tmp_path, capsys):
     assert main(["poset", "chain", "--poset", str(chain_poset_file), "--set", "0,x"]) == 2
     assert main(["poset", "chain", "--poset", str(chain_poset_file), "--set", "9"]) == 2
     assert capsys.readouterr().err.count("error:") == 4
+    # only an optional minus and ASCII digits make an index
+    for raw in ("1_0", "\u0662", "+1", " 0, 1_0"):
+        assert main(["poset", "chain", "--poset", str(chain_poset_file), "--set", raw]) == 2
+        assert "cannot parse element list" in capsys.readouterr().err
+    assert main(["poset", "chain", "--poset", str(chain_poset_file), "--set", " 0 , -1 "]) == 2
+    assert capsys.readouterr().err == "error: element -1 leaves the carrier 0..2\n"
 
 
 def test_poset_chain_output_puts_each_component_on_one_line(chain_poset_file, capsys):

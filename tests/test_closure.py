@@ -171,7 +171,7 @@ def test_pattern_top_layer_collapses_into_length_sets():
     d = random_dfa(rng, 80, ("a", "b", "c"))
     while d.n_states < 50:
         d = random_dfa(rng, 80, ("a", "b", "c"))
-    assert _pattern_automaton(_normalize(d), 5, 20_000).n_states < 20_000
+    assert _pattern_automaton(_normalize(d), 5, 20_000, []).n_states < 20_000
 
 
 def rerooted_inclusions(d):
@@ -231,7 +231,7 @@ def test_pattern_automaton_minimizes_to_the_forward_subset_construction():
     for d in targets:
         target = _normalize(d)
         for k in (1, 2, 3, 4):
-            got = minimize(_pattern_automaton(target, k, 10_000))
+            got = minimize(_pattern_automaton(target, k, 10_000, []))
             assert got == forward_patterns(target, k), (d, k)
 
 
@@ -543,7 +543,7 @@ def test_plain_letters_lower_the_top_pin_count():
 
     patterns = [(k, pattern) for k, pattern, _, _ in minimal_patterns()]
     target = _normalize(period_65_counter())
-    patterns += [(k, minimize(_pattern_automaton(target, k, 10_000))) for k in (1, 2, 3)]
+    patterns += [(k, minimize(_pattern_automaton(target, k, 10_000, []))) for k in (1, 2, 3)]
     for k, pattern in patterns:
         box = pattern.letter_index(BOX)
         top = [bits.bit_length() for bits in _pin_counts(pattern, box, k)]

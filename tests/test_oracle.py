@@ -15,6 +15,7 @@ from diffchain import (
     CapacityError,
     Dfa,
     FinPoset,
+    RangeError,
     canonical_chain,
     degrees,
     dfa_no_words,
@@ -268,6 +269,10 @@ def test_brute_degree_examples():
     assert [brute_degree(p, {0, 2}, x) for x in range(3)] == [1, 2, 3]
     assert [brute_degree(p, {1}, x) for x in range(3)] == [0, 1, 2]
     assert brute_degree(p, set(), 2) == 0
+    with pytest.raises(RangeError, match="element 3 leaves"):
+        brute_degree(p, {3}, 0)
+    with pytest.raises(RangeError, match="element -1 leaves"):
+        brute_degree(p, {0}, -1)
 
 
 def test_degrees_agree_with_brute_enumeration_exhaustively():
