@@ -26,6 +26,7 @@ DEFAULT_SEED = 271828
 # verify's longest words: the checks enumerate every word up to --max-len,
 # and each extra letter doubles their time
 MAX_VERIFY_LEN = 12
+
 _INDEX = re.compile("-?[0-9]+")
 
 
