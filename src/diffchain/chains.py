@@ -26,20 +26,12 @@ class DiffChain:
 
     Odd positions (1st, 3rd, ...) contribute positively.  The components are
     stored as bitmasks in ``masks``; ``sets`` gives them as frozensets, built
-    on first access.  Construction validates that every component is an
-    upset and that the chain decreases under inclusion.
+    on first access.  ``DiffChain(poset, sets)`` validates that every
+    component is an upset and that the chain decreases under inclusion.
     """
 
     def __init__(self, poset: FinPoset, sets: Iterable[Iterable[int]]):
-        self._set(poset, tuple(mask_of(s, poset.n) for s in sets))
-
-    @classmethod
-    def _of_masks(cls, poset: FinPoset, masks: tuple[int, ...]) -> "DiffChain":
-        chain = object.__new__(cls)
-        chain._set(poset, masks)
-        return chain
-
-    def _set(self, poset: FinPoset, masks: tuple[int, ...]) -> None:
+        masks = tuple(mask_of(s, poset.n) for s in sets)
         carrier = prev = (1 << poset.n) - 1
         for i, m in enumerate(masks):
             # each component is checked as an upset inside its predecessor,
@@ -51,6 +43,13 @@ class DiffChain:
                 raise NotDecreasingError(f"component {i + 1} is not below component {i}")
             prev = m
         vars(self).update(poset=poset, masks=masks)
+
+    @classmethod
+    def _of_masks(cls, poset: FinPoset, masks: tuple[int, ...]) -> "DiffChain":
+        """The chain of ``masks``, unchecked: a decreasing chain of upsets."""
+        chain = object.__new__(cls)
+        vars(chain).update(poset=poset, masks=masks)
+        return chain
 
     @cached_property
     def sets(self) -> tuple[ElemSet, ...]:
@@ -82,27 +81,13 @@ class DiffChain:
 def evaluate(chain: DiffChain) -> ElemSet:
     """Value of the nested difference G1 - (G2 - (G3 - ...)).
 
-    For a decreasing chain this coincides with the disjoint union of the
-    pairwise differences G1-G2, G3-G4, ...; both readings are computed and
-    compared.
+    Every ``DiffChain`` decreases, so this is also the disjoint union of the
+    differences G1-G2, G3-G4, ... of the chain padded to even length.
     """
     nested = 0
     for m in reversed(chain.masks):
         nested = m & ~nested
-    comps = _padded(chain.masks)
-    union = 0
-    for i in range(0, len(comps), 2):
-        part = comps[i] & ~comps[i + 1]
-        if union & part:
-            raise AssertionError("difference pairs must be disjoint")
-        union |= part
-    if nested != union:
-        raise AssertionError("nested and disjoint readings must agree")
     return frozenset(bits(nested))
-
-
-def _padded(masks: tuple[int, ...]) -> tuple[int, ...]:
-    return masks + (0,) * (len(masks) % 2)
 
 
 # ----- alternation degree ------------------------------------------------
@@ -147,15 +132,18 @@ def canonical_chain(poset: FinPoset, target: Iterable[int]) -> DiffChain:
     The i-th component is the level set of elements of alternation degree
     >= i, padded with the empty set to even length: the first closes the
     target upward, even ones close up what lies outside the target, odd ones
-    what lies inside it.  The empty target yields the empty chain.
+    what lies inside it.  The empty target yields the empty chain.  The
+    components need no check: ``levels[d] |= levels[d + 1]`` nests them, and
+    each level set is an upset because the degree grows along the order.
     """
     deg = degrees(poset, target)
-    levels = [0] * (max(deg, default=0) + 1)
+    top = max(deg, default=0)
+    levels = [0] * (top + 1 + top % 2)  # an odd top pads one empty level
     for x, d in enumerate(deg):
         levels[d] |= 1 << x
     for d in range(len(levels) - 2, 0, -1):
         levels[d] |= levels[d + 1]
-    return DiffChain._of_masks(poset, _padded(tuple(levels[1:])))
+    return DiffChain._of_masks(poset, tuple(levels[1:]))
 
 
 # ----- the canonical recurrence over any closure ---------------------------

@@ -320,6 +320,7 @@ def _suite_images(args) -> tuple[bool, str]:
 
 def _suite_adjunction(args) -> tuple[bool, str]:
     rng = random.Random(args.seed)
+    cap = _state_cap()
     vs = oracle.variables(1)
     marked = oracle.marked_alphabet(("a", "b"), vs)
     nonempty = automata.dfa_nonempty_words(("a", "b"))
@@ -330,7 +331,7 @@ def _suite_adjunction(args) -> tuple[bool, str]:
         upper = oracle.random_dfa(rng, 3, marked)
         left = automata.subset_of(oracle.tensor(lang, vs), upper)
         right = automata.subset_of(
-            lang, oracle.forall_adjoint(upper, vs, ("a", "b"))
+            lang, oracle.forall_adjoint(upper, vs, ("a", "b"), cap)
         )
         if left != right:
             return False, f"case {case}: adjunction sides disagree"

@@ -40,7 +40,6 @@ from .automata import (
     dfa_nonempty_words,
     dfa_to_json_obj,
     difference,
-    equivalent,
     intersect,
     is_empty_lang,
     minimize,
@@ -575,7 +574,7 @@ def _inclusion_table(
 
 def is_pi1_k(d: Dfa, k: int, state_cap: int = DEFAULT_STATE_CAP) -> bool:
     """True when the (nonempty-word part of the) language is its own closure."""
-    return equivalent(pi1_closure(d, k, state_cap), _normalize(d))
+    return pi1_closure(d, k, state_cap) == _normalize(d)
 
 
 # ----- difference chains of closures -------------------------------------

@@ -13,6 +13,7 @@ from itertools import islice, takewhile
 from operator import and_, not_
 
 from diffchain import (
+    DiffChain,
     canonical_chain,
     decompose_bpi1,
     degrees,
@@ -96,6 +97,8 @@ def test_canonical_chains_reconstruct_every_subset():
                 ok, detail = False, f"degree mismatch on n={poset.n} V={sorted(v)}"
             elif chain.sets != levels or any(d > len(chain.sets) for d in deg):
                 ok, detail = False, f"level mismatch on n={poset.n} V={sorted(v)}"
+            elif DiffChain(poset, chain.sets) != chain:
+                ok, detail = False, f"not a chain of upsets on n={poset.n} V={sorted(v)}"
             elif evaluate(chain) != v:
                 ok, detail = False, f"reconstruction fails on n={poset.n} V={sorted(v)}"
             elif chain.masks != tuple(canonical_pairs(

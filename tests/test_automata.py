@@ -13,7 +13,7 @@ import time
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from diffchain import (
     AlphabetMismatchError,

@@ -19,6 +19,7 @@ from diffchain import (
     evaluate,
 )
 from diffchain.chains import canonical_pairs, canonical_terms
+from diffchain.poset import bits
 
 from helpers import mask_minus, upset_closure_of
 
@@ -131,6 +132,15 @@ def test_evaluate_is_odd_membership_count(case):
     for x in range(p.n):
         inside = sum(1 for s in chain.sets if x in s)
         assert (x in value) == (inside % 2 == 1)
+    # a decreasing chain's value is also the disjoint union of its pair
+    # differences G1-G2, G3-G4, ..., padded to even length
+    comps = chain.masks + (0,) * (len(chain.masks) % 2)
+    union = 0
+    for i in range(0, len(comps), 2):
+        part = comps[i] & ~comps[i + 1]
+        assert not union & part
+        union |= part
+    assert value == frozenset(bits(union))
 
 
 # ----- alternation degrees ----------------------------------------------

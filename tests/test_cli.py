@@ -676,6 +676,12 @@ def test_state_cap_env_is_honored(tmp_path, monkeypatch, capsys):
     assert "error:" in capsys.readouterr().err
     monkeypatch.setenv("DIFFCHAIN_STATE_CAP", "100000")
     assert main(["lang", "closure", "--dfa", str(path), "--k", "1"]) == 0
+    adjunction = ["verify", "--suite", "adjunction", "--cases", "10"]
+    monkeypatch.setenv("DIFFCHAIN_STATE_CAP", "8")
+    assert main(adjunction) == 2
+    assert capsys.readouterr().err == "error: subset construction passed 8 states\n"
+    monkeypatch.setenv("DIFFCHAIN_STATE_CAP", "16")
+    assert main(adjunction) == 0
 
 
 def test_state_cap_env_must_be_a_positive_integer(tmp_path, monkeypatch, capsys):
