@@ -94,7 +94,7 @@ def evaluate(chain: DiffChain) -> ElemSet:
 
 
 def degrees(poset: FinPoset, members: Iterable[int]) -> tuple[int, ...]:
-    """Alternation degree of every element, by one sweep in a linear extension.
+    """Alternation degree of every element: one sweep of ``lower`` in ``order``.
 
     The degree of x is the greatest r such that some strictly increasing
     sequence p1 < ... < pr = x lies in ``members`` exactly at odd positions;
@@ -103,8 +103,8 @@ def degrees(poset: FinPoset, members: Iterable[int]) -> tuple[int, ...]:
     members = mask_of(members, poset.n)
     deg = [0] * poset.n
     # best_in[x] / best_out[x]: greatest degree of a member / non-member at or
-    # below x, read off the Hasse lower covers.  A witness ending below x on
-    # x's own side can end at x instead, so x's degree is that side's maximum.
+    # below x, the maxima over x's lower edges (any edges that generate the
+    # order give the same).  A witness below x on x's side can end at x.
     best_in = [0] * poset.n
     best_out = [0] * poset.n
     for x in poset.order:

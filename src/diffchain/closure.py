@@ -202,23 +202,19 @@ def _pattern_automaton(
         tables.append(table)
     full = (1 << n) - 1
     accepting = sum(1 << q for q in target.accepting)
-    posts: dict[int, list[int]] = {}
 
     def post(subset: int) -> list[int]:
         """Successor masks per letter, then the box's (any letter)."""
-        out = posts.get(subset)
-        if out is None:
-            both = 0
-            rest = subset
-            for table in tables:
-                both |= table[rest & 255]
-                rest >>= 8
-            out = [both >> (i * n) & full for i in range(width)]
-            box = 0
-            for mask in out:
-                box |= mask
-            out.append(box)
-            posts[subset] = out
+        both = 0
+        rest = subset
+        for table in tables:
+            both |= table[rest & 255]
+            rest >>= 8
+        out = [both >> (i * n) & full for i in range(width)]
+        box = 0
+        for mask in out:
+            box |= mask
+        out.append(box)
         return out
 
     dead = (0, 0)
@@ -227,20 +223,16 @@ def _pattern_automaton(
     collapsed = k if periodic is not None else -1
     reaching, threshold = periodic or ([], 0)
     last_bit = len(reaching) - 1
-    lengths_of: dict[int, tuple[int, int]] = {}
     record = keys.append
     length_key = -1 << _LENGTH_BITS
 
     def enter(subset: int) -> tuple[int, int]:
         """The top-layer state of the target states ``subset``."""
-        t = lengths_of.get(subset)
-        if t is None:
-            lengths = 0
-            for m, states in enumerate(reaching):
-                if states & subset:
-                    lengths |= 1 << m
-            t = lengths_of[subset] = (k, lengths) if lengths else dead
-        return t
+        lengths = 0
+        for m, states in enumerate(reaching):
+            if states & subset:
+                lengths |= 1 << m
+        return (k, lengths) if lengths else dead
 
     def step(state):
         c, subset = state

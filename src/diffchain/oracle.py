@@ -238,8 +238,8 @@ def brute_degree(poset: FinPoset, members: Iterable[int], x: int) -> int:
         if all((members >> y & 1) != i % 2 for i, y in enumerate(seq)):
             best = max(best, len(seq))
         head = seq[0]
-        for y in poset.down[head] - {head}:
-            stack.append((y,) + seq)
+        # extend below head by every element whose upset holds it
+        stack += [(y,) + seq for y in range(poset.n) if y != head and poset.upm[y] >> head & 1]
     return best
 
 

@@ -1,16 +1,17 @@
 """Finite posets on dense integer carriers, with upset-oriented set operations.
 
-Elements are the integers ``0..n-1``.  Inside the package a subset is an int
-bitmask (bit i set when i is a member); at the API boundary subsets are
-plain ``frozenset[int]`` values, and the poset validates membership on every
-operation that takes one.
+Elements are the integers ``0..n-1``.  A poset keeps the lower edges it was
+given and builds the closure of its order only when that is read.  Inside
+the package a subset is an int bitmask (bit i set when i is a member); at the
+API boundary subsets are plain ``frozenset[int]`` values, checked on entry.
 """
 
 from __future__ import annotations
 
 import json
+from collections import defaultdict
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import CycleError, RangeError
 
@@ -38,35 +39,37 @@ def mask_of(subset: Iterable[int], n: int) -> int:
 
 
 class FinPoset:
-    """A finite partial order, stored as per-element up- and down-masks.
+    """A finite partial order, stored as the edges that generate it.
 
-    ``upm[i]`` is the bitmask of the principal upset of ``i`` (including
-    ``i`` itself) and ``downm[i]`` that of its principal downset; ``order``
-    is a linear extension (minimal elements first) and ``lower[i]`` lists the
-    Hasse lower covers of ``i``.  ``up`` and ``down`` give the principal
-    sets as frozensets, built on first access.  Instances are immutable and
+    ``order`` is a linear extension (minimal elements first) and ``lower[i]``
+    lists the elements given directly below ``i``: every Hasse cover, and any
+    transitive edge ``from_covers`` was given.  ``upm[i]``, the bitmask of the
+    principal upset of ``i`` (with ``i``), and ``up``, those upsets as
+    frozensets, are built on first read.  Instances are immutable and
     hashable; two posets are equal when they have the same carrier size and
     the same order relation.
     """
 
     def __init__(self, up: Sequence[Iterable[int]]):
         upm = [mask_of(ups, len(up)) for ups in up]
-        self._build([bits(m & ~(1 << i)) for i, m in enumerate(upm)])
+        self._build(len(upm), {i: bits(m & ~(1 << i)) for i, m in enumerate(upm)})
         for i, m in enumerate(upm):
             if self.upm[i] != m:  # a reflexive, transitive relation is its own closure
                 axiom = "transitive" if m >> i & 1 else "reflexive"
                 raise ValueError(f"order not {axiom} at {i}")
+        vars(self)["lower"] = self._hasse()
 
     @classmethod
     def from_covers(cls, covers: Iterable[tuple[int, int]], n: int) -> "FinPoset":
-        """Build the reflexive-transitive closure of a cover relation.
+        """The order generated by ``covers``: pairs (i, j) with i below j.
 
         Raises RangeError for indices outside ``0..n-1`` and CycleError when
         the covers contain a directed cycle.
         """
         if n < 0:
             raise RangeError("carrier size must be >= 0")
-        succ: list[set[int]] = [set() for _ in range(n)]
+        # only elements with covers get a container: a wide poset stays cheap
+        succ: defaultdict[int, set[int]] = defaultdict(set)
         for i, j in covers:
             if not (0 <= i < n and 0 <= j < n):
                 raise RangeError(f"cover ({i}, {j}) leaves the carrier 0..{n - 1}")
@@ -74,100 +77,97 @@ class FinPoset:
                 raise CycleError(f"cover ({i}, {i}) is a self-loop")
             succ[i].add(j)
         poset = object.__new__(cls)
-        poset._build(succ)
+        poset._build(n, succ)
         return poset
 
-    def _build(self, succ: Sequence[Iterable[int]]) -> None:
-        """Masks, order and Hasse covers of the order generated by ``succ``
-        (each element's successors), proving it a partial order on the way."""
-        n = len(succ)
+    def _build(self, n: int, succ: Mapping[int, Iterable[int]]) -> None:
+        """Order and lower edges of the order generated by ``succ``, which maps
+        elements to their successors, proving it a partial order on the way."""
         indeg = [0] * n
-        for s in succ:
+        for s in succ.values():
             for j in s:
                 indeg[j] += 1
         # Kahn's algorithm: an element is ordered once all its predecessors
         # are, so a complete order proves the relation acyclic
         order = [i for i in range(n) if not indeg[i]]
+        lower: defaultdict[int, list[int]] = defaultdict(list)
         for i in order:
-            for j in succ[i]:
+            for j in succ.get(i, ()):
+                lower[j].append(i)
                 indeg[j] -= 1
                 if not indeg[j]:
                     order.append(j)
         if len(order) < n:
             raise CycleError(f"covers contain a cycle through {_on_cycle(succ, indeg)}")
-        # i joined with its successors' up-masks: reflexive and transitive
-        upm = [0] * n
-        lower: list[list[int]] = [[] for _ in range(n)]
-        for i in reversed(order):
-            m = 1 << i
-            above = 0  # strictly above some successor, so no cover of i
-            for j in succ[i]:
-                m |= upm[j]
-                above |= upm[j] ^ 1 << j
-            upm[i] = m
-            for j in succ[i]:
-                if not above >> j & 1:
-                    lower[j].append(i)
-        downm = [0] * n
-        for x in order:
-            for y in lower[x]:
-                downm[x] |= downm[y]
-            downm[x] |= 1 << x
         vars(self).update(
-            n=n, upm=tuple(upm), downm=tuple(downm), order=tuple(order),
-            lower=tuple(map(tuple, lower)), _hash=hash((n, tuple(upm))))
+            n=n, order=tuple(order), lower=tuple(tuple(lower.get(j, ())) for j in range(n)))
+
+    @cached_property
+    def upm(self) -> tuple[int, ...]:
+        # maximal first: a mask is complete before it joins those below it
+        upm = [1 << i for i in range(self.n)]
+        for x in reversed(self.order):
+            for y in self.lower[x]:
+                upm[y] |= upm[x]
+        return tuple(upm)
 
     @cached_property
     def up(self) -> tuple[ElemSet, ...]:
         return tuple(frozenset(bits(m)) for m in self.upm)
 
-    @cached_property
-    def down(self) -> tuple[ElemSet, ...]:
-        return tuple(frozenset(bits(m)) for m in self.downm)
-
     def __setattr__(self, name, value):
         raise AttributeError("FinPoset is immutable")
 
     def __eq__(self, other):
-        return isinstance(other, FinPoset) and (self.n, self.upm) == (other.n, other.upm)
+        return isinstance(other, FinPoset) and self.n == other.n and self.upm == other.upm
 
     def __hash__(self):
-        return self._hash
+        return hash((self.n, self.upm))
 
     def __repr__(self):
         return f"FinPoset(n={self.n}, covers={self.covers()})"
 
     def covers(self) -> list[tuple[int, int]]:
         """The Hasse relation: pairs (i, j) with i < j and nothing between."""
-        return sorted((i, j) for j in range(self.n) for i in self.lower[j])
+        return sorted((i, j) for j, below in enumerate(self._hasse()) for i in below)
+
+    def _hasse(self) -> tuple[tuple[int, ...], ...]:
+        """``lower`` less its transitive edges: i stays below j unless it lies
+        below another of j's lower elements, so ``upm`` is read only where j
+        has two or more."""
+        out = []
+        for below in self.lower:
+            if len(below) > 1:
+                span = sum(1 << i for i in below)
+                below = tuple(i for i in below if not (self.upm[i] ^ 1 << i) & span)
+            out.append(below)
+        return tuple(out)
 
     # ----- subset operations --------------------------------------------
 
     def _upset_within(self, m: int, outer: int) -> bool:
         """Whether ``m``, a subset of the upset ``outer``, is itself an upset:
-        nothing in ``outer - m`` may lie above a member of ``m``."""
-        return not self._span(self.downm, outer & ~m) & m
-
-    @staticmethod
-    def _span(masks: Sequence[int], m: int) -> int:
-        """The union of ``masks[i]`` over the members i of ``m``."""
-        acc = 0
-        for i in bits(m):
-            acc |= masks[i]
-        return acc
+        a chain from ``m`` up to ``outer - m`` stays in ``outer``, so it is
+        enough that no element of ``outer - m`` has a lower edge from ``m``."""
+        lower = self.lower
+        return not any(m >> i & 1 for j in bits(outer & ~m) for i in lower[j])
 
     def upset_closure(self, subset: Iterable[int]) -> ElemSet:
         """Least upward-closed set containing ``subset``."""
-        return frozenset(bits(self._span(self.upm, mask_of(subset, self.n))))
+        m = mask_of(subset, self.n)
+        for x in self.order:  # every lower element of x is settled before x
+            if not m >> x & 1 and any(m >> y & 1 for y in self.lower[x]):
+                m |= 1 << x
+        return frozenset(bits(m))
 
     def is_upset(self, subset: Iterable[int]) -> bool:
         return self._upset_within(mask_of(subset, self.n), (1 << self.n) - 1)
 
 
-def _on_cycle(succ: Sequence[Iterable[int]], indeg: list[int]) -> int:
+def _on_cycle(succ: Mapping[int, Iterable[int]], indeg: list[int]) -> int:
     """An element on a cycle: every element Kahn's algorithm left unordered
     has an unordered predecessor, so walking back through those repeats."""
-    pred = {j: i for i, s in enumerate(succ) if indeg[i] for j in s}
+    pred = {j: i for i, s in sorted(succ.items()) if indeg[i] for j in s}
     x, seen = min(pred), set()
     while x not in seen:
         seen.add(x)

@@ -73,6 +73,22 @@ def test_poset_chain_computes_the_degrees_once(chain_poset_file, monkeypatch, ca
     assert json.loads(capsys.readouterr().out)["degrees"] == [1, 2, 3]
 
 
+def test_poset_chain_builds_no_mask(tmp_path, monkeypatch, capsys):
+    # the report reads only the linear extension and the lower edges: a
+    # 3x3 grid given with a transitive edge keeps n, order and lower alone
+    covers = [[3 * r + c, 3 * r + c + 1] for r in range(3) for c in range(2)]
+    covers += [[3 * r + c, 3 * r + c + 3] for r in range(2) for c in range(3)]
+    path = poset_doc_file(tmp_path, {"n": 9, "covers": covers + [[0, 8]]})
+    read = []
+    real = cli.poset_from_json
+    monkeypatch.setattr(cli, "poset_from_json", lambda text: read.append(real(text)) or read[-1])
+    assert main(["poset", "chain", "--poset", str(path), "--set", "0,4,8"]) == 0
+    assert json.loads(capsys.readouterr().out)["degrees"] == [1, 2, 2, 2, 3, 4, 2, 4, 5]
+    (p, _), = read
+    chains.degrees(p, {0, 4, 8})
+    assert sorted(vars(p)) == ["lower", "n", "order"]
+
+
 def test_chain_components_give_every_degree():
     # every subset of every poset on at most 4 points, then random subsets
     # of a 60-chain and of random orders on 12 points (edges i -> j, i < j)

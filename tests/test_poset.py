@@ -7,6 +7,8 @@ from hypothesis import given, strategies as st
 
 from diffchain import (
     CycleError,
+    DiffChain,
+    DiffChainError,
     FinPoset,
     RangeError,
     canonical_chain,
@@ -46,7 +48,8 @@ def test_from_covers_closes_transitively():
     p = chain3()
     assert p.upm[0] >> 2 & 1
     assert p.up[0] == frozenset({0, 1, 2})
-    assert p.down[2] == frozenset({0, 1, 2})
+    # the downset of 2, read off the up-masks
+    assert {i for i in range(p.n) if p.upm[i] >> 2 & 1} == {0, 1, 2}
 
 
 def test_covers_recovers_hasse_relation():
@@ -87,7 +90,8 @@ def test_from_covers_builds_long_chains(n):
     p = FinPoset.from_covers([(i, i + 1) for i in range(n - 1)], n)
     assert p.upm[0] >> (n - 1) & 1 and not p.upm[n - 1] >> 0 & 1
     assert p.covers()[-1] == (n - 2, n - 1)
-    assert p.upm[0] == (1 << n) - 1 and p.downm[0] == 1
+    assert p.upm[0] == (1 << n) - 1 and p.lower[0] == ()
+    assert not any(p.upm[i] & 1 for i in range(1, n))  # nothing lies below 0
     target = {0, n // 2}
     deg = degrees(p, target)
     assert deg[: n // 2] == (1,) + (2,) * (n // 2 - 1)
@@ -196,9 +200,55 @@ def test_upset_closure_is_monotone_and_additive(case):
 
 @given(posets())
 def test_up_and_down_closures_are_mirror_images(p):
-    # the dual poset's up-masks are this poset's down-masks, and back
-    flipped = FinPoset(p.down)
-    assert flipped.upm == p.downm and flipped.downm == p.upm
+    # the dual poset, built from the reversed covers, has the transposed
+    # up-masks, and reversing its covers gives this poset back
+    flipped = FinPoset.from_covers([(j, i) for i, j in p.covers()], p.n)
+    for i in range(p.n):
+        for j in range(p.n):
+            assert flipped.upm[j] >> i & 1 == p.upm[i] >> j & 1
+    assert FinPoset.from_covers([(j, i) for i, j in flipped.covers()], p.n) == p
+
+
+@st.composite
+def with_transitive_edges(draw):
+    """A poset, a list of its covers with some transitive edges added, and
+    a few subsets of it."""
+    p = draw(posets())
+    covers = p.covers()
+    extra = [(i, j) for i in range(p.n) for j in range(p.n)
+             if i != j and p.upm[i] >> j & 1 and (i, j) not in covers]
+    added = draw(st.lists(st.sampled_from(extra), max_size=6) if extra else st.just([]))
+    edges = draw(st.permutations(covers + added))
+    return p, edges, draw(st.lists(subsets_of(p), max_size=3))
+
+
+def _accepts(p, sets):
+    try:
+        DiffChain(p, sets)
+    except DiffChainError as e:
+        return type(e)
+    return True
+
+
+@given(with_transitive_edges())
+def test_transitive_edges_change_nothing(case):
+    # from_covers keeps the edges it is given; the order they generate,
+    # and everything read off it, must not depend on the redundant ones
+    p, edges, sets = case
+    q = FinPoset.from_covers(edges, p.n)
+    assert sorted((i, j) for j, below in enumerate(q.lower) for i in below) == sorted(set(edges))
+    assert q == p and hash(q) == hash(p)
+    assert q.covers() == p.covers()
+    closed = [p.upset_closure(s) for s in sets]
+    nested = [frozenset.intersection(*closed[: i + 1]) for i in range(len(closed))]
+    for s in sets:
+        assert degrees(q, s) == degrees(p, s)
+        assert canonical_chain(q, s) == canonical_chain(p, s)
+        assert q.upset_closure(s) == p.upset_closure(s)
+        assert q.is_upset(s) == p.is_upset(s)
+    for candidate in (sets, closed, nested):
+        assert _accepts(q, candidate) == _accepts(p, candidate)
+    assert _accepts(p, nested) is True
 
 
 # ----- serialization -----------------------------------------------------
