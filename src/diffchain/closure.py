@@ -31,7 +31,6 @@ from __future__ import annotations
 import json
 from bisect import insort
 from dataclasses import dataclass
-from itertools import islice
 
 from .automata import (
     DEFAULT_STATE_CAP,
@@ -46,7 +45,7 @@ from .automata import (
     _explore,
     _plain_alphabet,
 )
-from .chains import canonical_pairs, canonical_terms
+from .chains import canonical_pairs
 from .errors import CapacityError
 
 DEFAULT_K_CAP = 3
@@ -593,25 +592,6 @@ class ChainTrace:
     @property
     def succeeded(self) -> bool:
         return self.status == "success"
-
-
-def closure_chain_terms(
-    d: Dfa, k: int, count: int, state_cap: int = DEFAULT_STATE_CAP
-) -> list[Dfa]:
-    """First ``count`` terms of the canonical closure chain at k variables
-    (``chains.canonical_terms`` with the k-variable closure).
-
-    Term 1 is the closure of the target; even terms close up what the
-    previous term has outside the target, odd terms what it has inside.  No
-    early stopping: the sequence is well defined at every index.  Raises
-    ValueError when k is below 1, and CapacityError when k exceeds
-    ``DEFAULT_K_CAP``, whatever ``count``.
-    """
-    _check_variables(k)
-    terms = canonical_terms(
-        lambda lang: pi1_closure(lang, k, state_cap), difference, intersect, _normalize(d)
-    )
-    return list(islice(terms, max(count, 0)))
 
 
 def chain_trace(

@@ -9,22 +9,17 @@ Words are checked a length slice at a time.  ``accepted_slice`` finds the
 acceptance of every length-n word in one layered walk over an automaton,
 the words in lexicographic order over its alphabet, which ``Dfa`` keeps in
 canonical order, as in ``words_upto``; ``lang_eq_upto`` compares two
-automata slice by slice.  The closure has three reference
-routes.  ``closure_slice`` reads a whole slice of it off the definition by
-position profiles: each word is an int with a fixed bit field per letter,
-its letters on a set P of positions are one AND with P's mask, and a word
+automata slice by slice.  The closure has two reference routes.
+``closure_slice`` reads a whole slice of it off the definition by position
+profiles: each word is an int with a fixed bit field per letter, its
+letters on a set P of positions are one AND with P's mask, and a word
 belongs iff on every P of min(k, n) positions it matches the profile of
-some accepted word of its length.  ``brute_pi1_closure_member`` decides one
-word by an extension-mask search: for each multiset of k - 1 of its
-positions, one forward and one backward pass over the reached states of the
-automaton mark every (position, letter) pair that some accepted word of the
-same length, agreeing with the word there, carries; the word belongs iff
-each of its own pairs is marked every time.  The third is the paper's
-literal marked-alphabet construction (``marked_pi1_closure``).
-Alternation degrees are checked against ``brute_degree``, which enumerates
-the increasing sequences below one element, and ``sequence_degrees``, which
-reads every element's degree for one subset off a poset's table of
-``increasing_sequences``, listed once.
+some accepted word of its length.  The second is the paper's literal
+marked-alphabet construction (``marked_pi1_closure``).  Alternation
+degrees have one: ``sequence_degrees`` reads every element's degree for
+one subset off a poset's table of ``increasing_sequences``, listed once.
+``brute_pi1_closure_member`` and ``brute_degree`` read one entry of a
+slice or a table; they are the benchmark checker's entry points.
 The canonical-chain recurrence is checked against ``moore_families``, every
 closure system on a few points, and ``family_chains``, a search over all
 chains of a family's sets.  ``upsets`` lists a poset's upset lattice as
@@ -41,14 +36,7 @@ brute-force preimages.
 from __future__ import annotations
 
 import random
-from functools import lru_cache
-from itertools import (
-    combinations,
-    combinations_with_replacement,
-    compress,
-    islice,
-    product as iter_product,
-)
+from itertools import combinations, compress, islice, product as iter_product
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .automata import (
@@ -129,6 +117,25 @@ def closure_slice(d: Dfa, k: int, n: int) -> list[bool]:
     return [c in inside for c in codes]
 
 
+def brute_pi1_closure_member(d: Dfa, k: int, word: Sequence[Letter]) -> bool:
+    """Membership of one word in the k-variable universal closure of d's
+    language: the word's entry in ``closure_slice(d, k, len(word))``, whose
+    rank is the word's letter indices read as digits in base |A|.
+
+    Only the benchmark's checker (``bench/check._closure``) still asks one
+    word at a time; ROADMAP items 7 and 14 move it to whole slices, and
+    this wrapper goes with them.  Raises ValueError when k < 1 and
+    AlphabetMismatchError for a letter outside d's alphabet; the empty word
+    belongs to no closure.
+    """
+    if k < 1:
+        raise ValueError("need at least one variable")
+    rank = 0
+    for letter in word:
+        rank = rank * len(d.alphabet) + d.letter_index(letter)
+    return closure_slice(d, k, len(word))[rank]
+
+
 def slice_difference(
     left: Sequence[bool], right: Sequence[bool], letters: Sequence[Letter], n: int
 ) -> tuple[Letter, ...] | None:
@@ -158,89 +165,7 @@ def lang_eq_upto(
     return True, None
 
 
-# ----- closure membership by pinned extensions --------------------------
-
-
-def brute_pi1_closure_member(d: Dfa, k: int, word: Sequence[Letter]) -> bool:
-    """Membership of a word in the k-variable universal closure of d's
-    language, decided directly.
-
-    A word belongs iff for every multiset of k of its positions some
-    accepted word of the same length carries the same letters at those
-    positions.  Every such multiset is a multiset Q of k - 1 positions plus
-    one position j, so the word belongs iff for every Q each of its pairs
-    (j, word[j]) is a pinned extension of Q: some accepted word agrees with
-    it on Q and carries word[j] at j.  ``_pinned_extensions`` finds all
-    extensions of one Q at once by an exact layered reachability search,
-    never by sampling.
-    """
-    if k < 1:
-        raise ValueError("need at least one variable")
-    letters = tuple(map(d.letter_index, word))
-    n = len(letters)
-    if n == 0:
-        return False
-    width = len(d.alphabet)
-    need = 0
-    for p, i in enumerate(letters):
-        need |= 1 << (p * width + i)
-    for positions in combinations_with_replacement(range(n), k - 1):
-        pins = tuple(map(letters.__getitem__, positions))
-        if need & ~_pinned_extensions(d, n, positions, pins):
-            return False
-    return True
-
-
-@lru_cache(maxsize=None)
-def _pinned_extensions(
-    d: Dfa, n: int, positions: tuple[int, ...], pins: tuple[int, ...]
-) -> int:
-    """The pinned extensions of length n: bit p * |A| + i is set iff some
-    accepted length-n word carries letter index pins[m] at positions[m] for
-    every m, and letter index i at position p.  The pins are read from one
-    word, so a repeated position carries the same letter each time."""
-    pinned = dict(zip(positions, pins))
-    width = len(d.alphabet)
-    allowed = [(pinned[p],) if p in pinned else range(width) for p in range(n)]
-    reached = [{d.start}]
-    for p in range(n):
-        reached.append({d.delta[q][i] for q in reached[p] for i in allowed[p]})
-    live = reached[n] & d.accepting
-    if not live:
-        return 0
-    mask = 0
-    for p in range(n - 1, -1, -1):
-        base = p * width
-        alive: set[int] = set()
-        for q in reached[p]:
-            row = d.delta[q]
-            for i in allowed[p]:
-                if row[i] in live:
-                    alive.add(q)
-                    mask |= 1 << (base + i)
-        live = alive
-    return mask
-
-
 # ----- alternation degree by sequence enumeration ------------------------
-
-
-def brute_degree(poset: FinPoset, members: Iterable[int], x: int) -> int:
-    """Longest alternating strictly increasing sequence ending at x, found by
-    enumerating every increasing sequence outright."""
-    members = mask_of(members, poset.n)
-    mask_of((x,), poset.n)  # x must lie in the carrier too
-    best = 0
-    stack: list[tuple[int, ...]] = [(x,)]
-    while stack:
-        seq = stack.pop()
-        # members sit exactly at the even positions
-        if all((members >> y & 1) != i % 2 for i, y in enumerate(seq)):
-            best = max(best, len(seq))
-        head = seq[0]
-        # extend below head by every element whose upset holds it
-        stack += [(y,) + seq for y in range(poset.n) if y != head and poset.upm[y] >> head & 1]
-    return best
 
 
 def increasing_sequences(poset: FinPoset) -> list[tuple[int, int, int, int]]:
@@ -263,15 +188,29 @@ def increasing_sequences(poset: FinPoset) -> list[tuple[int, int, int, int]]:
 def sequence_degrees(
     sequences: Iterable[tuple[int, int, int, int]], n: int, members: int
 ) -> list[int]:
-    """``brute_degree`` of every element of an n-element poset at once,
-    from its ``increasing_sequences``: a sequence alternates iff its
-    elements in the member bitmask ``members`` are exactly those at even
-    positions, and a longer one replaces a shorter."""
+    """The alternation degree of every element of an n-element poset, from
+    its ``increasing_sequences``: the length of the longest alternating
+    sequence ending there.  A sequence alternates iff its elements in the
+    member bitmask ``members`` are exactly those at even positions, and a
+    longer one replaces a shorter."""
     degrees = [0] * n
     for top, mask, even, length in sequences:
         if members & mask == even:
             degrees[top] = length
     return degrees
+
+
+def brute_degree(poset: FinPoset, members: Iterable[int], x: int) -> int:
+    """The alternation degree of x: its entry in ``sequence_degrees``.
+
+    Only the benchmark's checker (``bench/check._poset``) still asks one
+    element at a time; ROADMAP items 7 and 14 move it to whole tables, and
+    this wrapper goes with them.  Raises RangeError when x or a member
+    leaves the carrier.
+    """
+    members = mask_of(members, poset.n)
+    mask_of((x,), poset.n)  # x must lie in the carrier too
+    return sequence_degrees(increasing_sequences(poset), poset.n, members)[x]
 
 
 # ----- closure systems and their chains ---------------------------------

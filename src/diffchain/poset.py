@@ -9,6 +9,7 @@ API boundary subsets are plain ``frozenset[int]`` values, checked on entry.
 from __future__ import annotations
 
 import json
+import sys
 from collections import defaultdict
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
@@ -63,11 +64,14 @@ class FinPoset:
     def from_covers(cls, covers: Iterable[tuple[int, int]], n: int) -> "FinPoset":
         """The order generated by ``covers``: pairs (i, j) with i below j.
 
-        Raises RangeError for indices outside ``0..n-1`` and CycleError when
-        the covers contain a directed cycle.
+        Raises RangeError for indices outside ``0..n-1`` or an ``n`` above
+        ``sys.maxsize``, the largest list index, and CycleError when the
+        covers contain a directed cycle.
         """
         if n < 0:
             raise RangeError("carrier size must be >= 0")
+        if n > sys.maxsize:
+            raise RangeError(f"carrier size must be at most {sys.maxsize}")
         # only elements with covers get a container: a wide poset stays cheap
         succ: defaultdict[int, set[int]] = defaultdict(set)
         for i, j in covers:

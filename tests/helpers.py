@@ -5,9 +5,10 @@ Every language builder returns a complete DFA over the two letter alphabet
 deliberately tiny hand-built machines; test_automata checks each one
 against a plain word predicate so the rest of the suite can trust them.
 The chain checks below (``difference_union``, ``nested_difference``,
-``family_monotonicity``) are for tests only; the library does not need
-them.  ``moore_closure`` turns a Moore family from
-``diffchain.oracle.moore_families`` into the closure operator that
+``closure_terms``, ``family_monotonicity``) are for tests only; the library
+does not need them.  ``closure_miss`` compares a closure automaton with the
+oracle's length slices of the closure.  ``moore_closure`` turns a Moore
+family from ``diffchain.oracle.moore_families`` into the closure operator that
 ``diffchain.chains.canonical_pairs`` takes, so one recurrence is checked on
 every closure system on a few points; ``upset_closure_of`` and
 ``mask_minus`` give it the upsets of a poset.  ``identity_keys`` are the
@@ -17,20 +18,23 @@ inclusion keys of a pattern automaton that ``pi1_closure`` did not build.
 from __future__ import annotations
 
 from collections.abc import Iterable
+from itertools import islice
 
 from diffchain import (
     Dfa,
     FinPoset,
-    closure_chain_terms,
     difference,
     dfa_no_words,
+    intersect,
     minimize,
     shortest_word,
     subset_of,
     union,
 )
+from diffchain import closure
 from diffchain.automata import DEFAULT_STATE_CAP
-from diffchain.oracle import words_upto
+from diffchain.chains import canonical_terms
+from diffchain.oracle import accepted_slice, closure_slice, slice_difference, words_upto
 
 AB = ("a", "b")
 
@@ -115,6 +119,30 @@ def nested_difference(trace) -> Dfa:
     return minimize(acc)
 
 
+def closure_terms(
+    d: Dfa, k: int, count: int, state_cap: int = DEFAULT_STATE_CAP
+) -> list[Dfa]:
+    """The first ``count`` terms of d's canonical chain of k-variable
+    closures, each closure asked for through ``closure.pi1_closure``."""
+    terms = canonical_terms(
+        lambda lang: closure.pi1_closure(lang, k, state_cap), difference, intersect, d
+    )
+    return list(islice(terms, count))
+
+
+def closure_miss(closed: Dfa, d: Dfa, k: int, max_len: int) -> tuple[str, ...] | None:
+    """The first word of length at most ``max_len``, shortest first, on
+    which ``closed`` and the k-variable closure of d's language disagree,
+    the closure read one length at a time off ``oracle.closure_slice``."""
+    for n in range(1, max_len + 1):
+        word = slice_difference(
+            accepted_slice(closed, n), closure_slice(d, k, n), d.alphabet, n
+        )
+        if word is not None:
+            return word
+    return None
+
+
 def family_monotonicity(
     d: Dfa,
     k_small: int,
@@ -132,8 +160,8 @@ def family_monotonicity(
         raise ValueError("need 1 <= k_small <= k_large")
     if pairs < 1:
         raise ValueError("need at least one pair")
-    coarse = closure_chain_terms(d, k_small, 2 * pairs, state_cap)
-    fine = closure_chain_terms(d, k_large, 2 * pairs, state_cap)
+    coarse = closure_terms(d, k_small, 2 * pairs, state_cap)
+    fine = closure_terms(d, k_large, 2 * pairs, state_cap)
     for small_term, large_term in zip(coarse, fine):
         if not subset_of(large_term, small_term):
             return False, shortest_word(difference(large_term, small_term))

@@ -6,6 +6,7 @@ import contextlib
 import io
 import json
 import random
+from itertools import product
 from types import SimpleNamespace
 
 import pytest
@@ -261,8 +262,10 @@ def poset_doc_file(tmp_path, doc):
         {"n": True, "covers": []},
         {"n": 2, "covers": [[False, True]]},
         {"n": 2, "covers": _DEEP},
+        # no list can have 10**20 entries: refused before anything is allocated
+        {"n": 10**20, "covers": []},
     ],
-    ids=["label-count", "bool-n", "bool-cover", "deep-covers"],
+    ids=["label-count", "bool-n", "bool-cover", "deep-covers", "huge-n"],
 )
 def test_poset_chain_rejects_malformed_posets(tmp_path, capsys, doc):
     path = poset_doc_file(tmp_path, doc)
@@ -586,9 +589,11 @@ def first_closure_failure(seed, cases, max_len):
         dfa = oracle.random_dfa(rng, 3, AB)
         for k in (1, 2):
             closed = closure.pi1_closure(dfa, k, state_cap=automata.DEFAULT_STATE_CAP)
-            for word in oracle.words_upto(AB, max_len):
-                if closed.accepts(word) != oracle.brute_pi1_closure_member(dfa, k, word):
-                    return f"case {case} k={k} word={''.join(word)}"
+            for n in range(1, max_len + 1):
+                members = oracle.closure_slice(dfa, k, n)
+                for word, member in zip(product(AB, repeat=n), members):
+                    if closed.accepts(word) != member:
+                        return f"case {case} k={k} word={''.join(word)}"
     return None
 
 

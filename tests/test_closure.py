@@ -15,7 +15,6 @@ from diffchain import (
     CapacityError,
     Dfa,
     chain_trace,
-    closure_chain_terms,
     decompose_bpi1,
     dfa_no_words,
     dfa_nonempty_words,
@@ -32,12 +31,7 @@ from diffchain import (
 from diffchain import closure
 from diffchain.automata import dfa_from_json_obj
 from diffchain.closure import trace_to_json
-from diffchain.oracle import (
-    brute_pi1_closure_member,
-    marked_pi1_closure,
-    random_dfa,
-    words_upto,
-)
+from diffchain.oracle import marked_pi1_closure, random_dfa
 
 from helpers import (
     AB,
@@ -46,6 +40,8 @@ from helpers import (
     a_star_b,
     ab_repeat,
     b_plus,
+    closure_miss,
+    closure_terms,
     contains,
     difference_union,
     family_monotonicity,
@@ -114,9 +110,7 @@ def test_closure_matches_positionwise_oracle():
     corpus += [a_plus_or_b_plus(), contains("b")]
     for d in corpus:
         for k in (1, 2):
-            cl = pi1_closure(d, k)
-            for w in words_upto(AB, 4):
-                assert cl.accepts(w) == brute_pi1_closure_member(d, k, w), (w, k)
+            assert closure_miss(pi1_closure(d, k), d, k, 4) is None, (d, k)
 
 
 def test_closure_guards(monkeypatch):
@@ -143,8 +137,7 @@ def test_closure_agrees_with_the_marked_route():
         d = random_dfa(rng, 5, alphabet)
         cl = pi1_closure(d, k)
         assert cl == minimize(marked_pi1_closure(d, k)), (case, k)
-        for w in words_upto(alphabet, 4 if len(alphabet) == 2 else 3):
-            assert cl.accepts(w) == brute_pi1_closure_member(d, k, w), (case, k, w)
+        assert closure_miss(cl, d, k, 4 if len(alphabet) == 2 else 3) is None, (case, k)
 
 
 def test_closure_keeps_subset_states_past_the_length_bits():
@@ -159,8 +152,7 @@ def test_closure_keeps_subset_states_past_the_length_bits():
     for k in (1, 2, 3):
         cl = pi1_closure(d, k)
         assert cl == minimize(marked_pi1_closure(d, k)), k
-        for w in words_upto(AB, 5):
-            assert cl.accepts(w) == brute_pi1_closure_member(d, k, w), (k, w)
+        assert closure_miss(cl, d, k, 5) is None, k
 
 
 def test_pattern_top_layer_collapses_into_length_sets():
@@ -762,9 +754,9 @@ def test_chain_trace_asks_for_no_closure_it_does_not_use(
     assert trace.status == status
     assert calls == 2 * computed
     calls = 0
-    closure_chain_terms(d, k, 2 * computed - 1)
+    closure_terms(d, k, 2 * computed - 1)
     assert calls == 2 * computed - 1
-    terms = closure_chain_terms(d, k, 2 * computed)
+    terms = closure_terms(d, k, 2 * computed)
     assert calls == 4 * computed - 1
     if stabilized:  # the trace drops the pair that repeats its odd term
         assert terms[-1] == terms[-2]
@@ -785,7 +777,7 @@ def test_chain_trace_success_matches_the_union_of_differences():
     for d in targets:
         for k in (1, 2, 3):
             trace = chain_trace(d, k, max_m=3)
-            terms = closure_chain_terms(d, k, 6)
+            terms = closure_terms(d, k, 6)
             stop = len(trace.chain)
             assert terms[:stop] == list(trace.chain)
             if not trace.succeeded and stop < 6:
@@ -839,11 +831,11 @@ def test_chain_trace_checks_its_bounds_whatever_the_target():
         with pytest.raises(ValueError, match="at least one variable"):
             chain_trace(d, 0)
         with pytest.raises(ValueError, match="at least one variable"):
-            closure_chain_terms(d, 0, 0)
+            pi1_closure(d, 0)
         with pytest.raises(CapacityError, match=r"k=9 exceeds the variable cap 3"):
             chain_trace(d, 9)
         with pytest.raises(CapacityError, match=r"k=99 exceeds the variable cap 3"):
-            closure_chain_terms(d, 99, 0)
+            pi1_closure(d, 99)
         for max_m in (0, -3):
             with pytest.raises(ValueError):
                 chain_trace(d, 1, max_m=max_m)
@@ -956,12 +948,12 @@ def test_decompose_rejects_max_k_above_the_variable_cap(asked_k, d, max_k):
 
 
 def test_chain_terms_without_stopping():
-    terms = closure_chain_terms(a_plus(), 1, 4)
+    terms = closure_terms(a_plus(), 1, 4)
     assert len(terms) == 4
     assert equivalent(terms[0], a_plus())
     for t in terms[1:]:
         assert is_empty_lang(t)
-    longer = closure_chain_terms(contains("b"), 1, 6)
+    longer = closure_terms(contains("b"), 1, 6)
     for earlier, later in zip(longer, longer[1:]):
         assert subset_of(later, earlier)
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import sys
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -108,6 +110,8 @@ def test_from_covers_rejects_out_of_range():
         FinPoset.from_covers([(-1, 0)], 3)
     with pytest.raises(RangeError):
         FinPoset.from_covers([], -1)
+    with pytest.raises(RangeError, match="at most"):
+        FinPoset.from_covers([], sys.maxsize + 1)  # no list has that many entries
 
 
 def test_direct_constructor_validates_order_axioms():
