@@ -9,7 +9,10 @@ target in two determinizations, with a minimization in between:
 
 * the *pattern automaton* reads the target's letters plus a box letter for an
   unpinned position, and accepts the patterns with at most k pins that some
-  member of the language matches;
+  member of the language matches.  Its states hold subsets of target states
+  closed downward under the inclusion relation between the target states'
+  languages, which ``_language_below`` computes from short-word signatures,
+  so subsets that differ only in included states are one state;
 * the *universal projection* reads a word and tracks every pattern of it at
   once, keeping only the hardest runs (an antichain, as in De Wulf, Doyen,
   Henzinger and Raskin, *Antichains: a new algorithm for checking
@@ -47,6 +50,7 @@ from .automata import (
 )
 from .chains import canonical_pairs
 from .errors import CapacityError
+from .poset import bits
 
 DEFAULT_K_CAP = 3
 DEFAULT_MAX_M = 8
@@ -56,6 +60,12 @@ BOX = Marked(None)
 # Widest length set (threshold plus period) the pattern automaton's top layer
 # collapses to; past it the top layer keeps subset states.
 _LENGTH_BITS = 64
+# Width of _language_below's short-word signatures, which hold the words of
+# length up to the largest ℓ whose words fit: ℓ = 6 on two letters, 4 on
+# three, 3 on four, 2 on five to ten.  On the benchmark targets 64 bits was
+# about 7 % slower, 32 bits twice as slow on three letters, and 256 bits no
+# faster.
+_SIGNATURE_BITS = 128
 
 
 def _normalize(d: Dfa) -> Dfa:
@@ -118,31 +128,82 @@ def _language_below(d: Dfa) -> list[int]:
     """For each state q, the bitmask of the states whose language is
     included in q's.
 
-    Starts from the pairs (p, q) where q accepts if p does, and removes a
-    pair whenever some letter leads to a removed pair, following the
-    removals backwards through the predecessor lists.
+    Each state gets a *signature*: one int with a bit for every word of
+    length at most ℓ, set when the state accepts that word.  ℓ is the
+    largest length whose words fit in ``_SIGNATURE_BITS`` bits.  The words
+    are ordered by length, so the words shorter than ℓ are the low bits,
+    and ℓ rounds of shift-and-OR over the transition table build every
+    signature.
+    L(p) ⊆ L(q) needs sig(p) ⊆ sig(q), so ``below[q]`` starts as the states
+    whose signature is a subset of q's, one test per pair of distinct
+    signatures.
+
+    Say a word *separates* (p, q) when p accepts it and q does not.  The
+    pairs separated first at length exactly ℓ seed a pair-removal fixpoint
+    (after Henzinger, Henzinger and Kopke, *Computing simulations on finite
+    and infinite graphs*, FOCS 1995): a pair is removed when some letter
+    leads to a removed pair, following the removals backwards through the
+    predecessor lists.  This is exact.  Take a pair whose shortest
+    separating word has length m > ℓ.  Follow that word's first m − ℓ
+    letters.  Each letter leads to a pair whose shortest separating word
+    is one letter shorter.  So the walk ends at a pair separated first at
+    exactly ℓ, which is a seed, and the removals reach back along it to
+    the starting pair.  A pair separated first below ℓ needs no seed:
+    every pair a letter leads to it from is separated by length ℓ, so it
+    was never a candidate.  The fixpoint's work so grows with the pairs
+    that short words cannot separate, not with all n² pairs.
     """
     n = d.n_states
-    width = len(d.alphabet)
-    every = (1 << n) - 1
-    rejecting = every & ~sum(1 << q for q in d.accepting)
-    below = [every if q in d.accepting else rejecting for q in range(n)]
-    preds: list[list[list[int]]] = [[[] for _ in range(n)] for _ in range(width)]
-    pred_masks = [[0] * n for _ in range(width)]
-    for p, row in enumerate(d.delta):
-        for i, t in enumerate(row):
-            preds[i][t].append(p)
-            pred_masks[i][t] |= 1 << p
-    removed = [
-        (p, q) for q in range(n) if q not in d.accepting for p in d.accepting
-    ]
+    columns = list(zip(*d.delta))
+    width = len(columns)
+    layer = [1 if q in d.accepting else 0 for q in range(n)]
+    sig = layer
+    size, short = 1, 0  # words of the newest length; bits of the shorter ones
+    while short + size + size * width <= _SIGNATURE_BITS:
+        short += size
+        new = [layer[t] for t in columns[0]]
+        for i in range(1, width):
+            shift = i * size
+            new = [v | layer[t] << shift for v, t in zip(new, columns[i])]
+        layer = new
+        size *= width
+        sig = [s | v << short for s, v in zip(sig, layer)]
+    shorter = (1 << short) - 1
+    groups: dict[int, int] = {}
+    for q, s in enumerate(sig):
+        groups[s] = groups.get(s, 0) | 1 << q
+    below = [0] * n
+    removed = []
+    for s, qs in groups.items():
+        rejected = ~s
+        row = seeds = 0
+        for t, ps in groups.items():
+            extra = t & rejected
+            if not extra:
+                row |= ps
+            elif not extra & shorter:
+                seeds |= ps
+        for q in bits(qs):
+            below[q] = row
+        if seeds:
+            removed += [(p, q) for p in bits(seeds) for q in bits(qs)]
+    if not removed:
+        return below
+    letters = []
+    for column in columns:
+        preds: list[list[int]] = [[] for _ in range(n)]
+        masks = [0] * n
+        for p, t in enumerate(column):
+            preds[t].append(p)
+            masks[t] |= 1 << p
+        letters.append((masks, preds))
     while removed:
         p, q = removed.pop()
-        for i in range(width):
-            mask = pred_masks[i][p]
+        for masks, preds in letters:
+            mask = masks[p]
             if not mask:
                 continue
-            for q2 in preds[i][q]:
+            for q2 in preds[q]:
                 gone = below[q2] & mask
                 if gone:
                     below[q2] ^= gone

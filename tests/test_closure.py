@@ -173,6 +173,15 @@ def rerooted_inclusions(d):
     return [[1 if subset_of(p, q) else 2 for p in rooted] for q in rooted]
 
 
+def fixpoint_inclusions(d):
+    """``_language_below(d)`` in the form of ``rerooted_inclusions``."""
+    from diffchain.closure import _language_below
+
+    n = d.n_states
+    below = _language_below(d)
+    return [[1 if below[q] >> p & 1 else 2 for p in range(n)] for q in range(n)]
+
+
 def inclusion_corpus():
     rng = random.Random(5150)
     targets = [a_plus(), a_plus_or_b_plus(), ab_repeat(), contains("a"),
@@ -250,15 +259,51 @@ def test_closure_of_a_positional_language_stays_small():
 
 
 def test_language_below_matches_subset_of_on_normalized_targets():
-    from diffchain.closure import _language_below, _normalize
+    # The signatures hold the words of length up to 6 on two letters and up
+    # to 4 on three.  The period-65 counter and the positional targets have
+    # pairs that only longer words separate, up to 40 letters long; only
+    # the removals seeded at the signature length find those.  On random
+    # three-letter targets of up to 30 states the signatures settle almost
+    # every pair.
+    from diffchain.closure import _normalize
 
     _, targets = inclusion_corpus()
+    rng = random.Random(27)
+    targets += [period_65_counter()] + [nth_letter_is_a(n) for n in (5, 20, 40)]
+    targets += [random_dfa(rng, 30, ("a", "b", "c")) for _ in range(6)]
     for d in targets:
         target = _normalize(d)
-        n = target.n_states
-        below = _language_below(target)
-        got = [[1 if below[q] >> p & 1 else 2 for p in range(n)] for q in range(n)]
-        assert got == rerooted_inclusions(target), d
+        assert fixpoint_inclusions(target) == rerooted_inclusions(target), d
+
+
+def test_explored_automata_pass_the_constructor_checks(monkeypatch):
+    # _explore builds its automata without the constructor's checks of the
+    # rows, the start and the accepting states.  Every automaton it returns
+    # while pi1_closure, minimize, intersect and difference run, which
+    # includes their results, must be one the constructor accepts unchanged.
+    from diffchain import automata
+
+    built = []
+    real = automata._explore
+
+    def recording(*args):
+        d = real(*args)
+        built.append(d)
+        return d
+
+    monkeypatch.setattr(automata, "_explore", recording)
+    monkeypatch.setattr(closure, "_explore", recording)
+    _, targets = inclusion_corpus()
+    for d in targets:
+        minimize(d)
+        for k in (1, 2, 3):
+            cl = pi1_closure(d, k)
+            intersect(d, cl)
+            difference(d, cl)
+            difference(cl, d)
+    for d in built:
+        assert Dfa(d.alphabet, d.delta, d.start, d.accepting) == d, d
+    assert len(built) > 1000
 
 
 def keyed_pattern(target: Dfa, k: int) -> tuple[Dfa, Dfa, list, list[int]]:
@@ -352,16 +397,11 @@ def test_inclusion_table_agrees_with_the_pair_removal_fixpoint():
     # with acceptance as the only signature, then require every entry to
     # match subset_of on the re-rooted automata, and the pair-removal
     # fixpoint _language_below to match too.
-    from diffchain.closure import _language_below
-
     rng, _ = inclusion_corpus()
     searched = 0
     for k, pattern, expected, _ in minimal_patterns():
         n = pattern.n_states
-        below = _language_below(pattern)
-        assert expected == [
-            [1 if below[q] >> p & 1 else 2 for p in range(n)] for q in range(n)
-        ], k
+        assert expected == fixpoint_inclusions(pattern), k
         accepts = [1 if p in pattern.accepting else 0 for p in range(n)]
         rows, count, _ = settle_every_pair(rng, pattern, accepts, identity_keys(n))
         assert rows == expected, k
@@ -499,20 +539,21 @@ def test_representatives_have_their_minimal_states_languages():
 
 def test_keys_prove_only_true_inclusions():
     # Every pair of minimal pattern states whose keys pass the key test is
-    # an inclusion.  The expected inclusions are rerooted_inclusions on the
-    # corpus and the pair-removal fixpoint, which agrees with them, on the
-    # other targets.  Length-set keys have their high bits set, so they
-    # are negative; with a period of 65 every key is a set of target states.
-    from diffchain.closure import _language_below, _normalize
+    # an inclusion.  The expected inclusions are rerooted_inclusions, except
+    # on the period-65 patterns: there it takes 1.3 s at k = 1 and 8 s at
+    # k = 3, so they take _language_below, which agrees with
+    # rerooted_inclusions on the corpus patterns and on the period-65
+    # target.  Length-set keys have their high bits set, so they are
+    # negative; with a period of 65 every key is a set of target states.
+    from diffchain.closure import _normalize
 
     cases = [("corpus", k, pattern, expected, keys)
              for k, pattern, expected, keys in minimal_patterns()]
     for label, d in wide_and_positional_targets():
         for k in (1, 2, 3):
             _, pattern, keys, _ = keyed_pattern(_normalize(d), k)
-            n = pattern.n_states
-            below = _language_below(pattern)
-            expected = [[1 if below[q] >> p & 1 else 2 for p in range(n)] for q in range(n)]
+            inclusions = fixpoint_inclusions if label == "period 65" else rerooted_inclusions
+            expected = inclusions(pattern)
             cases.append((label, k, pattern, expected, keys))
     passed: Counter = Counter()
     for label, k, pattern, expected, keys in cases:
