@@ -140,11 +140,6 @@ class Dfa:
     permutes every row to match.  Instances are immutable; equality is
     structural.  Automata over one alphabet share its canonical tuple and
     letter index.
-
-    The constructor checks everything that enters the library.
-    ``Dfa._of_rows`` skips the checks of the rows, the start and the
-    accepting states, and keeps the alphabet's; only ``_explore`` calls it,
-    because it numbers the states it builds itself.
     """
 
     __slots__ = ("alphabet", "delta", "start", "accepting", "_index", "_hash")
@@ -189,26 +184,6 @@ class Dfa:
         object.__setattr__(self, "start", start)
         object.__setattr__(self, "accepting", frozenset(accepting))
         object.__setattr__(self, "_index", index)
-
-    @classmethod
-    def _of_rows(
-        cls,
-        letters: tuple[Letter, ...],
-        delta: tuple[tuple[int, ...], ...],
-        start: int,
-        accepting: Iterable[int],
-    ) -> "Dfa":
-        """The automaton of ``delta``, unchecked: one row per state, one
-        successor per letter of ``letters`` in order, every state, the start
-        and the accepting states in range."""
-        alphabet, perm, index = _canonical_alphabet(letters)
-        d = object.__new__(cls)
-        object.__setattr__(d, "alphabet", alphabet)
-        object.__setattr__(d, "delta", delta if perm is None else tuple(map(perm, delta)))
-        object.__setattr__(d, "start", start)
-        object.__setattr__(d, "accepting", frozenset(accepting))
-        object.__setattr__(d, "_index", index)
-        return d
 
     def __setattr__(self, name, value):
         raise AttributeError("Dfa is immutable")
@@ -284,10 +259,10 @@ def _explore(
 
     States are arbitrary hashable keys, numbered in the order a breadth-first
     search first reaches them, so ``start`` is 0.  ``step(state)`` lists the
-    successor keys, one per letter of ``letters`` in order (which nothing
-    checks), and ``accepts(state)`` says whether a key accepts.  Raises
-    CapacityError(``overflow``) when a new state would make more than
-    ``cap`` of them.
+    successor keys, one per letter of ``letters`` in order, and
+    ``accepts(state)`` says whether a key accepts; ``Dfa`` checks the rows.
+    Raises CapacityError(``overflow``) when a new state would make more
+    than ``cap`` of them.
     """
     number = {start: 0}
     order = [start]
@@ -304,10 +279,7 @@ def _explore(
             row.append(q)
         delta.append(row)
     accepting = [q for q, state in enumerate(order) if accepts(state)]
-    # rows become tuples only now, next to each other: tuples made during
-    # the search sit among its short-lived objects, which kept more of the
-    # heap in use (decompose-corpus peak RSS 22.6 -> 23.9 MB)
-    return Dfa._of_rows(letters, tuple(map(tuple, delta)), 0, accepting)
+    return Dfa(letters, delta, 0, accepting)
 
 
 # ----- boolean operations ------------------------------------------------

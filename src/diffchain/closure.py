@@ -61,8 +61,9 @@ BOX = Marked(None)
 # collapses to; past it the top layer keeps subset states.
 _LENGTH_BITS = 64
 # Width of _language_below's short-word signatures, which hold the words of
-# length up to the largest ℓ whose words fit: ℓ = 6 on two letters, 4 on
-# three, 3 on four, 2 on five to ten.  On the benchmark targets 64 bits was
+# length up to the largest ℓ whose words fit: ℓ = 127 on one letter, 6 on
+# two, 4 on three, 3 on four, 2 on five to ten, 1 on 11 to 127 and 0 from
+# 128, where acceptance alone seeds.  On the benchmark targets 64 bits was
 # about 7 % slower, 32 bits twice as slow on three letters, and 256 bits no
 # faster.
 _SIGNATURE_BITS = 128
