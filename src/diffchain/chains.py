@@ -18,7 +18,7 @@ from functools import cached_property
 from typing import Callable, Iterable, Iterator
 
 from .errors import NotDecreasingError, NotUpsetError
-from .poset import ElemSet, FinPoset, bits, mask_of
+from .poset import ElemSet, FinPoset, bits, flags_of, mask_of
 
 
 class DiffChain:
@@ -100,7 +100,7 @@ def degrees(poset: FinPoset, members: Iterable[int]) -> tuple[int, ...]:
     sequence p1 < ... < pr = x lies in ``members`` exactly at odd positions;
     it is 0 when x is not above any member.
     """
-    members = mask_of(members, poset.n)
+    chosen = flags_of(members, poset.n)
     deg = [0] * poset.n
     # best_in[x] / best_out[x]: greatest degree of a member / non-member at or
     # below x, the maxima over x's lower edges (any edges that generate the
@@ -114,7 +114,7 @@ def degrees(poset: FinPoset, members: Iterable[int]) -> tuple[int, ...]:
                 inside = best_in[y]
             if best_out[y] > outside:
                 outside = best_out[y]
-        if members >> x & 1:
+        if chosen[x]:
             deg[x] = best_in[x] = outside + 1
             best_out[x] = outside
         else:
@@ -133,17 +133,24 @@ def canonical_chain(poset: FinPoset, target: Iterable[int]) -> DiffChain:
     >= i, padded with the empty set to even length: the first closes the
     target upward, even ones close up what lies outside the target, odd ones
     what lies inside it.  The empty target yields the empty chain.  The
-    components need no check: ``levels[d] |= levels[d + 1]`` nests them, and
-    each level set is an upset because the degree grows along the order.
+    components need no check: each level set holds the next one, and it is
+    an upset because the degree grows along the order.
     """
     deg = degrees(poset, target)
     top = max(deg, default=0)
-    levels = [0] * (top + 1 + top % 2)  # an odd top pads one empty level
+    # a shift per element would cost a pass over the mask: one buffer of
+    # binary digits, greatest element first, gains each level's elements
+    # from the top down and is read as one int per level
+    digit_of: list[list[int]] = [[] for _ in range(top + 1)]
     for x, d in enumerate(deg):
-        levels[d] |= 1 << x
-    for d in range(len(levels) - 2, 0, -1):
-        levels[d] |= levels[d + 1]
-    return DiffChain._of_masks(poset, tuple(levels[1:]))
+        digit_of[d].append(~x)  # x's digit, counted from the end
+    digits = bytearray(b"0") * poset.n
+    masks = [0] * (top + top % 2)  # an odd top pads one empty level
+    for d in range(top, 0, -1):
+        for i in digit_of[d]:
+            digits[i] = 49  # ord("1")
+        masks[d - 1] = int(digits, 2)
+    return DiffChain._of_masks(poset, tuple(masks))
 
 
 # ----- the canonical recurrence over any closure ---------------------------

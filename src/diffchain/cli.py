@@ -16,7 +16,7 @@ import re
 import sys
 from functools import cache
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from . import automata, chains, closure, oracle
 from .errors import DiffChainError
@@ -149,6 +149,10 @@ def _emit(lines: Iterable[str], out: str | None, dot_text: str | None, want_dot:
 def _parse_members(raw: str) -> list[int]:
     """Comma-separated element indices, each an optional minus sign and
     ASCII digits, so ``1_0``, ``+1`` and other digit scripts are refused."""
+    if not isinstance(raw, str):
+        # argparse (up to Python 3.11 at least) drops the value of --set=--
+        # as an end-of-options marker and hands on an empty list instead
+        raw = "--"
     raw = raw.strip()
     if not raw:
         return []
@@ -164,61 +168,75 @@ def _parse_members(raw: str) -> list[int]:
 def _cmd_poset_chain(args) -> int:
     poset, labels = poset_from_json(Path(args.poset).read_text(encoding="utf-8"))
     members = frozenset(_parse_members(args.members))
-    chain = chains.canonical_chain(poset, members)
-    ok = chains.evaluate(chain) == members
+    degs = chains.degrees(poset, members)
+    # component i of the canonical chain holds the elements of degree >= i,
+    # so its nested difference holds exactly those of odd degree
+    ok = sum(d & 1 for d in degs) == len(members) and all(degs[x] & 1 for x in members)
     dot = poset_to_dot(poset, labels) if args.dot else None
-    _emit(_chain_lines(members, chain), args.out, dot, args.dot)
+    _emit(_chain_lines(members, degs), args.out, dot, args.dot)
     return 0 if ok else 1
 
 
-def _chain_lines(members, chain):
+def _chain_lines(members, degs):
     """The chain report as JSON, one top-level key per line and one chain
     component per line, so no part needs the pure-Python indenting encoder.
-    The report is quadratic in size on tall posets, so the components' text
-    comes spliced from ``_sorted_components``, not from ``json.dumps``."""
+    The components' text comes from ``_component_texts``, not from
+    ``json.dumps``."""
+    top = max(degs, default=0)
+    count = top + top % 2  # an odd top pads one empty component
     yield "{"
     yield f'  "V": {json.dumps(sorted(members))},'
-    yield f'  "m": {chain.pairs},'
+    yield f'  "m": {count // 2},'
     yield '  "K": ['
-    comps, degs = _sorted_components(chain)
-    for i, comp in enumerate(comps):
-        yield f"    {comp}{',' if i + 1 < len(comps) else ''}"
+    for i, text in enumerate(_component_texts(degs, top), 1):
+        yield f"    {text}{',' if i < count else ''}"
     yield "  ],"
     yield f'  "degrees": {json.dumps(degs)}'
     yield "}"
 
 
-def _sorted_components(chain) -> tuple[list[str], list[int]]:
-    """Sorted members of each component as JSON text, and every element's
-    degree, built innermost first: each component adds its difference to
-    the next one.  Component i holds the elements of degree >= i, so i is
-    the degree of the elements it adds.
+def _component_texts(degs, top: int) -> Iterator[str]:
+    """The sorted members of each component of the canonical chain as JSON
+    text, outermost first: component i holds the elements of degree >= i,
+    and an odd ``top`` pads one empty component.
 
     On a tall poset the report is quadratic in size (a 1200-element chain
-    with every second element chosen has 1200 nested components), so when
-    every new element comes before the inner ones, as on a chain, the
-    component's text is the new elements' text spliced in front of the
-    next one's.  Otherwise it is rebuilt from the component's mask."""
-    n = chain.poset.n
-    names = list(map(str, range(n)))
-    comps: list[str] = []
-    degs = [0] * n
-    text = "[]"
-    prev = 0
-    for i in range(len(chain.masks), 0, -1):
-        mask = chain.masks[i - 1]
-        new = bits(mask & ~prev)
-        for x in new:
-            degs[x] = i
-        if new:
-            if prev and new[-1] < (prev & -prev).bit_length() - 1:
-                text = f"[{', '.join([names[x] for x in new])}, {text[1:]}"
-            else:
-                text = f"[{', '.join([names[x] for x in bits(mask)])}]"
-        comps.append(text)
-        prev = mask
-    comps.reverse()
-    return comps, degs
+    with every second element chosen has 1200 nested components), so each
+    text costs time in its own length only, and no text is kept past the
+    next one.  When the elements of degree i - 1 all come before those of
+    degree >= i, as on a chain numbered upward, component i's text is a
+    suffix of the last built text, starting past the width of the elements
+    dropped since.  Otherwise it is built again from the last built list,
+    keeping the elements of degree >= i."""
+    if not top:
+        return
+    kept = [x for x, d in enumerate(degs) if d]
+    names = list(map(str, range(kept[-1] + 1)))
+    least = [len(degs)] * (top + 1)  # least element of each degree, then of degree >= d
+    last = [0] * (top + 1)  # greatest element of each degree
+    width = [0] * (top + 1)  # text width of each degree's elements, with their ", "
+    for x in kept:
+        d = degs[x]
+        if least[d] > x:
+            least[d] = x
+        last[d] = x
+        width[d] += len(names[x]) + 2
+    for d in range(top - 1, 0, -1):
+        least[d] = min(least[d], least[d + 1])
+    text = f"[{', '.join([names[x] for x in kept])}]"
+    start = 1
+    yield text
+    for i in range(2, top + 1):
+        if last[i - 1] < least[i]:
+            start += width[i - 1]
+            yield "[" + text[start:]
+        else:
+            kept = [x for x in kept if degs[x] >= i]
+            text = f"[{', '.join([names[x] for x in kept])}]"
+            start = 1
+            yield text
+    if top % 2:
+        yield "[]"
 
 
 def _cmd_lang_closure(args) -> int:

@@ -2,8 +2,9 @@
 
 Elements are the integers ``0..n-1``.  A poset keeps the lower edges it was
 given and builds the closure of its order only when that is read.  Inside
-the package a subset is an int bitmask (bit i set when i is a member); at the
-API boundary subsets are plain ``frozenset[int]`` values, checked on entry.
+the package a subset is an int bitmask (bit i set when i is a member), or a
+bytearray of flags where a sweep reads one element at a time; at the API
+boundary subsets are plain ``frozenset[int]`` values, checked on entry.
 """
 
 from __future__ import annotations
@@ -18,6 +19,9 @@ from .errors import CycleError, RangeError
 
 ElemSet = frozenset[int]
 
+# flags to binary digits: b"\0" -> b"0", b"\1" -> b"1"
+_DIGITS = bytes.maketrans(b"\0\1", b"01")
+
 
 def bits(mask: int) -> list[int]:
     """Indices of the set bits of ``mask``, ascending."""
@@ -29,14 +33,25 @@ def bits(mask: int) -> list[int]:
     return out
 
 
-def mask_of(subset: Iterable[int], n: int) -> int:
-    """The bitmask of ``subset``, after checking it lies in ``0..n-1``."""
-    m = 0
+def flags_of(subset: Iterable[int], n: int) -> bytearray:
+    """One byte per element of ``0..n-1``: 1 for the members of ``subset``,
+    0 for the rest, after checking that ``subset`` lies in the carrier."""
+    flags = bytearray(n)
     for i in subset:
         if not 0 <= i < n:
-            raise RangeError(f"element {i} leaves the carrier 0..{n - 1}")
-        m |= 1 << i
-    return m
+            raise RangeError(f"element {i} leaves {_carrier(n)}")
+        flags[i] = 1
+    return flags
+
+
+def mask_of(subset: Iterable[int], n: int) -> int:
+    """The bitmask of ``subset``, after checking it lies in ``0..n-1``: its
+    flags read as binary digits, so the time is linear in n."""
+    return int(flags_of(subset, n).translate(_DIGITS)[::-1] or b"0", 2)
+
+
+def _carrier(n: int) -> str:
+    return f"the carrier 0..{n - 1}" if n else "the empty carrier"
 
 
 class FinPoset:
@@ -76,7 +91,7 @@ class FinPoset:
         succ: defaultdict[int, set[int]] = defaultdict(set)
         for i, j in covers:
             if not (0 <= i < n and 0 <= j < n):
-                raise RangeError(f"cover ({i}, {j}) leaves the carrier 0..{n - 1}")
+                raise RangeError(f"cover ({i}, {j}) leaves {_carrier(n)}")
             if i == j:
                 raise CycleError(f"cover ({i}, {i}) is a self-loop")
             succ[i].add(j)
@@ -136,15 +151,36 @@ class FinPoset:
         return sorted((i, j) for j, below in enumerate(self._hasse()) for i in below)
 
     def _hasse(self) -> tuple[tuple[int, ...], ...]:
-        """``lower`` less its transitive edges: i stays below j unless it lies
-        below another of j's lower elements, so ``upm`` is read only where j
-        has two or more."""
-        out = []
-        for below in self.lower:
+        """``lower`` less its transitive edges, built in ``order``: i stays
+        below j unless a search down the Hasse edges already found for j's
+        lower elements reaches it.  Only elements with two or more lower
+        edges search, and a search stops at elements that come before all
+        of j's lower elements in ``order``: nothing below those can be one
+        of them.
+
+        The memory is linear in the edges, but a search may walk the whole
+        Hasse downset of j, so the time is O(n * e) Python steps at worst
+        for e Hasse edges: on a chain of N elements plus N pairs, each a
+        new minimal element and the chain's top below a new element,
+        ``order`` puts the minimal elements first and every pair walks the
+        chain."""
+        lower, out, pos = self.lower, list(self.lower), None
+        for j in self.order:
+            below = lower[j]
             if len(below) > 1:
-                span = sum(1 << i for i in below)
-                below = tuple(i for i in below if not (self.upm[i] ^ 1 << i) & span)
-            out.append(below)
+                if pos is None:
+                    pos = [0] * self.n
+                    for p, x in enumerate(self.order):
+                        pos[x] = p
+                floor = min(pos[i] for i in below)
+                stack = [y for i in below for y in out[i] if pos[y] >= floor]
+                reached = set(stack)
+                while stack:
+                    for y in out[stack.pop()]:
+                        if pos[y] >= floor and y not in reached:
+                            reached.add(y)
+                            stack.append(y)
+                out[j] = tuple(i for i in below if i not in reached)
         return tuple(out)
 
     # ----- subset operations --------------------------------------------

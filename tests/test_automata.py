@@ -13,7 +13,7 @@ import time
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from diffchain import (
     AlphabetMismatchError,
@@ -399,10 +399,27 @@ def test_emptiness_and_shortest_word(d):
 
 
 @given(dfas(), dfas())
+@example(  # the shortest word of the first language outside the second has 8 letters
+    Dfa(AB, [[0, 2], [1, 0], [3, 0], [3, 1]], 0, [1, 2]),
+    Dfa(AB, [[0, 1], [2, 0], [1, 0]], 0, [0, 1]),
+)
 def test_subset_of_matches_word_inclusion(d1, d2):
-    # languages of 4-state machines over two letters differ within 7 letters
+    # a word's membership in both languages depends only on the pair of
+    # states it reaches, so the shortest word reaching each pair decides the
+    # inclusion.  Two 4-state machines can need 8 letters or more (up to 15),
+    # so a fixed word length is not enough
     claim = subset_of(d1, d2)
-    brute = all(d2.accepts(w) for w in all_words(7) if d1.accepts(w))
+    reaching = {}
+    level = [()]
+    while level:
+        fresh = []
+        for w in level:
+            pair = (d1.run(d1.start, w), d2.run(d2.start, w))
+            if pair not in reaching:
+                reaching[pair] = w
+                fresh += [w + (a,) for a in AB]
+        level = fresh
+    brute = all(d2.accepts(w) for w in reaching.values() if d1.accepts(w))
     assert claim == brute
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import operator
+import random
 from itertools import islice
 
 import pytest
@@ -238,6 +239,32 @@ def test_canonical_chain_components_are_degree_levels(case):
     # nothing of higher degree remains
     assert all(d <= len(comps) for d in deg)
     assert evaluate(chain) == v
+
+
+def test_canonical_chain_on_a_carrier_wider_than_a_word():
+    # each level is read off one buffer of binary digits, greatest element
+    # first: the masks must still be the degree level sets, padded to even
+    # length, on carriers of more than one machine word
+    rng = random.Random(2808)
+    for n in (65, 130):
+        perm = rng.sample(range(n), n)
+        for density in (0.03, 0.3):
+            edges = [
+                (perm[i], perm[j]) for i in range(n) for j in range(i + 1, n)
+                if rng.random() < density
+            ]
+            p = FinPoset.from_covers(edges, n)
+            for _ in range(5):
+                target = frozenset(x for x in range(n) if rng.random() < 0.5)
+                chain = canonical_chain(p, target)
+                deg = degrees(p, target)
+                top = max(deg, default=0)
+                assert chain.sets == tuple(
+                    frozenset(x for x in range(n) if deg[x] >= i)
+                    for i in range(1, top + 1 + top % 2)
+                )
+                assert DiffChain(p, chain.sets) == chain
+                assert evaluate(chain) == target
 
 
 # ----- the recurrence over any closure ------------------------------------

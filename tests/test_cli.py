@@ -92,7 +92,8 @@ def test_poset_chain_builds_no_mask(tmp_path, monkeypatch, capsys):
 
 def test_chain_components_give_every_degree():
     # every subset of every poset on at most 4 points, then random subsets
-    # of a 60-chain and of random orders on 12 points (edges i -> j, i < j)
+    # of a 60-chain and of random orders on 12 points (edges i -> j, i < j):
+    # each element lies in as many of the report's components as its degree
     cases = [(p, chosen) for p in oracle.all_posets_upto(4) for chosen in range(1 << p.n)]
     rng = random.Random(1702)
     posets = [FinPoset.from_covers([(i, i + 1) for i in range(59)], 60)]
@@ -102,8 +103,12 @@ def test_chain_components_give_every_degree():
     cases += [(p, rng.getrandbits(p.n)) for p in posets for _ in range(30)]
     for poset, chosen in cases:
         members = frozenset(i for i in range(poset.n) if chosen >> i & 1)
-        _, degs = cli._sorted_components(chains.canonical_chain(poset, members))
-        assert degs == list(chains.degrees(poset, members)), (poset, chosen)
+        degs = chains.degrees(poset, members)
+        counts = [0] * poset.n
+        for text in cli._component_texts(degs, max(degs, default=0)):
+            for x in json.loads(text):
+                counts[x] += 1
+        assert counts == list(degs), (poset, chosen)
 
 
 def _component_text_cases():
@@ -137,13 +142,14 @@ def _component_text_cases():
 
 
 def test_chain_component_text_matches_the_json_encoder():
-    # the components' text is spliced from the next component's; it must
-    # read exactly as json.dumps writes the sorted component.  The cases
+    # a component's text is cut from the last built one or built again; it
+    # must read exactly as json.dumps writes the sorted component.  The cases
     # put new elements before, after and between the inner ones
     seen = set()
     for poset, members in _component_text_cases():
         chain = chains.canonical_chain(poset, members)
-        comps, _ = cli._sorted_components(chain)
+        degs = chains.degrees(poset, members)
+        comps = list(cli._component_texts(degs, max(degs, default=0)))
         assert comps == [json.dumps(sorted(s)) for s in chain.sets], (poset, members)
         for outer, inner in zip(chain.masks, chain.masks[1:]):
             new = outer & ~inner
@@ -154,8 +160,7 @@ def test_chain_component_text_matches_the_json_encoder():
                     else "between"
                 )
     assert seen == {"before", "after", "between"}
-    empty = chains.canonical_chain(FinPoset.from_covers([(0, 1)], 2), frozenset())
-    assert cli._sorted_components(empty) == ([], [0, 0])
+    assert list(cli._component_texts((0, 0), 0)) == []
 
 
 def test_poset_chain_encodes_no_component(tmp_path, monkeypatch, capsys):
@@ -231,6 +236,12 @@ def test_poset_chain_rejects_bad_inputs(chain_poset_file, tmp_path, capsys):
     assert capsys.readouterr().err == "error: element -1 leaves the carrier 0..2\n"
 
 
+def test_poset_chain_refuses_a_double_dash_set(chain_poset_file, capsys):
+    # argparse hands --set=-- on as an empty list, not as the text "--"
+    assert main(["poset", "chain", "--poset", str(chain_poset_file), "--set=--"]) == 2
+    assert capsys.readouterr().err == "error: cannot parse element list '--'\n"
+
+
 def test_poset_chain_output_puts_each_component_on_one_line(chain_poset_file, capsys):
     assert main(["poset", "chain", "--poset", str(chain_poset_file), "--set", "0,2"]) == 0
     lines = capsys.readouterr().out.splitlines()
@@ -275,6 +286,33 @@ def test_poset_chain_rejects_malformed_posets(tmp_path, capsys, doc):
     captured = capsys.readouterr()
     assert captured.err.startswith("error:") and captured.err.count("\n") == 1
     assert not out.exists()
+
+
+def test_poset_chain_on_an_empty_carrier(tmp_path, capsys):
+    path = poset_doc_file(tmp_path, {"n": 0, "covers": []})
+    assert main(["poset", "chain", "--poset", str(path), "--set", ""]) == 0
+    assert json.loads(capsys.readouterr().out) == {"V": [], "m": 0, "K": [], "degrees": []}
+    assert main(["poset", "chain", "--poset", str(path), "--set", "0"]) == 2
+    assert capsys.readouterr().err == "error: element 0 leaves the empty carrier\n"
+    path = poset_doc_file(tmp_path, {"n": 0, "covers": [[0, 1]]})
+    assert main(["poset", "chain", "--poset", str(path), "--set", ""]) == 2
+    assert capsys.readouterr().err == "error: cover (0, 1) leaves the empty carrier\n"
+
+
+def test_poset_chain_dot_builds_no_mask(tmp_path, monkeypatch, capsys):
+    # the DOT rendering draws the Hasse relation of a poset given with a
+    # transitive edge, found without the closure of the order
+    path = poset_doc_file(tmp_path, {"n": 4, "covers": [[0, 1], [0, 2], [1, 3], [2, 3], [0, 3]]})
+    read = []
+    real = cli.poset_from_json
+    monkeypatch.setattr(cli, "poset_from_json", lambda text: read.append(real(text)) or read[-1])
+    out = tmp_path / "chain.json"
+    assert main(["poset", "chain", "--poset", str(path), "--set", "1,2",
+                 "--out", str(out), "--dot"]) == 0
+    edges = [line for line in (tmp_path / "chain.dot").read_text().splitlines() if "->" in line]
+    assert edges == ["  0 -> 1;", "  0 -> 2;", "  1 -> 3;", "  2 -> 3;"]
+    (p, _), = read
+    assert "upm" not in vars(p)
 
 
 def test_poset_chain_on_a_3000_element_chain(tmp_path, capsys):

@@ -5,7 +5,7 @@ from __future__ import annotations
 import sys
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from diffchain import (
     CycleError,
@@ -20,6 +20,7 @@ from diffchain import (
     poset_to_dot,
     poset_to_json,
 )
+from diffchain.poset import bits, mask_of
 
 # small random posets: upward edges i -> j with i < j can never form a cycle
 @st.composite
@@ -60,6 +61,23 @@ def test_covers_recovers_hasse_relation():
     # transitive edge (0, 3) must not appear even if given as input
     q = FinPoset.from_covers([(0, 1), (0, 2), (1, 3), (2, 3), (0, 3)], 4)
     assert q == p
+
+
+def test_covers_build_no_closure():
+    # 3 has two lower covers and a transitive edge from 0: the Hasse relation
+    # comes from a search down the lower edges, and nothing builds upm
+    p = FinPoset.from_covers([(0, 1), (0, 2), (1, 3), (2, 3), (0, 3)], 4)
+    assert p.covers() == [(0, 1), (0, 2), (1, 3), (2, 3)]
+    assert repr(p) == "FinPoset(n=4, covers=[(0, 1), (0, 2), (1, 3), (2, 3)])"
+    poset_to_json(p)
+    poset_to_dot(p)
+    assert "upm" not in vars(p)
+    # a 400-element chain given all its 79 800 pairs: each search runs down
+    # the covers already found, not down every given edge
+    n = 400
+    q = FinPoset.from_covers([(i, j) for i in range(n) for j in range(i + 1, n)], n)
+    assert q.covers() == [(i, i + 1) for i in range(n - 1)]
+    assert "upm" not in vars(q)
 
 
 def test_discrete_and_empty_posets():
@@ -175,6 +193,41 @@ def test_is_upset_examples():
     assert p.is_upset({0, 1, 2})
 
 
+def _masks():
+    """0, one bit, a sparse set of bits, dense random bits and all ones, up
+    to 2 200 bits wide."""
+    return st.one_of(
+        st.just(0),
+        st.integers(0, 2200).map(lambda i: 1 << i),
+        st.sets(st.integers(0, 2200), max_size=60).map(lambda xs: sum(1 << i for i in xs)),
+        st.binary(max_size=275).map(lambda b: int.from_bytes(b, "little")),
+        st.integers(0, 2200).map(lambda w: (1 << w) - 1),
+    )
+
+
+@given(_masks())
+@example(0b10110)
+@example((1 << 2000) - 1)
+@example(sum(1 << i for i in range(0, 2000, 97)))
+def test_bits_match_the_one_bit_at_a_time_loop(mask):
+    want = [i for i in range(mask.bit_length()) if mask >> i & 1]
+    assert bits(mask) == want
+    assert mask_of(want, mask.bit_length()) == mask
+
+
+def test_subsets_of_an_empty_carrier_name_it():
+    p = FinPoset.from_covers([], 0)
+    assert mask_of([], 0) == 0 and degrees(p, []) == ()
+    with pytest.raises(RangeError, match="^element 0 leaves the empty carrier$"):
+        mask_of([0], 0)
+    with pytest.raises(RangeError, match="^element 0 leaves the empty carrier$"):
+        degrees(p, {0})
+    with pytest.raises(RangeError, match=r"^cover \(0, 1\) leaves the empty carrier$"):
+        FinPoset.from_covers([(0, 1)], 0)
+    with pytest.raises(RangeError, match=r"^element 3 leaves the carrier 0\.\.2$"):
+        mask_of([0, 3], 3)
+
+
 def test_subset_operations_check_range():
     p = chain3()
     for op in (p.upset_closure, p.is_upset):
@@ -232,6 +285,21 @@ def _accepts(p, sets):
     except DiffChainError as e:
         return type(e)
     return True
+
+
+@given(with_transitive_edges())
+def test_covers_are_the_pairs_with_nothing_between(case):
+    # the search down the lower edges against the closure of the order:
+    # j covers i when i < j and no k has i < k < j
+    p, edges, _ = case
+    q = FinPoset.from_covers(edges, p.n)
+    got = q.covers()
+    assert "upm" not in vars(q)
+    strictly = [[j for j in range(q.n) if j != i and q.upm[i] >> j & 1] for i in range(q.n)]
+    assert got == [
+        (i, j) for i in range(q.n) for j in strictly[i]
+        if not any(j in strictly[k] for k in strictly[i])
+    ]
 
 
 @given(with_transitive_edges())
