@@ -58,7 +58,8 @@ def _build_parser() -> argparse.ArgumentParser:
     chain_cmd.add_argument("--poset", required=True, help="poset JSON file")
     chain_cmd.add_argument(
         "--set", required=True, dest="members",
-        help="comma-separated element indices (empty string for the empty set)",
+        help="comma-separated element indices (empty string for the empty set), "
+        "or @PATH to read them from the file PATH",
     )
     chain_cmd.add_argument("--out", help="write JSON here instead of stdout")
     chain_cmd.add_argument(
@@ -148,17 +149,28 @@ def _emit(lines: Iterable[str], out: str | None, dot_text: str | None, want_dot:
 
 def _parse_members(raw: str) -> list[int]:
     """Comma-separated element indices, each an optional minus sign and
-    ASCII digits, so ``1_0``, ``+1`` and other digit scripts are refused."""
+    ASCII digits, so ``1_0``, ``+1`` and other digit scripts are refused.
+    ``@PATH`` reads the list from the file PATH: Linux caps one
+    command-line argument at 128 KiB, about 20 000 indices."""
     if not isinstance(raw, str):
         # argparse (up to Python 3.11 at least) drops the value of --set=--
         # as an end-of-options marker and hands on an empty list instead
         raw = "--"
+    path = None
+    if raw.startswith("@"):
+        path = raw[1:]
+        try:
+            raw = Path(path).read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
+            reason = getattr(exc, "strerror", None) or exc
+            raise ValueError(f"cannot read element list {path!r}: {reason}") from None
     raw = raw.strip()
     if not raw:
         return []
     parts = raw.split(",")
     if not all(_INDEX.fullmatch(part.strip()) for part in parts):
-        raise ValueError(f"cannot parse element list {raw!r}")
+        where = repr(raw) if path is None else f"in {path!r}"
+        raise ValueError(f"cannot parse element list {where}")
     return [int(part) for part in parts]
 
 

@@ -12,7 +12,13 @@ target in two determinizations, with a minimization in between:
   member of the language matches.  Its states hold subsets of target states
   closed downward under the inclusion relation between the target states'
   languages, which ``_language_below`` computes from short-word signatures,
-  so subsets that differ only in included states are one state;
+  so subsets that differ only in included states are one state.  Its top
+  two pin layers hold languages, not subsets, where these are narrow
+  enough: layer k an ultimately periodic set of lengths, and for k >= 2
+  layer k - 1 a *one-pin profile*, per position of the last pin and per
+  letter the length set that follows, ORed from per-state profiles.
+  Their keys are tagged so that the key test compares only like with like;
+  wide length sets or profiles keep the subset states;
 * the *universal projection* reads a word and tracks every pattern of it at
   once, keeping only the hardest runs (an antichain, as in De Wulf, Doyen,
   Henzinger and Raskin, *Antichains: a new algorithm for checking
@@ -67,6 +73,14 @@ _LENGTH_BITS = 64
 # about 7 % slower, 32 bits twice as slow on three letters, and 256 bits no
 # faster.
 _SIGNATURE_BITS = 128
+# Widest one-pin profile the pattern automaton's layer k - 1 collapses to;
+# past it the layer keeps subset states.  The benchmark's big targets need 30
+# to 39 bits.  Of the 218 decompose-corpus pattern automata, 24 have profiles
+# of 1 035 to 3 828 bits (targets of 24 to 86 states): on them profiles cut
+# the raw states by only 4 % (7 658 to 7 345), and pattern stage plus
+# projection took 2-3 % longer (0.240 to 0.244 s and 0.263 to 0.271 s,
+# medians of 21 alternations; subset states faster in 12 and 14 of 21).
+_PROFILE_BITS = 1024
 
 
 def _normalize(d: Dfa) -> Dfa:
@@ -239,38 +253,45 @@ def _pattern_automaton(
     T + P exceeds ``_LENGTH_BITS``, the top layer keeps the subset states
     ``(k, S)`` of the layers below.
 
+    For k >= 2, when the top layer collapses, layer k - 1 collapses too.
+    Its patterns hold at most one more pin, so its language is a box
+    length set and, per position i of the pin and pinned letter x, the
+    top-layer length set that follows; these repeat in i from some T1 with
+    period P1.  ``_one_pin_profiles`` writes them for each target state as
+    one int, its *profile*, and a layer k - 1 state is ``(k - 1, profile)``
+    with the OR of its set's profiles: one state per language, where
+    subset states gave one per set.  BOX shifts the lengths and the
+    slices down by one, wrapping at T and at T1 as the top layer wraps,
+    and letter x reads its top-layer length set off slice 0.  When T1 + P1
+    exceeds ``_LENGTH_BITS`` or a profile ``_PROFILE_BITS``, layer k - 1
+    keeps its subset states.  Layer 0 (k = 1) keeps them always: it holds
+    only the start's box orbit.
+
     ``keys`` receives each state's key in numbering order.
     A key proves inclusions: L(c, S) ⊆ L(c', S') when c >= c' and
-    S ⊆ S', and L(k, λ) ⊆ L(k, λ') when the length set λ ⊆ λ'.  A length
-    set is recorded with every bit from ``_LENGTH_BITS`` up set, so that
-    the one test, c >= c' and S ⊆ S', compares two length sets as sets and
-    never passes between a length set and a subset of target states.
+    S ⊆ S', L(k, λ) ⊆ L(k, λ') when the length set λ ⊆ λ', and
+    L(k - 1, π) ⊆ L(k - 1, π') when the profile π ⊆ π', bit by bit: each bit
+    stands for its own nonempty set of patterns.  A length set is recorded
+    with every bit from ``_LENGTH_BITS`` up set, and a profile with a tag bit
+    above both its own width and n, so that the one test, c >= c' and
+    S ⊆ S', compares two length sets or two profiles as sets and never
+    passes between kinds: a length set is negative, a profile has the tag
+    bit, and the pin counts order the rest.
     """
     n = target.n_states
     width = len(target.alphabet)
     below = _language_below(target)
     # Successor masks of one state, every letter side by side in one int
-    # (letter i in bits i*n .. i*n+n-1), ORed together a byte of S at a time.
-    packed = [
-        sum(below[t] << (i * n) for i, t in enumerate(row)) for row in target.delta
-    ]
-    tables = []
-    for low_state in range(0, n, 8):
-        table = [0] * (1 << min(8, n - low_state))
-        for byte in range(1, len(table)):
-            low = byte & -byte
-            table[byte] = table[byte ^ low] | packed[low_state + low.bit_length() - 1]
-        tables.append(table)
+    # (letter i in bits i*n .. i*n+n-1), ORed together 4 bits of S at a time.
+    post_tables = _nibble_tables(
+        [sum(below[t] << (i * n) for i, t in enumerate(row)) for row in target.delta]
+    )
     full = (1 << n) - 1
     accepting = sum(1 << q for q in target.accepting)
 
     def post(subset: int) -> list[int]:
         """Successor masks per letter, then the box's (any letter)."""
-        both = 0
-        rest = subset
-        for table in tables:
-            both |= table[rest & 255]
-            rest >>= 8
+        both = _or_nibbles(post_tables, subset)
         out = [both >> (i * n) & full for i in range(width)]
         box = 0
         for mask in out:
@@ -286,6 +307,24 @@ def _pattern_automaton(
     last_bit = len(reaching) - 1
     record = keys.append
     length_key = -1 << _LENGTH_BITS
+    # the layer of one-pin profiles: k - 1, unless it keeps subset states
+    profiled = None
+    if k > 1 and periodic is not None:
+        profiled = _one_pin_profiles(target, reaching, threshold)
+    one_pin = -1
+    if profiled is not None:
+        one_pin = k - 1
+        profiles, slices, slice_threshold = profiled
+        profile_tables = _nibble_tables(profiles)
+        lengths_bits = len(reaching)
+        all_lengths = (1 << lengths_bits) - 1
+        slice_bits = width * lengths_bits
+        whole_slice = (1 << slice_bits) - 1
+        last_slice = (slices - 1) * slice_bits
+        repeat = slice_threshold * slice_bits
+        profile_key = 1 << max(n, lengths_bits + slices * slice_bits)
+    # the layers from this one up accept on bit 0 of their length sets
+    first_collapsed = k + 1 if periodic is None else k if profiled is None else k - 1
 
     def enter(subset: int) -> tuple[int, int]:
         """The top-layer state of the target states ``subset``."""
@@ -302,6 +341,23 @@ def _pattern_automaton(
             # only the box moves: every length one down
             shifted = subset >> 1 | (subset >> threshold & 1) << last_bit
             return [dead] * width + [(c, shifted) if shifted else dead]
+        if c == one_pin:
+            record((c, subset | profile_key))
+            # a letter reads its length set off slice 0
+            succ = []
+            for x in range(lengths_bits, lengths_bits + slice_bits, lengths_bits):
+                lengths = subset >> x & all_lengths
+                succ.append((k, lengths) if lengths else dead)
+            # the box moves the lengths and every slice one down
+            lengths = subset & all_lengths
+            rest = subset >> lengths_bits
+            shifted = (
+                lengths >> 1 | (lengths >> threshold & 1) << last_bit
+                | (rest >> slice_bits | (rest >> repeat & whole_slice) << last_slice)
+                << lengths_bits
+            )
+            succ.append((c, shifted) if shifted else dead)
+            return succ
         record(state)
         succ = []
         for j, mask in enumerate(post(subset)):
@@ -309,6 +365,9 @@ def _pattern_automaton(
                 t = dead
             elif j == width:
                 t = (c, mask)
+            elif c + 1 == one_pin:
+                profile = _or_nibbles(profile_tables, mask)
+                t = (c + 1, profile) if profile else dead
             elif c + 1 == collapsed:
                 t = enter(mask)
             else:
@@ -318,9 +377,35 @@ def _pattern_automaton(
 
     return _explore(
         target.alphabet + (BOX,), (0, below[target.start]), step,
-        lambda s: s[1] & (1 if s[0] == collapsed else accepting),
+        lambda s: s[1] & (1 if s[0] >= first_collapsed else accepting),
         state_cap, f"pattern automaton passed {state_cap} states at k={k}",
     )
+
+
+def _nibble_tables(values: list[int]) -> list[list[int]]:
+    """Per 4 bits of a subset of ``range(len(values))``, the OR of the
+    values of every subset of those bits, for ``_or_nibbles``.  Tables of 8
+    bits held 16 times the entries: on profiles of about 1 000 bits, 200 KB
+    for 40 states, and 0.1 to 0.2 MB more peak memory on the
+    decompose-corpus benchmark, with no faster lookups on the closure-big
+    one."""
+    tables = []
+    for low_state in range(0, len(values), 4):
+        table = [0] * (1 << min(4, len(values) - low_state))
+        for nibble in range(1, len(table)):
+            low = nibble & -nibble
+            table[nibble] = table[nibble ^ low] | values[low_state + low.bit_length() - 1]
+        tables.append(table)
+    return tables
+
+
+def _or_nibbles(tables: list[list[int]], subset: int) -> int:
+    """The OR of the values of the members of ``subset``, 4 bits at a time."""
+    out = 0
+    for table in tables:
+        out |= table[subset & 15]
+        subset >>= 4
+    return out
 
 
 def _reaching(target: Dfa, accepting: int) -> tuple[list[int], int] | None:
@@ -347,6 +432,56 @@ def _reaching(target: Dfa, accepting: int) -> tuple[list[int], int] | None:
             return None
         index[earlier] = len(reaching)
         reaching.append(earlier)
+
+
+def _one_pin_profiles(
+    target: Dfa, reaching: list[int], threshold: int
+) -> tuple[list[int], int, int] | None:
+    """``(profiles, N, T1)``: per target state q, the language of the
+    patterns with at most one pin that q's words match, as one int, and the
+    slices N = T1 + P1 it holds, the last P1 repeating from slice T1.
+    None when N exceeds ``_LENGTH_BITS`` or a profile ``_PROFILE_BITS``.
+
+    With L = len(reaching) and W letters, bits 0 .. L - 1 are λ(q), the
+    lengths after which q accepts, as the top layer stores them.  Slice i
+    follows, W·L bits from L + i·W·L on, with letter x's L bits at x·L in
+    it: the length set of the top-layer state that some i-letter path from
+    q, then x, reaches.  Column i is that slice for every state at once:
+    col₀[q] = Σₓ λ(δ(q, x)) ≪ x·L and colᵢ₊₁[q] = OR_y colᵢ[δ(q, y)].  The
+    columns are tuples, so their sequence repeats from some T1 with period
+    P1, as ``_reaching``'s does.
+    """
+    n = target.n_states
+    lengths_bits = len(reaching)
+    lengths = [0] * n
+    for m, states in enumerate(reaching):
+        for q in bits(states):
+            lengths[q] |= 1 << m
+    slice_bits = len(target.alphabet) * lengths_bits
+    column = tuple(
+        sum(lengths[t] << (x * lengths_bits) for x, t in enumerate(row))
+        for row in target.delta
+    )
+    index: dict[tuple[int, ...], int] = {}
+    columns = []
+    while column not in index:
+        if (len(columns) == _LENGTH_BITS
+                or lengths_bits + (len(columns) + 1) * slice_bits > _PROFILE_BITS):
+            return None
+        index[column] = len(columns)
+        columns.append(column)
+        nxt = []
+        for row in target.delta:
+            out = 0
+            for t in row:
+                out |= column[t]
+            nxt.append(out)
+        column = tuple(nxt)
+    profiles = lengths
+    for i, col in enumerate(columns):
+        shift = lengths_bits + i * slice_bits
+        profiles = [p | c << shift for p, c in zip(profiles, col)]
+    return profiles, len(columns), index[column]
 
 
 def _universal_projection(

@@ -13,14 +13,16 @@ import json
 import sys
 from collections import defaultdict
 from functools import cached_property
+from itertools import compress
 from typing import Iterable, Mapping, Sequence
 
 from .errors import CycleError, RangeError
 
 ElemSet = frozenset[int]
 
-# flags to binary digits: b"\0" -> b"0", b"\1" -> b"1"
+# flags to binary digits: b"\0" -> b"0", b"\1" -> b"1", and back
 _DIGITS = bytes.maketrans(b"\0\1", b"01")
+_FLAGS = bytes.maketrans(b"01", b"\0\1")
 
 
 def bits(mask: int) -> list[int]:
@@ -48,6 +50,13 @@ def mask_of(subset: Iterable[int], n: int) -> int:
     """The bitmask of ``subset``, after checking it lies in ``0..n-1``: its
     flags read as binary digits, so the time is linear in n."""
     return int(flags_of(subset, n).translate(_DIGITS)[::-1] or b"0", 2)
+
+
+def _flags_of_mask(mask: int, n: int) -> bytes:
+    """The flags of the elements of ``0..n-1`` in ``mask``, as ``flags_of``
+    gives them: its binary digits read backwards, so the time is linear in
+    n."""
+    return format(mask, f"0{n}b")[::-1].encode().translate(_FLAGS)
 
 
 def _carrier(n: int) -> str:
@@ -188,17 +197,23 @@ class FinPoset:
     def _upset_within(self, m: int, outer: int) -> bool:
         """Whether ``m``, a subset of the upset ``outer``, is itself an upset:
         a chain from ``m`` up to ``outer - m`` stays in ``outer``, so it is
-        enough that no element of ``outer - m`` has a lower edge from ``m``."""
+        enough that no element of ``outer - m`` has a lower edge from ``m``.
+        Both masks are read as flags, so the time is linear in n plus the
+        edges."""
+        inside = _flags_of_mask(m, self.n)
+        outside = compress(range(self.n), _flags_of_mask(outer & ~m, self.n))
         lower = self.lower
-        return not any(m >> i & 1 for j in bits(outer & ~m) for i in lower[j])
+        return not any(inside[i] for j in outside for i in lower[j])
 
     def upset_closure(self, subset: Iterable[int]) -> ElemSet:
-        """Least upward-closed set containing ``subset``."""
-        m = mask_of(subset, self.n)
+        """Least upward-closed set containing ``subset``, in time linear in
+        n plus the edges."""
+        flags = flags_of(subset, self.n)
+        lower = self.lower
         for x in self.order:  # every lower element of x is settled before x
-            if not m >> x & 1 and any(m >> y & 1 for y in self.lower[x]):
-                m |= 1 << x
-        return frozenset(bits(m))
+            if not flags[x] and any(flags[y] for y in lower[x]):
+                flags[x] = 1
+        return frozenset(compress(range(self.n), flags))
 
     def is_upset(self, subset: Iterable[int]) -> bool:
         return self._upset_within(mask_of(subset, self.n), (1 << self.n) - 1)

@@ -242,6 +242,53 @@ def test_poset_chain_refuses_a_double_dash_set(chain_poset_file, capsys):
     assert capsys.readouterr().err == "error: cannot parse element list '--'\n"
 
 
+def test_poset_chain_reads_the_set_from_a_file(chain_poset_file, tmp_path, capsys):
+    # @PATH gives the same report as the list itself, surrounding whitespace
+    # and a trailing newline included, and an empty file is the empty set
+    argv = ["poset", "chain", "--poset", str(chain_poset_file), "--set"]
+    members = tmp_path / "members.txt"
+    for text in ("0,2", " 0, 2\n", ""):
+        members.write_text(text, encoding="utf-8")
+        code = main(argv + [text])
+        inline = capsys.readouterr()
+        assert main(argv + [f"@{members}"]) == code
+        assert capsys.readouterr() == inline
+    # 60 000 indices, about 340 KB of text: more than Linux passes in one
+    # command-line argument
+    n = 120_000
+    wide = tmp_path / "wide.json"
+    wide.write_text(json.dumps({"n": n, "covers": []}), encoding="utf-8")
+    members.write_text(",".join(map(str, range(0, n, 2))), encoding="utf-8")
+    out = tmp_path / "report.json"
+    args = ["poset", "chain", "--poset", str(wide), "--set", f"@{members}", "--out", str(out)]
+    assert main(args) == 0
+    report = json.loads(out.read_text(encoding="utf-8"))
+    assert report["m"] == 1 and report["V"] == list(range(0, n, 2))
+
+
+def test_poset_chain_set_file_errors_are_one_line(chain_poset_file, tmp_path, capsys):
+    argv = ["poset", "chain", "--poset", str(chain_poset_file), "--set"]
+    missing = tmp_path / "missing.txt"
+    assert main(argv + [f"@{missing}"]) == 2
+    assert capsys.readouterr().err == (
+        f"error: cannot read element list {str(missing)!r}: No such file or directory\n"
+    )
+    assert main(argv + [f"@{tmp_path}"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read element list {str(tmp_path)!r}: ")
+    assert err.count("\n") == 1
+    # a file whose text is no list is named, not printed
+    bad = tmp_path / "bad.txt"
+    bad.write_text("0,x\n" * 1000, encoding="utf-8")
+    assert main(argv + [f"@{bad}"]) == 2
+    assert capsys.readouterr().err == f"error: cannot parse element list in {str(bad)!r}\n"
+    bad.write_bytes(b"0,\xff")
+    assert main(argv + [f"@{bad}"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read element list {str(bad)!r}: 'utf-8' codec")
+    assert err.count("\n") == 1
+
+
 def test_poset_chain_output_puts_each_component_on_one_line(chain_poset_file, capsys):
     assert main(["poset", "chain", "--poset", str(chain_poset_file), "--set", "0,2"]) == 0
     lines = capsys.readouterr().out.splitlines()

@@ -155,15 +155,29 @@ def test_closure_keeps_subset_states_past_the_length_bits():
         assert closure_miss(cl, d, k, 5) is None, k
 
 
-def test_pattern_top_layer_collapses_into_length_sets():
-    # 17 753 states; with subset states in the top layer it would be 75 229.
-    from diffchain.closure import _normalize, _pattern_automaton
-
+def first_big_dfa() -> Dfa:
+    """The first DFA of at least 50 states from random_dfa(Random(11), 80,
+    "abc"), before minimizing."""
     rng = random.Random(11)
     d = random_dfa(rng, 80, ("a", "b", "c"))
     while d.n_states < 50:
         d = random_dfa(rng, 80, ("a", "b", "c"))
-    assert _pattern_automaton(_normalize(d), 5, 20_000, []).n_states < 20_000
+    return d
+
+
+def test_pattern_top_layer_collapses_into_length_sets():
+    # 3 730 states; with subset states in layer k - 1 it would be 17 753,
+    # and with subset states in the top layer too 75 229.
+    from diffchain.closure import _normalize, _pattern_automaton
+
+    assert _pattern_automaton(_normalize(first_big_dfa()), 5, 20_000, []).n_states < 20_000
+
+
+def test_pattern_layer_below_the_top_collapses_into_one_pin_profiles():
+    # 17 790 states at k = 6, where subset states in layer k - 1 gave 75 233
+    from diffchain.closure import _normalize, _pattern_automaton
+
+    assert _pattern_automaton(_normalize(first_big_dfa()), 6, 25_000, []).n_states < 25_000
 
 
 def rerooted_inclusions(d):
@@ -221,17 +235,32 @@ def forward_patterns(target: Dfa, k: int) -> Dfa:
     ))
 
 
-def test_pattern_automaton_minimizes_to_the_forward_subset_construction():
-    # the inclusion pruning and the length sets change the raw automaton,
-    # never its language; k = 4 is past the variable cap, which only
-    # pi1_closure checks
-    from diffchain.closure import _normalize, _pattern_automaton
+def test_pattern_automaton_minimizes_to_the_forward_subset_construction(monkeypatch):
+    # The inclusion pruning, the length sets and the one-pin profiles change
+    # the raw automaton, never its language; k = 4 and 5 are past the
+    # variable cap, which only pi1_closure checks.  k = 5 runs on the
+    # two-letter targets, where forward_patterns stays under its 100 000
+    # cap (past it, it raises CapacityError).  The positional targets with
+    # n = 21 and 22 have one-pin profiles of 990 and 1 081 bits, one on
+    # each side of _PROFILE_BITS, so the second keeps subset states in
+    # layer k - 1.
+    from diffchain.closure import _normalize, _one_pin_profiles, _pattern_automaton, _reaching
+
+    def profile_width(target: Dfa) -> int | None:
+        reaching, threshold = _reaching(target, sum(1 << q for q in target.accepting))
+        profiled = _one_pin_profiles(target, reaching, threshold)
+        return profiled and len(reaching) * (1 + len(target.alphabet) * profiled[1])
 
     _, targets = inclusion_corpus()
     targets.append(period_65_counter())
-    for d in targets:
+    narrow, wide = (_normalize(nth_letter_is_a(n)) for n in (21, 22))
+    assert profile_width(narrow) == 990 and profile_width(wide) is None
+    with monkeypatch.context() as patched:
+        patched.setattr(closure, "_PROFILE_BITS", 2_000)
+        assert profile_width(wide) == 1_081
+    for d in targets + [narrow, wide]:
         target = _normalize(d)
-        for k in (1, 2, 3, 4):
+        for k in (1, 2, 3, 4, 5) if len(target.alphabet) == 2 else (1, 2, 3, 4):
             got = minimize(_pattern_automaton(target, k, 10_000, []))
             assert got == forward_patterns(target, k), (d, k)
 
@@ -518,37 +547,72 @@ def test_representatives_have_their_minimal_states_languages():
             assert [image[r] for r in rep] == list(range(pattern.n_states)), (d, k)
 
 
+def key_kind(key: tuple[int, int], n: int) -> str:
+    """The kind of a key that ``_pattern_automaton`` recorded for a target
+    of n states: a length set is negative, a one-pin profile carries a tag
+    bit at n or above, and a set of target states lies below bit n."""
+    subset = key[1]
+    return "length sets" if subset < 0 else "one-pin profiles" if subset >> n else "target sets"
+
+
 def test_keys_prove_only_true_inclusions():
     # Every pair of minimal pattern states whose keys pass the key test is
     # an inclusion.  The expected inclusions are rerooted_inclusions, except
     # on the period-65 patterns: there it takes 1.3 s at k = 1 and 8 s at
     # k = 3, so they take _language_below, which agrees with
     # rerooted_inclusions on the corpus patterns and on the period-65
-    # target.  Length-set keys have their high bits set, so they are
-    # negative; with a period of 65 every key is a set of target states.
+    # target.  With a period of 65 every key is a set of target states.
     from diffchain.closure import _normalize
 
-    cases = [("corpus", k, pattern, expected, keys)
-             for k, pattern, expected, keys in minimal_patterns()]
+    sizes = [_normalize(d).n_states for d in inclusion_corpus()[1] for _ in (1, 2, 3)]
+    cases = [("corpus", k, pattern, expected, keys, n)
+             for (k, pattern, expected, keys), n in zip(minimal_patterns(), sizes)]
     for label, d in wide_and_positional_targets():
+        target = _normalize(d)
         for k in (1, 2, 3):
-            _, pattern, keys, _ = keyed_pattern(_normalize(d), k)
+            _, pattern, keys, _ = keyed_pattern(target, k)
             inclusions = fixpoint_inclusions if label == "period 65" else rerooted_inclusions
             expected = inclusions(pattern)
-            cases.append((label, k, pattern, expected, keys))
+            cases.append((label, k, pattern, expected, keys, target.n_states))
     passed: Counter = Counter()
-    for label, k, pattern, expected, keys in cases:
+    for label, k, pattern, expected, keys, n in cases:
         if label == "period 65":
-            assert all(subset >= 0 for _, subset in keys), k
+            assert {key_kind(key, n) for key in keys} == {"target sets"}, k
         for q in range(pattern.n_states):
             for p in range(pattern.n_states):
                 if p != q and key_below(keys, p, q):
                     assert expected[q][p] == 1, (label, k, p, q)
                     passed[label] += 1
-                    passed["length sets" if keys[p][1] < 0 else "target sets"] += 1
+                    passed[key_kind(keys[p], n)] += 1
     assert set(passed) == {
-        "corpus", "period 65", "positional", "length sets", "target sets"
+        "corpus", "period 65", "positional", "length sets", "one-pin profiles", "target sets"
     }, passed
+
+
+def test_profile_keys_pass_only_against_profile_keys():
+    # A profile key is recorded in layer k - 1.  Against a length set, one
+    # pin further, and against a set of target states in a lower layer, the
+    # pin counts alone let the key test pass one way; the length set's
+    # negative sign and the profile's tag bit must fail it both ways.
+    from diffchain.closure import _normalize, _pattern_automaton
+
+    _, targets = inclusion_corpus()
+    pins_pass: Counter = Counter()
+    for d in targets + [first_big_dfa()]:
+        target = _normalize(d)
+        for k in (2, 3):
+            recorded = []
+            _pattern_automaton(target, k, 10_000, recorded)
+            keys = set(recorded)
+            profiles = [key for key in keys if key_kind(key, target.n_states) == "one-pin profiles"]
+            assert all(c == k - 1 for c, _ in profiles), (d, k)
+            for other in keys.difference(profiles):
+                kind = key_kind(other, target.n_states)
+                for profile in profiles:
+                    pair = [profile, other]
+                    assert not key_below(pair, 0, 1) and not key_below(pair, 1, 0), (d, k)
+                    pins_pass[kind] += other[0] != profile[0]
+    assert pins_pass["length sets"] and pins_pass["target sets"], pins_pass
 
 
 def test_plain_letters_lower_the_top_pin_count():

@@ -12,6 +12,7 @@ from diffchain import (
     DiffChain,
     DiffChainError,
     FinPoset,
+    NotUpsetError,
     RangeError,
     canonical_chain,
     degrees,
@@ -233,6 +234,30 @@ def test_subset_operations_check_range():
     for op in (p.upset_closure, p.is_upset):
         with pytest.raises(RangeError):
             op({0, 7})
+
+
+def test_subset_operations_on_a_wide_antichain():
+    # Every subset of an antichain is an upset.  With two chains hung on
+    # its last elements (n-3 < n-2 and n-1 above both), a set holding n-3
+    # but not n-2 closes up to n-1 and is not an upset; DiffChain checks
+    # each component inside the one before it.
+    n = 100_000
+    every_second = range(0, n, 2)
+    antichain = FinPoset.from_covers([], n)
+    assert antichain.upset_closure(every_second) == frozenset(every_second)
+    assert antichain.is_upset(every_second)
+    assert antichain.upset_closure([]) == frozenset()
+    hung = FinPoset.from_covers([(n - 3, n - 2), (n - 3, n - 1), (n - 2, n - 1)], n)
+    chosen = [*range(0, n - 3, 2), n - 3]
+    assert hung.upset_closure(chosen) == frozenset(chosen) | {n - 2, n - 1}
+    assert not hung.is_upset(chosen)
+    assert hung.is_upset([*chosen, n - 2, n - 1])
+    assert not hung.is_upset([n - 2])
+    upper = [*every_second, n - 1]
+    chain = DiffChain(hung, [range(n), upper, [n - 1]])
+    assert chain.sets[1] == frozenset(upper)
+    with pytest.raises(NotUpsetError, match="^component 2 "):
+        DiffChain(hung, [range(n), every_second])
 
 
 # ----- closure laws as properties ---------------------------------------
