@@ -38,6 +38,9 @@ def main(argv: list[str] | None = None) -> int:
     except (DiffChainError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return 2
 
 
 @cache

@@ -13,12 +13,13 @@ target in two determinizations, with a minimization in between:
   closed downward under the inclusion relation between the target states'
   languages, which ``_language_below`` computes from short-word signatures,
   so subsets that differ only in included states are one state.  Its top
-  two pin layers hold languages, not subsets, where these are narrow
-  enough: layer k an ultimately periodic set of lengths, and for k >= 2
-  layer k - 1 a *one-pin profile*, per position of the last pin and per
-  letter the length set that follows, ORed from per-state profiles.
-  Their keys are tagged so that the key test compares only like with like;
-  wide length sets or profiles keep the subset states;
+  two pin layers hold languages, not subsets, where these fit in
+  ``_PROFILE_BITS`` bits: a *profile*, an ultimately periodic set of box
+  lengths and, per position of a further pin and per letter, the top
+  layer's length set that follows, ORed from per-state profiles.  In the
+  top layer no pin is left, so its profiles have no slices.  Each such
+  layer tags its keys with a bit of its own, so that the key test
+  compares only like with like; wider profiles keep the subset states;
 * the *universal projection* reads a word and tracks every pattern of it at
   once, keeping only the hardest runs (an antichain, as in De Wulf, Doyen,
   Henzinger and Raskin, *Antichains: a new algorithm for checking
@@ -63,9 +64,6 @@ DEFAULT_MAX_M = 8
 
 # The pattern letter of an unpinned position: the erased letter.
 BOX = Marked(None)
-# Widest length set (threshold plus period) the pattern automaton's top layer
-# collapses to; past it the top layer keeps subset states.
-_LENGTH_BITS = 64
 # Width of _language_below's short-word signatures, which hold the words of
 # length up to the largest ℓ whose words fit: ℓ = 127 on one letter, 6 on
 # two, 4 on three, 3 on four, 2 on five to ten, 1 on 11 to 127 and 0 from
@@ -73,9 +71,10 @@ _LENGTH_BITS = 64
 # about 7 % slower, 32 bits twice as slow on three letters, and 256 bits no
 # faster.
 _SIGNATURE_BITS = 128
-# Widest one-pin profile the pattern automaton's layer k - 1 collapses to;
-# past it the layer keeps subset states.  The benchmark's big targets need 30
-# to 39 bits.  Of the 218 decompose-corpus pattern automata, 24 have profiles
+# Widest profile a collapsed layer of the pattern automaton holds; past it the
+# layer keeps subset states.  For the top layer this bounds the threshold plus
+# period of its length sets.  The benchmark's big targets need 30 to 39 bits
+# in layer k - 1.  Of the 218 decompose-corpus pattern automata, 24 have profiles
 # of 1 035 to 3 828 bits (targets of 24 to 86 states): on them profiles cut
 # the raw states by only 4 % (7 658 to 7 345), and pattern stage plus
 # projection took 2-3 % longer (0.240 to 0.244 s and 0.263 to 0.271 s,
@@ -235,10 +234,11 @@ def _pattern_automaton(
     """Patterns over the target's letters and BOX with at most k pinned
     letters that some word of the target matches, letter for letter.
 
-    Below the top layer a state is ``(c, S)``: c < k pins used and S the
-    target states some matching prefix reaches, as a bitmask closed downward
-    under language inclusion (adding a state whose language is included
-    changes nothing).  Every empty S is the one dead state ``(0, 0)``.
+    A layer that does not collapse (below) holds *subset states*
+    ``(c, S)``: c pins used and S the target states some matching prefix
+    reaches, as a bitmask closed downward under language inclusion (adding
+    a state whose language is included changes nothing).  Every empty S is
+    the one dead state ``(0, 0)``.
 
     In the top layer (c = k) only BOX moves, so a state's language is the
     set of lengths m with Post^m(S) meeting the accepting states.  Let
@@ -246,37 +246,37 @@ def _pattern_automaton(
     accepting state.  That sequence first repeats at index T + P, with
     ``reaching[T + P] == reaching[T]``, so every such set is ultimately
     periodic with threshold T and period P (Chrobak, *Finite automata and
-    unary languages*, TCS 1986).  A top-layer state is ``(k, lengths)``,
-    bit m of ``lengths`` set when m < T + P is in the set; BOX shifts it
-    down one length, and an empty set is the dead state.  Equal sets give
-    one state where the subsets S, Post(S), Post^2(S), ... gave many.  When
-    T + P exceeds ``_LENGTH_BITS``, the top layer keeps the subset states
-    ``(k, S)`` of the layers below.
+    unary languages*, TCS 1986).  ``_reaching`` gives each target state q
+    its length set λ(q) as L = T + P bits.
 
-    For k >= 2, when the top layer collapses, layer k - 1 collapses too.
-    Its patterns hold at most one more pin, so its language is a box
-    length set and, per position i of the pin and pinned letter x, the
+    Layer k - 1's patterns hold at most one more pin, so its language is a
+    box length set and, per position i of the pin and pinned letter x, the
     top-layer length set that follows; these repeat in i from some T1 with
     period P1.  ``_one_pin_profiles`` writes them for each target state as
-    one int, its *profile*, and a layer k - 1 state is ``(k - 1, profile)``
-    with the OR of its set's profiles: one state per language, where
-    subset states gave one per set.  BOX shifts the lengths and the
-    slices down by one, wrapping at T and at T1 as the top layer wraps,
-    and letter x reads its top-layer length set off slice 0.  When T1 + P1
-    exceeds ``_LENGTH_BITS`` or a profile ``_PROFILE_BITS``, layer k - 1
-    keeps its subset states.  Layer 0 (k = 1) keeps them always: it holds
-    only the start's box orbit.
+    one int, its *profile*: λ(q) in bits 0 .. L - 1, then N = T1 + P1
+    slices of W·L bits for W letters, letter x's length set at x·L in each.
+    A top-layer length set is a profile with no slices.
+
+    A *collapsed* layer's state is ``(c, profile)``, one state per
+    language, where subset states gave one per set.  The top layer
+    collapses when L fits in ``_PROFILE_BITS`` bits, and for k >= 2 layer
+    k - 1 with it when the one-pin profiles fit too; layer 0 (k = 1) never
+    collapses, as it holds only the start's box orbit.  The last subset
+    layer's letters enter the first collapsed layer with the OR of the
+    target states' profiles (λ(q) alone when only the top layer
+    collapses).  BOX shifts the lengths and the slices down by one,
+    wrapping at T and at T1, and letter x reads its top-layer length set
+    off slice 0, empty in the top layer, so that there it leads to the
+    dead state.  A collapsed state accepts on bit 0.
 
     ``keys`` receives each state's key in numbering order.
     A key proves inclusions: L(c, S) ⊆ L(c', S') when c >= c' and
-    S ⊆ S', L(k, λ) ⊆ L(k, λ') when the length set λ ⊆ λ', and
-    L(k - 1, π) ⊆ L(k - 1, π') when the profile π ⊆ π', bit by bit: each bit
-    stands for its own nonempty set of patterns.  A length set is recorded
-    with every bit from ``_LENGTH_BITS`` up set, and a profile with a tag bit
-    above both its own width and n, so that the one test, c >= c' and
-    S ⊆ S', compares two length sets or two profiles as sets and never
-    passes between kinds: a length set is negative, a profile has the tag
-    bit, and the pin counts order the rest.
+    S ⊆ S', and L(c, π) ⊆ L(c, π') in a collapsed layer when the profile
+    π ⊆ π', bit by bit: each bit stands for its own nonempty set of
+    patterns.  A profile is recorded with its layer's tag bit, one per
+    collapsed layer above both n and every profile bit, so that the one
+    test, c >= c' and S ⊆ S', compares two profiles of one layer as sets
+    and never passes between a profile and a key of another layer.
     """
     n = target.n_states
     width = len(target.alphabet)
@@ -300,50 +300,32 @@ def _pattern_automaton(
         return out
 
     dead = (0, 0)
-    periodic = _reaching(target, accepting)
-    # the layer of length sets: the top one, unless the lengths are too wide
-    collapsed = k if periodic is not None else -1
-    reaching, threshold = periodic or ([], 0)
-    last_bit = len(reaching) - 1
     record = keys.append
-    length_key = -1 << _LENGTH_BITS
-    # the layer of one-pin profiles: k - 1, unless it keeps subset states
-    profiled = None
-    if k > 1 and periodic is not None:
-        profiled = _one_pin_profiles(target, reaching, threshold)
-    one_pin = -1
-    if profiled is not None:
-        one_pin = k - 1
-        profiles, slices, slice_threshold = profiled
+    # the collapsed layers, from first_collapsed up to k: none, the top one,
+    # or for k >= 2 layer k - 1 too, as far as their profiles fit
+    first_collapsed = k + 1
+    periodic = _reaching(target, accepting)
+    if periodic is not None:
+        state_lengths, lengths_bits, threshold = periodic
+        profiled = _one_pin_profiles(target, state_lengths, lengths_bits) if k > 1 else None
+        # λ(q) alone is the profile with no slices
+        profiles, slices, slice_threshold = profiled or (state_lengths, 0, 0)
+        first_collapsed = k if profiled is None else k - 1
         profile_tables = _nibble_tables(profiles)
-        lengths_bits = len(reaching)
         all_lengths = (1 << lengths_bits) - 1
+        last_bit = lengths_bits - 1
         slice_bits = width * lengths_bits
         whole_slice = (1 << slice_bits) - 1
-        last_slice = (slices - 1) * slice_bits
+        end = slices * slice_bits
         repeat = slice_threshold * slice_bits
-        profile_key = 1 << max(n, lengths_bits + slices * slice_bits)
-    # the layers from this one up accept on bit 0 of their length sets
-    first_collapsed = k + 1 if periodic is None else k if profiled is None else k - 1
-
-    def enter(subset: int) -> tuple[int, int]:
-        """The top-layer state of the target states ``subset``."""
-        lengths = 0
-        for m, states in enumerate(reaching):
-            if states & subset:
-                lengths |= 1 << m
-        return (k, lengths) if lengths else dead
+        # a tag bit per collapsed layer, above n and every profile bit
+        tag = 1 << max(n, lengths_bits + end)
 
     def step(state):
         c, subset = state
-        if c == collapsed:
-            record((c, subset | length_key))
-            # only the box moves: every length one down
-            shifted = subset >> 1 | (subset >> threshold & 1) << last_bit
-            return [dead] * width + [(c, shifted) if shifted else dead]
-        if c == one_pin:
-            record((c, subset | profile_key))
-            # a letter reads its length set off slice 0
+        if c >= first_collapsed:
+            record((c, subset | tag << (k - c)))
+            # a letter reads its length set off slice 0, empty in the top layer
             succ = []
             for x in range(lengths_bits, lengths_bits + slice_bits, lengths_bits):
                 lengths = subset >> x & all_lengths
@@ -353,8 +335,7 @@ def _pattern_automaton(
             rest = subset >> lengths_bits
             shifted = (
                 lengths >> 1 | (lengths >> threshold & 1) << last_bit
-                | (rest >> slice_bits | (rest >> repeat & whole_slice) << last_slice)
-                << lengths_bits
+                | (rest | (rest >> repeat & whole_slice) << end) >> slice_bits << lengths_bits
             )
             succ.append((c, shifted) if shifted else dead)
             return succ
@@ -365,13 +346,13 @@ def _pattern_automaton(
                 t = dead
             elif j == width:
                 t = (c, mask)
-            elif c + 1 == one_pin:
+            elif c == k:
+                t = dead  # only the box moves in the top layer
+            elif c + 1 == first_collapsed:
                 profile = _or_nibbles(profile_tables, mask)
                 t = (c + 1, profile) if profile else dead
-            elif c + 1 == collapsed:
-                t = enter(mask)
             else:
-                t = (c + 1, mask) if c < k else dead
+                t = (c + 1, mask)
             succ.append(t)
         return succ
 
@@ -408,11 +389,15 @@ def _or_nibbles(tables: list[list[int]], subset: int) -> int:
     return out
 
 
-def _reaching(target: Dfa, accepting: int) -> tuple[list[int], int] | None:
-    """``(reaching, T)``: ``reaching[m]`` for m < T + P, the target states
-    with a path of exactly m letters into ``accepting``, and the threshold
-    T from which the sequence repeats with period P = len(reaching) - T.
-    None when T + P exceeds ``_LENGTH_BITS``."""
+def _reaching(target: Dfa, accepting: int) -> tuple[list[int], int, int] | None:
+    """``(lengths, L, T)``: per target state q, the set λ(q) of the lengths
+    m < L of its paths into ``accepting``, bit m of ``lengths[q]``, and the
+    threshold T from which these sets repeat with period P = L - T.  None
+    when L exceeds ``_PROFILE_BITS``.
+
+    ``reaching[m]``, the states with a path of exactly m letters into
+    ``accepting``, is the predecessors of ``reaching[m - 1]``, so the
+    sequence repeats from its first repeated set."""
     pred_any = [0] * target.n_states
     for p, row in enumerate(target.delta):
         for t in row:
@@ -427,36 +412,35 @@ def _reaching(target: Dfa, accepting: int) -> tuple[list[int], int] | None:
             rest ^= low
             earlier |= pred_any[low.bit_length() - 1]
         if earlier in index:
-            return reaching, index[earlier]
-        if len(reaching) == _LENGTH_BITS:
+            break
+        if len(reaching) == _PROFILE_BITS:
             return None
         index[earlier] = len(reaching)
         reaching.append(earlier)
+    lengths = [0] * target.n_states
+    for m, states in enumerate(reaching):
+        for q in bits(states):
+            lengths[q] |= 1 << m
+    return lengths, len(reaching), index[earlier]
 
 
 def _one_pin_profiles(
-    target: Dfa, reaching: list[int], threshold: int
+    target: Dfa, lengths: list[int], lengths_bits: int
 ) -> tuple[list[int], int, int] | None:
     """``(profiles, N, T1)``: per target state q, the language of the
     patterns with at most one pin that q's words match, as one int, and the
     slices N = T1 + P1 it holds, the last P1 repeating from slice T1.
-    None when N exceeds ``_LENGTH_BITS`` or a profile ``_PROFILE_BITS``.
+    None when a profile is wider than ``_PROFILE_BITS``.
 
-    With L = len(reaching) and W letters, bits 0 .. L - 1 are λ(q), the
-    lengths after which q accepts, as the top layer stores them.  Slice i
-    follows, W·L bits from L + i·W·L on, with letter x's L bits at x·L in
-    it: the length set of the top-layer state that some i-letter path from
-    q, then x, reaches.  Column i is that slice for every state at once:
-    col₀[q] = Σₓ λ(δ(q, x)) ≪ x·L and colᵢ₊₁[q] = OR_y colᵢ[δ(q, y)].  The
-    columns are tuples, so their sequence repeats from some T1 with period
-    P1, as ``_reaching``'s does.
+    With L = ``lengths_bits`` and W letters, bits 0 .. L - 1 are λ(q) =
+    ``lengths[q]``, the lengths after which q accepts, as ``_reaching``
+    gives them.  Slice i follows, W·L bits from L + i·W·L on, with letter
+    x's L bits at x·L in it: the length set of the top-layer state that
+    some i-letter path from q, then x, reaches.  Column i is that slice for
+    every state at once: col₀[q] = Σₓ λ(δ(q, x)) ≪ x·L and
+    colᵢ₊₁[q] = OR_y colᵢ[δ(q, y)].  The columns are tuples, so their
+    sequence repeats from some T1 with period P1, as ``_reaching``'s does.
     """
-    n = target.n_states
-    lengths_bits = len(reaching)
-    lengths = [0] * n
-    for m, states in enumerate(reaching):
-        for q in bits(states):
-            lengths[q] |= 1 << m
     slice_bits = len(target.alphabet) * lengths_bits
     column = tuple(
         sum(lengths[t] << (x * lengths_bits) for x, t in enumerate(row))
@@ -465,8 +449,7 @@ def _one_pin_profiles(
     index: dict[tuple[int, ...], int] = {}
     columns = []
     while column not in index:
-        if (len(columns) == _LENGTH_BITS
-                or lengths_bits + (len(columns) + 1) * slice_bits > _PROFILE_BITS):
+        if lengths_bits + (len(columns) + 1) * slice_bits > _PROFILE_BITS:
             return None
         index[column] = len(columns)
         columns.append(column)

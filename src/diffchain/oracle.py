@@ -573,19 +573,6 @@ def tensor(d: Dfa, variables_: Sequence[str]) -> Dfa:
     return minimize(intersect(lifted, structures_dfa(base_letters, variables_)))
 
 
-def exists_adjoint(
-    d: Dfa,
-    variables_: Sequence[str],
-    base_letters: Sequence[str],
-    state_cap: int = DEFAULT_STATE_CAP,
-) -> Dfa:
-    """Base words some structure of which lies in d's language."""
-    _check_marked_operand(d, base_letters, variables_)
-    s = structures_dfa(base_letters, variables_)
-    proj = projection_hom(base_letters, variables_)
-    return minimize(forward_lp_image(minimize(intersect(d, s)), proj, state_cap))
-
-
 def forall_adjoint(
     d: Dfa,
     variables_: Sequence[str],

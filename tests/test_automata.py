@@ -44,7 +44,6 @@ from diffchain.oracle import (
     check_base_letters,
     check_variables,
     erasing_hom,
-    exists_adjoint,
     forall_adjoint,
     forward_lp_image,
     inverse_hom_image,
@@ -723,7 +722,9 @@ def test_tensor_pairs_language_members_with_all_markings():
 def test_marked_position_quantifiers():
     marked_a = contains_dfa_over(marked_alphabet(AB, ("x1",)), M("a", "x1"))
     base = sorted(AB)
-    some = exists_adjoint(marked_a, ("x1",), base)
+    some = intersect(
+        dfa_nonempty_words(base), complement(forall_adjoint(complement(marked_a), ("x1",), base))
+    )
     every = forall_adjoint(marked_a, ("x1",), base)
     assert_lang(some, lambda w: "a" in w)
     assert_lang(every, lambda w: all(x == "a" for x in w))
@@ -731,7 +732,9 @@ def test_marked_position_quantifiers():
 
 def test_adjoint_operands_must_be_marked():
     with pytest.raises(AlphabetMismatchError):
-        exists_adjoint(contains("a"), ("x1",), AB)
+        intersect(
+            dfa_nonempty_words(AB), complement(forall_adjoint(complement(contains("a")), ("x1",), AB))
+        )
     with pytest.raises(AlphabetMismatchError):
         forall_adjoint(contains("a"), ("x1",), AB)
 
@@ -741,7 +744,9 @@ def test_quantifiers_bracket_the_base_language(d):
     # a word whose structures all satisfy the condition in particular has one
     alphabet = marked_alphabet(AB, ("x1",))
     marked = inverse_hom_image(d, LpHom(alphabet, AB, {m: m.base for m in alphabet}))
-    some = exists_adjoint(marked, ("x1",), sorted(AB))
+    some = intersect(
+        dfa_nonempty_words(AB), complement(forall_adjoint(complement(marked), ("x1",), sorted(AB)))
+    )
     every = forall_adjoint(marked, ("x1",), sorted(AB))
     assert subset_of(every, some)
     # marking cannot change a mark-blind condition on nonempty words

@@ -322,8 +322,11 @@ def poset_doc_file(tmp_path, doc):
         {"n": 2, "covers": _DEEP},
         # no list can have 10**20 entries: refused before anything is allocated
         {"n": 10**20, "covers": []},
+        # 2**62 entries pass the range check, and list repetition refuses
+        # them with MemoryError before it allocates anything
+        {"n": 2**62, "covers": []},
     ],
-    ids=["label-count", "bool-n", "bool-cover", "deep-covers", "huge-n"],
+    ids=["label-count", "bool-n", "bool-cover", "deep-covers", "huge-n", "unallocatable-n"],
 )
 def test_poset_chain_rejects_malformed_posets(tmp_path, capsys, doc):
     path = poset_doc_file(tmp_path, doc)

@@ -141,18 +141,29 @@ def test_closure_agrees_with_the_marked_route():
 
 
 def test_closure_keeps_subset_states_past_the_length_bits():
-    # Lengths divisible by 5 or by 13 repeat with period 65, wider than the
-    # top layer's length sets, so the pattern automaton keeps subset states.
-    from diffchain.closure import _normalize, _reaching
+    # The accepted lengths repeat with period 31 · 37 = 1 147, wider than a
+    # profile, so the pattern automaton keeps subset states in every layer.
+    from diffchain.closure import _PROFILE_BITS, _normalize, _reaching
 
-    d = period_65_counter()
+    d = two_cycles()
     target = _normalize(d)
+    assert target.n_states == 69 and 1_147 > _PROFILE_BITS
     accepting = sum(1 << q for q in target.accepting)
     assert _reaching(target, accepting) is None
     for k in (1, 2, 3):
         cl = pi1_closure(d, k)
         assert cl == minimize(marked_pi1_closure(d, k)), k
         assert closure_miss(cl, d, k, 5) is None, k
+
+
+def two_cycles() -> Dfa:
+    """From the start, a enters a 31-cycle and b a 37-cycle, both letters
+    advance each cycle, and each cycle accepts at its 0: lengths of
+    period 31 · 37 = 1 147."""
+    delta = [[1, 32]]
+    delta += [[1 + (i + 1) % 31] * 2 for i in range(31)]
+    delta += [[32 + (i + 1) % 37] * 2 for i in range(37)]
+    return Dfa(AB, delta, 0, [1, 32])
 
 
 def first_big_dfa() -> Dfa:
@@ -165,19 +176,38 @@ def first_big_dfa() -> Dfa:
     return d
 
 
+def big_dfas() -> list[Dfa]:
+    """The three DFAs of the closure-big benchmark: the first three from
+    random_dfa(Random(11), 80, "abc") with at least 50 states once
+    minimized (53, 55 and 54)."""
+    rng = random.Random(11)
+    found = []
+    while len(found) < 3:
+        d = minimize(random_dfa(rng, 80, ("a", "b", "c")))
+        if d.n_states >= 50:
+            found.append(d)
+    return found
+
+
 def test_pattern_top_layer_collapses_into_length_sets():
     # 3 730 states; with subset states in layer k - 1 it would be 17 753,
-    # and with subset states in the top layer too 75 229.
+    # and with subset states in the top layer too 75 229.  The counts are
+    # exact, so a representation that splits or merges raw states fails.
     from diffchain.closure import _normalize, _pattern_automaton
 
-    assert _pattern_automaton(_normalize(first_big_dfa()), 5, 20_000, []).n_states < 20_000
+    assert _pattern_automaton(_normalize(first_big_dfa()), 5, 20_000, []).n_states == 3_730
+    counts = [
+        [_pattern_automaton(_normalize(d), k, 20_000, []).n_states for d in big_dfas()]
+        for k in (1, 2, 3)
+    ]
+    assert counts == [[11, 10, 11], [18, 14, 17], [108, 95, 100]]
 
 
 def test_pattern_layer_below_the_top_collapses_into_one_pin_profiles():
     # 17 790 states at k = 6, where subset states in layer k - 1 gave 75 233
     from diffchain.closure import _normalize, _pattern_automaton
 
-    assert _pattern_automaton(_normalize(first_big_dfa()), 6, 25_000, []).n_states < 25_000
+    assert _pattern_automaton(_normalize(first_big_dfa()), 6, 25_000, []).n_states == 17_790
 
 
 def rerooted_inclusions(d):
@@ -207,9 +237,15 @@ def inclusion_corpus():
 
 
 def period_65_counter() -> Dfa:
-    """The lengths divisible by 5 or by 13: a length set of period 65."""
+    """The lengths divisible by 5 or by 13: a length set of period 65.  With
+    ``_PROFILE_BITS`` patched to ``NARROW_PROFILES`` its pattern automaton
+    keeps subset states in every layer, a small case of a wide target."""
     return Dfa(AB, [[(q + 1) % 65] * 2 for q in range(65)], 0,
                [q for q in range(65) if q % 5 == 0 or q % 13 == 0])
+
+
+# below the period-65 counter's 66 length bits (threshold 1, period 65)
+NARROW_PROFILES = 64
 
 
 def forward_patterns(target: Dfa, k: int) -> Dfa:
@@ -236,20 +272,27 @@ def forward_patterns(target: Dfa, k: int) -> Dfa:
 
 
 def test_pattern_automaton_minimizes_to_the_forward_subset_construction(monkeypatch):
-    # The inclusion pruning, the length sets and the one-pin profiles change
-    # the raw automaton, never its language; k = 4 and 5 are past the
-    # variable cap, which only pi1_closure checks.  k = 5 runs on the
-    # two-letter targets, where forward_patterns stays under its 100 000
-    # cap (past it, it raises CapacityError).  The positional targets with
-    # n = 21 and 22 have one-pin profiles of 990 and 1 081 bits, one on
-    # each side of _PROFILE_BITS, so the second keeps subset states in
-    # layer k - 1.
+    # The inclusion pruning and the profiles change the raw automaton, never
+    # its language; k = 4 and 5 are past the variable cap, which only
+    # pi1_closure checks.  k = 5 runs on the two-letter targets, where
+    # forward_patterns stays under its 100 000 cap (past it, it raises
+    # CapacityError).  The positional targets with n = 21 and 22 have
+    # one-pin profiles of 990 and 1 081 bits, one on each side of
+    # _PROFILE_BITS, so the second keeps subset states in layer k - 1.  The
+    # period-65 counter runs with its top layer collapsed, and with
+    # NARROW_PROFILES with subset states in every layer.
     from diffchain.closure import _normalize, _one_pin_profiles, _pattern_automaton, _reaching
 
     def profile_width(target: Dfa) -> int | None:
-        reaching, threshold = _reaching(target, sum(1 << q for q in target.accepting))
-        profiled = _one_pin_profiles(target, reaching, threshold)
-        return profiled and len(reaching) * (1 + len(target.alphabet) * profiled[1])
+        lengths, lengths_bits, _ = _reaching(target, sum(1 << q for q in target.accepting))
+        profiled = _one_pin_profiles(target, lengths, lengths_bits)
+        return profiled and lengths_bits * (1 + len(target.alphabet) * profiled[1])
+
+    def check(d: Dfa) -> None:
+        target = _normalize(d)
+        for k in (1, 2, 3, 4, 5) if len(target.alphabet) == 2 else (1, 2, 3, 4):
+            got = minimize(_pattern_automaton(target, k, 10_000, []))
+            assert got == forward_patterns(target, k), (d, k)
 
     _, targets = inclusion_corpus()
     targets.append(period_65_counter())
@@ -259,10 +302,12 @@ def test_pattern_automaton_minimizes_to_the_forward_subset_construction(monkeypa
         patched.setattr(closure, "_PROFILE_BITS", 2_000)
         assert profile_width(wide) == 1_081
     for d in targets + [narrow, wide]:
-        target = _normalize(d)
-        for k in (1, 2, 3, 4, 5) if len(target.alphabet) == 2 else (1, 2, 3, 4):
-            got = minimize(_pattern_automaton(target, k, 10_000, []))
-            assert got == forward_patterns(target, k), (d, k)
+        check(d)
+    with monkeypatch.context() as patched:
+        patched.setattr(closure, "_PROFILE_BITS", NARROW_PROFILES)
+        target = _normalize(period_65_counter())
+        assert _reaching(target, sum(1 << q for q in target.accepting)) is None
+        check(target)
 
 
 def nth_letter_is_a(n: int) -> Dfa:
@@ -516,23 +561,33 @@ def test_the_search_takes_a_passing_key_for_an_inclusion():
 
 
 def wide_and_positional_targets() -> list[tuple[str, Dfa]]:
-    """A top layer too wide to collapse, and positional targets."""
+    """A top layer too wide to collapse (see ``labelled_keyed_pattern``),
+    and positional targets."""
     return [("period 65", period_65_counter())] + [
         ("positional", nth_letter_is_a(n)) for n in (1, 2, 3, 5, 8)
     ]
 
 
-def test_representatives_have_their_minimal_states_languages():
+def labelled_keyed_pattern(monkeypatch, label: str, target: Dfa, k: int):
+    """``keyed_pattern``, with ``NARROW_PROFILES`` for the period-65
+    counter, so that its layers keep subset states."""
+    with monkeypatch.context() as patched:
+        if label == "period 65":
+            patched.setattr(closure, "_PROFILE_BITS", NARROW_PROFILES)
+        return keyed_pattern(target, k)
+
+
+def test_representatives_have_their_minimal_states_languages(monkeypatch):
     # The walk from both starts maps every raw pattern state to a minimal
     # one; that map commutes with every letter and keeps acceptance, so a
     # raw state and its image have one language, and each representative
     # is mapped to the minimal state it represents.
     from diffchain.closure import _normalize
 
-    targets = inclusion_corpus()[1] + [d for _, d in wide_and_positional_targets()]
-    for d in targets:
+    targets = [("corpus", d) for d in inclusion_corpus()[1]] + wide_and_positional_targets()
+    for label, d in targets:
         for k in (1, 2, 3):
-            raw, pattern, _, rep = keyed_pattern(_normalize(d), k)
+            raw, pattern, _, rep = labelled_keyed_pattern(monkeypatch, label, _normalize(d), k)
             image = {raw.start: pattern.start}
             todo = [raw.start]
             for r in todo:
@@ -547,15 +602,18 @@ def test_representatives_have_their_minimal_states_languages():
             assert [image[r] for r in rep] == list(range(pattern.n_states)), (d, k)
 
 
-def key_kind(key: tuple[int, int], n: int) -> str:
+def key_kind(key: tuple[int, int], n: int, k: int) -> str:
     """The kind of a key that ``_pattern_automaton`` recorded for a target
-    of n states: a length set is negative, a one-pin profile carries a tag
-    bit at n or above, and a set of target states lies below bit n."""
-    subset = key[1]
-    return "length sets" if subset < 0 else "one-pin profiles" if subset >> n else "target sets"
+    of n states at k: a set of target states lies below bit n, and a
+    profile carries its layer's tag bit above n, a length set in the top
+    layer and a one-pin profile in layer k - 1."""
+    c, subset = key
+    if not subset >> n:
+        return "target sets"
+    return "length sets" if c == k else "one-pin profiles"
 
 
-def test_keys_prove_only_true_inclusions():
+def test_keys_prove_only_true_inclusions(monkeypatch):
     # Every pair of minimal pattern states whose keys pass the key test is
     # an inclusion.  The expected inclusions are rerooted_inclusions, except
     # on the period-65 patterns: there it takes 1.3 s at k = 1 and 8 s at
@@ -570,58 +628,68 @@ def test_keys_prove_only_true_inclusions():
     for label, d in wide_and_positional_targets():
         target = _normalize(d)
         for k in (1, 2, 3):
-            _, pattern, keys, _ = keyed_pattern(target, k)
+            _, pattern, keys, _ = labelled_keyed_pattern(monkeypatch, label, target, k)
             inclusions = fixpoint_inclusions if label == "period 65" else rerooted_inclusions
             expected = inclusions(pattern)
             cases.append((label, k, pattern, expected, keys, target.n_states))
     passed: Counter = Counter()
     for label, k, pattern, expected, keys, n in cases:
         if label == "period 65":
-            assert {key_kind(key, n) for key in keys} == {"target sets"}, k
+            assert {key_kind(key, n, k) for key in keys} == {"target sets"}, k
         for q in range(pattern.n_states):
             for p in range(pattern.n_states):
                 if p != q and key_below(keys, p, q):
                     assert expected[q][p] == 1, (label, k, p, q)
                     passed[label] += 1
-                    passed[key_kind(keys[p], n)] += 1
+                    passed[key_kind(keys[p], n, k)] += 1
     assert set(passed) == {
         "corpus", "period 65", "positional", "length sets", "one-pin profiles", "target sets"
     }, passed
 
 
 def test_profile_keys_pass_only_against_profile_keys():
-    # A profile key is recorded in layer k - 1.  Against a length set, one
-    # pin further, and against a set of target states in a lower layer, the
-    # pin counts alone let the key test pass one way; the length set's
-    # negative sign and the profile's tag bit must fail it both ways.
+    # A profile key is recorded in a collapsed layer: length sets in the
+    # top layer, one-pin profiles in layer k - 1.  Each such layer's keys
+    # share one tag bit, their highest, and the layers' tags differ.
+    # Against a key of another layer the pin counts alone let the key test
+    # pass one way; the tag bits must fail it both ways.
     from diffchain.closure import _normalize, _pattern_automaton
 
     _, targets = inclusion_corpus()
-    pins_pass: Counter = Counter()
+    pairs: Counter = Counter()
     for d in targets + [first_big_dfa()]:
         target = _normalize(d)
-        for k in (2, 3):
+        for k in (1, 2, 3):
             recorded = []
             _pattern_automaton(target, k, 10_000, recorded)
-            keys = set(recorded)
-            profiles = [key for key in keys if key_kind(key, target.n_states) == "one-pin profiles"]
-            assert all(c == k - 1 for c, _ in profiles), (d, k)
-            for other in keys.difference(profiles):
-                kind = key_kind(other, target.n_states)
-                for profile in profiles:
-                    pair = [profile, other]
-                    assert not key_below(pair, 0, 1) and not key_below(pair, 1, 0), (d, k)
-                    pins_pass[kind] += other[0] != profile[0]
-    assert pins_pass["length sets"] and pins_pass["target sets"], pins_pass
+            kinds = {key: key_kind(key, target.n_states, k) for key in recorded}
+            profiles = [key for key, kind in kinds.items() if kind != "target sets"]
+            tags = {c: {key[1].bit_length() for key in profiles if key[0] == c}
+                    for c, _ in profiles}
+            assert set(tags) <= {k - 1, k}, (d, k)
+            assert all(len(tag) == 1 for tag in tags.values()), (d, k)
+            assert len(set.union(set(), *tags.values())) == len(tags), (d, k)
+            for profile in profiles:
+                for other in kinds:
+                    if other[0] != profile[0]:
+                        pair = [profile, other]
+                        assert not key_below(pair, 0, 1) and not key_below(pair, 1, 0), (d, k)
+                        pairs[kinds[profile], kinds[other]] += 1
+    assert set(pairs) == {
+        ("length sets", "one-pin profiles"), ("length sets", "target sets"),
+        ("one-pin profiles", "length sets"), ("one-pin profiles", "target sets"),
+    }, pairs
 
 
-def test_plain_letters_lower_the_top_pin_count():
-    # the layers that _inclusion_table's search relies on
-    from diffchain.closure import BOX, _normalize, _pattern_automaton, _pin_counts
+def test_plain_letters_lower_the_top_pin_count(monkeypatch):
+    # the layers that _inclusion_table's search relies on, also where the
+    # top layer keeps subset states
+    from diffchain.closure import BOX, _normalize, _pin_counts
 
     patterns = [(k, pattern) for k, pattern, _, _ in minimal_patterns()]
     target = _normalize(period_65_counter())
-    patterns += [(k, minimize(_pattern_automaton(target, k, 10_000, []))) for k in (1, 2, 3)]
+    for k in (1, 2, 3):
+        patterns.append((k, labelled_keyed_pattern(monkeypatch, "period 65", target, k)[1]))
     for k, pattern in patterns:
         box = pattern.letter_index(BOX)
         top = [bits.bit_length() for bits in _pin_counts(pattern, box, k)]
