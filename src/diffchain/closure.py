@@ -5,7 +5,9 @@ The closure keeps exactly the words that agree with some member of the
 language on every k-tuple of positions (with matching length).  Variables are
 interchangeable and may share a position, so membership depends only on the
 set of at most k pinned positions.  The closure is built from the normalized
-target in two determinizations, with a minimization in between:
+target in two determinizations, with a minimization in between that classes
+the pattern automaton's states bottom-up over its pin layers
+(``_minimal_pattern``):
 
 * the *pattern automaton* reads the target's letters plus a box letter for an
   unpinned position, and accepts the patterns with at most k pins that some
@@ -107,35 +109,183 @@ def pi1_closure(d: Dfa, k: int, state_cap: int = DEFAULT_STATE_CAP) -> Dfa:
     """
     _check_variables(k)
     target = _normalize(d)
-    pattern, keys = _keyed_pattern(target, k, state_cap)
-    return minimize(_universal_projection(pattern, k, state_cap, keys))
+    pattern, keys, sig = _keyed_pattern(target, k, state_cap)
+    return minimize(_universal_projection(pattern, k, state_cap, keys, sig))
 
 
 def _keyed_pattern(
     target: Dfa, k: int, state_cap: int
-) -> tuple[Dfa, list[tuple[int, int]]]:
+) -> tuple[Dfa, list[tuple[int, int]], list[int]]:
     """The minimal pattern automaton, and for each of its states the key of
-    a raw state with its language.  The raw automaton and the other keys
-    are dropped on return, before the projection."""
+    a raw state with its language and its pin-count signature, as
+    ``_minimal_pattern`` finds them.  The raw automaton, the other keys and
+    the class tables are dropped on return, before the projection."""
     recorded: list[tuple[int, int]] = []
     raw = _pattern_automaton(target, k, state_cap, recorded)
-    pattern = minimize(raw)
-    return pattern, [recorded[r] for r in _representatives(raw, pattern)]
+    return _minimal_pattern(raw, recorded)
 
 
-def _representatives(raw: Dfa, minimal: Dfa) -> list[int]:
-    """For each state of ``minimal``, the minimal automaton of ``raw``, a
-    raw state of its block, found by walking both from their starts in
-    lockstep: the two states of a visited pair have one language."""
-    rep = [-1] * minimal.n_states
-    rep[minimal.start] = raw.start
-    todo = [(raw.start, minimal.start)]
-    for r, m in todo:  # the loop reaches the pairs it appends
-        for t, u in zip(raw.delta[r], minimal.delta[m]):
-            if rep[u] < 0:
-                rep[u] = t
-                todo.append((t, u))
-    return rep
+def _minimal_pattern(
+    raw: Dfa, keys: list[tuple[int, int]]
+) -> tuple[Dfa, list[tuple[int, int]], list[int]]:
+    """``(pattern, keys, sig)``: the minimal automaton of a raw pattern
+    automaton, numbered by class, with the key of each class's first raw
+    state and each class's pin-count signature, in one bottom-up pass over
+    the pin layers, the c of each state's key.
+
+    A letter is a pin, so it leads to a higher layer or to the dead state,
+    the key (0, 0), while the box stays in its layer; every cycle is so a
+    box cycle.  Such automata minimize bottom-up in linear time (Revuz,
+    *Minimisation of acyclic deterministic automata in linear time*, TCS
+    1992, for the acyclic part; Almeida and Zeitoun, *Description and
+    analysis of a bottom-up DFA minimization algorithm*, IPL 2008, where
+    every strongly connected component is a simple cycle).  The layers are
+    classed from the top down, so a state's letters lead to classed states;
+    its *local signature* is its acceptance and the classes of its letters.
+    Within a layer, a walk along the box from each state not yet classed
+    ends at a classed state or closes a cycle.  A state off a cycle gets
+    the class of (local signature, class of its box successor) through one
+    dict, in the walk's reverse order.  A box cycle's word of local
+    signatures is cut to its primitive root, turned to its least rotation
+    (``_least_rotation``) and looked up once: its states have one class per
+    position of that root, the j-th class at the j-th position.  Each cycle
+    class is entered in the off-cycle dict too, so a state off a cycle
+    that has a cycle state's language finds its class.  Two states get one
+    class exactly when they have one language, since that holds for the
+    letters' classes, and the box walks of two states with one language
+    read equal words of local signatures.
+
+    A class's pin-count signature has bit 0 for acceptance and bit j + 1
+    when it accepts some pattern with exactly j pins (j <= k), so
+    L(p) ⊆ L(q) implies that sig[p] is a subset of sig[q].  Its bits are
+    acceptance one pin up from bit 0, the box successor's bits and each
+    letter successor's bits one pin up, ORed over a cycle.
+
+    Raises ValueError when a letter leads to a state of its own layer or a
+    lower one other than the dead state, which the letters of a layer read
+    as not classed yet, or when the box leaves a layer other than into the
+    dead state.
+    """
+    n = raw.n_states
+    delta = raw.delta
+    box = len(raw.alphabet) - 1
+    accepts = bytearray(n)
+    for q in raw.accepting:
+        accepts[q] = 1
+    cls = [-1] * n  # -2: on the box path being walked
+    first: list[int] = []  # per class, the raw state it was opened at
+    reach: list[int] = []  # per class, its signature less acceptance
+    # (acceptance, letter classes, box class) -> class
+    off_cycle: dict[tuple[int, ...], int] = {}
+    # least rotation of a primitive word of local signatures -> its first class
+    cycles: dict[tuple[tuple[int, ...], ...], int] = {}
+    layers: list[list[int]] = [[] for _ in range(max(c for c, _ in keys) + 1)]
+    for q, (c, subset) in enumerate(keys):
+        if c or subset:
+            layers[c].append(q)
+        else:
+            # the dead state: a box loop on the empty language's local signature
+            cls[q] = len(first)
+            first.append(q)
+            reach.append(0)
+            signature = (0,) + (cls[q],) * box
+            off_cycle[signature + (cls[q],)] = cycles[(signature,)] = cls[q]
+
+    for c in range(len(layers) - 1, -1, -1):
+        # the classes known before this layer: its letters must lead there
+        done = cls.copy().__getitem__
+        for p in layers[c]:
+            if cls[p] != -1:
+                continue
+            path = []
+            while cls[p] == -1 and keys[p][0] == c:
+                cls[p] = -2
+                path.append(p)
+                p = delta[p][box]
+            if keys[p][0] != c and keys[p] != (0, 0):  # only the dead state lies outside
+                raise ValueError(f"the box from pattern state {path[-1]} leaves layer {c}")
+            if cls[p] == -2:  # the walk closed a box cycle at p
+                at = path.index(p)
+                cycle = path[at:]
+                del path[at:]
+                word = []
+                for q in cycle:
+                    word.append((accepts[q], *map(done, delta[q][:box])))
+                    if min(word[-1]) < 0:
+                        raise _letter_error(q, delta[q], done, c)
+                size = len(word)
+                r = _least_rotation(word) if size > 1 else 0
+                word = word[r:] + word[:r]
+                period = next(d for d in range(1, size + 1)
+                              if size % d == 0 and word[d:] == word[:size - d])
+                root = tuple(word[:period])
+                base = cycles.get(root)
+                if base is None:
+                    base = cycles[root] = len(first)
+                    counts = 0
+                    for j, signature in enumerate(root):
+                        first.append(cycle[(r + j) % size])
+                        off_cycle[signature + (base + (j + 1) % period,)] = base + j
+                        counts |= signature[0]
+                        for x in signature[1:]:
+                            counts |= reach[x]
+                    reach += [counts << 1] * period
+                for j, q in enumerate(cycle):
+                    cls[q] = base + (j - r) % period
+            for q in reversed(path):
+                row = delta[q]
+                b = cls[row[box]]
+                key = (accepts[q], *map(done, row[:box]), b)
+                x = off_cycle.get(key)
+                if x is None:
+                    if min(key) < 0:
+                        raise _letter_error(q, row, done, c)
+                    x = off_cycle[key] = len(first)
+                    first.append(q)
+                    counts = key[0]
+                    for y in key[1:-1]:
+                        counts |= reach[y]
+                    reach.append(counts << 1 | reach[b])
+                cls[q] = x
+
+    # rows built last lie together in memory: built during the walks, in
+    # among the dict keys, they raised the decompose benchmark's peak RSS
+    rows = [tuple(map(cls.__getitem__, delta[q])) for q in first]
+    pattern = Dfa(
+        raw.alphabet, rows, cls[raw.start], [x for x, q in enumerate(first) if accepts[q]]
+    )
+    return pattern, [keys[q] for q in first], [r | accepts[q] for r, q in zip(reach, first)]
+
+
+def _letter_error(q: int, row, done, c: int) -> ValueError:
+    """The error for pattern state q of layer c, a letter of which leads to
+    a state not classed before its layer."""
+    t = next(t for t in row[:-1] if done(t) < 0)
+    return ValueError(f"a letter from pattern state {q} to {t} stays in layer {c} or below")
+
+
+def _least_rotation(word: list) -> int:
+    """The start of the least rotation of a nonempty ``word`` of comparable
+    letters (Booth, *Lexicographically least circular substrings*, IPL
+    1980): a failure function over the doubled word, kept for the best
+    start found so far, in linear time."""
+    double = word + word
+    fail = [-1] * len(double)
+    k = 0
+    for j in range(1, len(double)):
+        x = double[j]
+        i = fail[j - k - 1]
+        while i != -1 and x != double[k + i + 1]:
+            if x < double[k + i + 1]:
+                k = j - i - 1
+            i = fail[i]
+        if x != double[k + i + 1]:  # i == -1
+            if x < double[k]:
+                k = j
+            fail[j - k] = -1
+        else:
+            fail[j - k] = i + 1
+    return k % len(word)
 
 
 def _language_below(d: Dfa) -> list[int]:
@@ -468,7 +618,7 @@ def _one_pin_profiles(
 
 
 def _universal_projection(
-    pattern: Dfa, k: int, state_cap: int, keys: list[tuple[int, int]]
+    pattern: Dfa, k: int, state_cap: int, keys: list[tuple[int, int]], sig: list[int]
 ) -> Dfa:
     """Words all of whose patterns with at most k pins the minimal pattern
     automaton accepts.  BOX, after every plain letter, is its last column.
@@ -492,8 +642,9 @@ def _universal_projection(
     successor run of every run on every column is computed once.
 
     The inclusions are read inline from ``_inclusion_table``, preset from
-    the ``_pin_counts`` signatures and tested on the pattern states'
-    ``keys`` (see ``_pattern_automaton``).  Its search needs the
+    the pin-count signatures ``sig`` and tested on the pattern states'
+    ``keys`` (see ``_pattern_automaton``), both as ``_minimal_pattern``
+    gives them for the states of ``pattern``.  Its search needs the
     pattern's layers: a plain letter into a live state must lower the
     highest pin count the state accepts, the top bit of its signature (the
     box never raises it).  In a pattern automaton it does, since a
@@ -503,7 +654,6 @@ def _universal_projection(
     """
     box = len(pattern.alphabet) - 1
     pdelta = pattern.delta
-    sig = _pin_counts(pattern, box, k)
     top = [bits.bit_length() for bits in sig]  # 0 for the dead state
     for p, row in enumerate(pdelta):
         for t in row[:box]:
@@ -629,34 +779,6 @@ def _universal_projection(
     )
 
 
-def _pin_counts(pattern: Dfa, box: int, k: int) -> list[int]:
-    """A signature per pattern state: bit 0 set when it accepts, bit j + 1
-    when it accepts some pattern with exactly j pins (j <= k).  Each bit
-    says that the language holds some pattern, so L(p) ⊆ L(q) implies that
-    sig[p] is a subset of sig[q].
-
-    Bit j + 1 spreads back from its seeds over box predecessors; the letter
-    predecessors of what it reached seed bit j + 2.
-    """
-    box_preds: list[list[int]] = [[] for _ in range(pattern.n_states)]
-    letter_preds: list[list[int]] = [[] for _ in range(pattern.n_states)]
-    for p, row in enumerate(pattern.delta):
-        for i, t in enumerate(row):
-            (box_preds if i == box else letter_preds)[t].append(p)
-    sig = [int(p in pattern.accepting) for p in range(pattern.n_states)]
-    todo = list(pattern.accepting)
-    for bit in (2 << j for j in range(k + 1)):
-        layer = []
-        while todo:
-            t = todo.pop()
-            if not sig[t] & bit:
-                sig[t] |= bit
-                layer.append(t)
-                todo += box_preds[t]
-        todo = [p for t in layer for p in letter_preds[t]]
-    return sig
-
-
 def _inclusion_table(
     d: Dfa, dead: int | None, sig: list[int], keys: list[tuple[int, int]]
 ):
@@ -664,7 +786,8 @@ def _inclusion_table(
     pattern automaton, filled on demand: ``rows[q][p]`` is 1 when L(p) is
     included in L(q), 2 when it is not and 0 while unknown.  ``sig`` is a
     bitmask per state, with sig[p] a subset of sig[q] whenever
-    L(p) ⊆ L(q); the acceptance bit alone is one.
+    L(p) ⊆ L(q): the acceptance bit alone is one, and the pin-count
+    signatures of ``_minimal_pattern`` are finer.
 
     Returns ``(rows, new_row, search)``.  ``rows[q]`` is None until
     ``new_row(q)`` allocates it as a copy of sig[q]'s template: 2 for every
@@ -675,7 +798,7 @@ def _inclusion_table(
 
     The search relies on the layers of a pattern automaton, whose box is
     its last column.  Call the layer of a live state the highest pin count
-    it accepts, the top bit of its ``_pin_counts`` signature.  The box
+    it accepts, the top bit of its signature.  The box
     never raises it, and a plain letter into a live state lowers it, so
     every cycle of the pair product moves on the box alone.  The search
     walks the box chain of pairs from (p, q), marking each 3 while in

@@ -30,7 +30,8 @@ Homomorphic images have two routes as well: the subset construction
 ``monoid_forward_image``, the same construction over ``monoid_dfa``, the
 automaton of the transition monoid, so it works in the powerset of the
 monoid.  ``test_forward_lp_image_membership`` checks both against
-brute-force preimages.
+brute-force preimages.  ``count_language`` builds the languages fixed by how
+often one letter occurs, the known-answer targets of the closure's chains.
 """
 
 from __future__ import annotations
@@ -379,6 +380,28 @@ def random_dfa(
     ]
     accepting = [q for q in range(n) if rng.random() < 0.5]
     return Dfa(alphabet, delta, 0, accepting)
+
+
+# ----- known-answer languages --------------------------------------------
+
+
+def count_language(members: Iterable[int], t: int, letters: Sequence[Letter] = ("a", "b")) -> Dfa:
+    """The words over ``letters`` whose number of ``letters[0]`` lies in
+    ``members``, where a count of t stands for t or more: a counter of the
+    first letter up to t, every other letter looping.
+
+    The tests compare the chains of closures of these languages with the
+    canonical chain of ``members`` on the count chain t < ... < 1 < 0,
+    whose answers are known on the poset side; that they agree is a
+    conjecture, checked there.  Raises ValueError on a count outside
+    ``0..t``.
+    """
+    members = set(members)
+    if t < 0 or not members <= set(range(t + 1)):
+        raise ValueError(f"counts must lie in 0..{t}")
+    letters = tuple(letters)
+    delta = [[min(i + 1, t)] + [i] * (len(letters) - 1) for i in range(t + 1)]
+    return Dfa(letters, delta, 0, sorted(members))
 
 
 # ----- the marked-alphabet route -----------------------------------------

@@ -76,13 +76,34 @@ class FinPoset:
     """
 
     def __init__(self, up: Sequence[Iterable[int]]):
-        upm = [mask_of(ups, len(up)) for ups in up]
-        self._build(len(upm), {i: bits(m & ~(1 << i)) for i, m in enumerate(upm)})
+        """The order whose principal upsets are ``up``, each with its
+        element.  On a partial order the upper covers of i are its strict
+        upset less the strict upsets of its members, so only those are
+        built.  Otherwise the whole relation is built to name the fault:
+        CycleError on a cycle, else ValueError at the first element whose
+        upset is not what reflexivity and transitivity give."""
+        n = len(up)
+        upm = [mask_of(ups, n) for ups in up]
+        strict = [m & ~(1 << i) for i, m in enumerate(upm)]
+        covers = {}
+        for i, above in enumerate(strict):
+            beyond = 0
+            for j in bits(above):
+                beyond |= strict[j]
+            covers[i] = bits(above & ~beyond)
+        try:
+            self._build(n, covers)
+        except CycleError:
+            pass
+        else:
+            if list(self.upm) == upm:
+                return
+            del vars(self)["upm"]
+        self._build(n, dict(enumerate(map(bits, strict))))
         for i, m in enumerate(upm):
             if self.upm[i] != m:  # a reflexive, transitive relation is its own closure
                 axiom = "transitive" if m >> i & 1 else "reflexive"
                 raise ValueError(f"order not {axiom} at {i}")
-        vars(self)["lower"] = self._hasse()
 
     @classmethod
     def from_covers(cls, covers: Iterable[tuple[int, int]], n: int) -> "FinPoset":

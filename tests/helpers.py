@@ -12,7 +12,9 @@ family from ``diffchain.oracle.moore_families`` into the closure operator that
 ``diffchain.chains.canonical_pairs`` takes, so one recurrence is checked on
 every closure system on a few points; ``upset_closure_of`` and
 ``mask_minus`` give it the upsets of a poset.  ``identity_keys`` are the
-inclusion keys of a pattern automaton that ``pi1_closure`` did not build.
+inclusion keys of a pattern automaton that ``pi1_closure`` did not build,
+and ``pin_counts`` the reference for the pin-count signatures that
+``closure._minimal_pattern`` computes in its bottom-up pass.
 """
 
 from __future__ import annotations
@@ -212,6 +214,34 @@ def identity_keys(n: int) -> list[tuple[int, int]]:
     as the universal projection takes them: state p gets (0, {p}), so the
     key test passes only on the diagonal and proves no inclusion."""
     return [(0, 1 << p) for p in range(n)]
+
+
+def pin_counts(pattern: Dfa, box: int, k: int) -> list[int]:
+    """A signature per pattern state: bit 0 set when it accepts, bit j + 1
+    when it accepts some pattern with exactly j pins (j <= k).  Each bit
+    says that the language holds some pattern, so L(p) ⊆ L(q) implies that
+    sig[p] is a subset of sig[q].
+
+    Bit j + 1 spreads back from its seeds over box predecessors; the letter
+    predecessors of what it reached seed bit j + 2.
+    """
+    box_preds: list[list[int]] = [[] for _ in range(pattern.n_states)]
+    letter_preds: list[list[int]] = [[] for _ in range(pattern.n_states)]
+    for p, row in enumerate(pattern.delta):
+        for i, t in enumerate(row):
+            (box_preds if i == box else letter_preds)[t].append(p)
+    sig = [int(p in pattern.accepting) for p in range(pattern.n_states)]
+    todo = list(pattern.accepting)
+    for bit in (2 << j for j in range(k + 1)):
+        layer = []
+        while todo:
+            t = todo.pop()
+            if not sig[t] & bit:
+                sig[t] |= bit
+                layer.append(t)
+                todo += box_preds[t]
+        todo = [p for t in layer for p in letter_preds[t]]
+    return sig
 
 
 def principal_upset_map(p: FinPoset, dual: FinPoset) -> list[int] | None:

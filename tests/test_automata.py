@@ -69,6 +69,7 @@ from helpers import (
     contains,
     identity_keys,
     literal,
+    pin_counts,
 )
 
 
@@ -558,7 +559,8 @@ def _minimize_corpus():
             pattern = _pattern_automaton(target, k, 10_000, [])
             yield pattern
             minimal = minimize(pattern)
-            yield _universal_projection(minimal, k, 10_000, identity_keys(minimal.n_states))
+            sig = pin_counts(minimal, len(minimal.alphabet) - 1, k)
+            yield _universal_projection(minimal, k, 10_000, identity_keys(minimal.n_states), sig)
 
 
 def test_minimize_matches_moore_refinement():

@@ -49,6 +49,7 @@ from helpers import (
     letters_plus,
     literal,
     nested_difference,
+    pin_counts,
 )
 
 
@@ -361,18 +362,16 @@ def test_language_below_matches_subset_of_on_normalized_targets():
         assert fixpoint_inclusions(target) == rerooted_inclusions(target), d
 
 
-def keyed_pattern(target: Dfa, k: int) -> tuple[Dfa, Dfa, list, list[int]]:
-    """``(raw, pattern, keys, rep)``: the pattern automaton of a normalized
-    target at k, its minimal automaton, and for each minimal state a raw
-    state ``rep`` of its block and the key recorded for that raw state, as
-    ``pi1_closure`` finds them."""
-    from diffchain.closure import _pattern_automaton, _representatives
+def keyed_pattern(target: Dfa, k: int, cap: int = 10_000):
+    """``(raw, recorded, pattern, keys, sig)``: the pattern automaton of a
+    normalized target at k and the key of each of its states, then its
+    minimal automaton with the key of a raw state of each class and the
+    pin-count signatures, as ``pi1_closure`` finds them."""
+    from diffchain.closure import _minimal_pattern, _pattern_automaton
 
     recorded = []
-    raw = _pattern_automaton(target, k, 10_000, recorded)
-    pattern = minimize(raw)
-    rep = _representatives(raw, pattern)
-    return raw, pattern, [recorded[r] for r in rep], rep
+    raw = _pattern_automaton(target, k, cap, recorded)
+    return (raw, recorded, *_minimal_pattern(raw, recorded))
 
 
 @functools.cache
@@ -387,7 +386,7 @@ def minimal_patterns():
     for d in targets:
         target = _normalize(d)
         for k in (1, 2, 3):
-            _, pattern, keys, _ = keyed_pattern(target, k)
+            _, _, pattern, keys, _ = keyed_pattern(target, k)
             out.append((k, pattern, rerooted_inclusions(pattern), keys))
     return out
 
@@ -465,10 +464,10 @@ def test_inclusion_table_agrees_with_the_pair_removal_fixpoint():
 
 
 def test_pin_counts_are_monotone_under_inclusion():
-    from diffchain.closure import BOX, _pin_counts
+    from diffchain.closure import BOX
 
     for k, pattern, expected, _ in minimal_patterns():
-        sig = _pin_counts(pattern, pattern.letter_index(BOX), k)
+        sig = pin_counts(pattern, pattern.letter_index(BOX), k)
         for q, row in enumerate(expected):
             for p, included in enumerate(row):
                 if included == 1:
@@ -478,11 +477,11 @@ def test_pin_counts_are_monotone_under_inclusion():
 def test_pin_counts_match_a_forward_search_of_state_and_pins():
     # bit j + 1 of state p: some (s, j) with s accepting is reachable from
     # (p, 0), where a letter adds a pin and the box does not
-    from diffchain.closure import BOX, _pin_counts
+    from diffchain.closure import BOX
 
     for k, pattern, _, _ in minimal_patterns():
         box = pattern.letter_index(BOX)
-        sig = _pin_counts(pattern, box, k)
+        sig = pin_counts(pattern, box, k)
         for p in range(pattern.n_states):
             seen = {(p, 0)}
             todo = [(p, 0)]
@@ -501,14 +500,14 @@ def test_pin_counts_match_a_forward_search_of_state_and_pins():
 
 
 def test_inclusion_table_with_pin_counts_settles_every_pair():
-    from diffchain.closure import BOX, _pin_counts
+    from diffchain.closure import BOX
 
     rng, _ = inclusion_corpus()
     keyed_rng = random.Random(7)
     with_acceptance = with_pins = marked_with_pins = marked_with_keys = 0
     for k, pattern, expected, keys in minimal_patterns():
         n = pattern.n_states
-        sig = _pin_counts(pattern, pattern.letter_index(BOX), k)
+        sig = pin_counts(pattern, pattern.letter_index(BOX), k)
         rows, count, marked = settle_every_pair(rng, pattern, sig, identity_keys(n))
         assert rows == expected, k
         with_pins += count
@@ -540,12 +539,12 @@ def test_the_search_takes_a_passing_key_for_an_inclusion():
     # and no other key is below another.  The search trusts the key test
     # and settles the pair as included; a search that ignored the keys or
     # compared the pins the other way would find 2.
-    from diffchain.closure import BOX, _inclusion_table, _pin_counts
+    from diffchain.closure import BOX, _inclusion_table
 
     checked = 0
     for k, pattern, expected, _ in minimal_patterns():
         n = pattern.n_states
-        sig = _pin_counts(pattern, pattern.letter_index(BOX), k)
+        sig = pin_counts(pattern, pattern.letter_index(BOX), k)
         open_pairs = [(x, y) for y in range(n) for x in range(n)
                       if expected[y][x] == 2 and not sig[x] & ~sig[y]]
         if not open_pairs:
@@ -577,29 +576,102 @@ def labelled_keyed_pattern(monkeypatch, label: str, target: Dfa, k: int):
         return keyed_pattern(target, k)
 
 
-def test_representatives_have_their_minimal_states_languages(monkeypatch):
-    # The walk from both starts maps every raw pattern state to a minimal
-    # one; that map commutes with every letter and keeps acceptance, so a
-    # raw state and its image have one language, and each representative
-    # is mapped to the minimal state it represents.
-    from diffchain.closure import _normalize
+def test_minimal_pattern_agrees_with_hopcroft(monkeypatch):
+    # The bottom-up pass over the pin layers against Hopcroft's minimize on
+    # the raw pattern automaton: one language and as many states.  The walk
+    # from both starts maps every raw state to a class; that map commutes
+    # with every letter and keeps acceptance, so a raw state and its class
+    # have one language, each kept key is the key of a raw state of its
+    # class, and the signatures are the backward pass's pin counts.  The
+    # period-65 counter runs with subset states in every layer, two_cycles
+    # has box cycles of 1 147 states, and the big DFAs run up to k = 6,
+    # past the variable cap, which only pi1_closure checks.  Profiles of at
+    # most one bit keep subset states in nearly every layer, where some box
+    # cycles hold two raw states of one language: their words of local
+    # signatures are not primitive.
+    from diffchain.closure import BOX, _normalize
 
-    targets = [("corpus", d) for d in inclusion_corpus()[1]] + wide_and_positional_targets()
-    for label, d in targets:
-        for k in (1, 2, 3):
-            raw, pattern, _, rep = labelled_keyed_pattern(monkeypatch, label, _normalize(d), k)
-            image = {raw.start: pattern.start}
+    cases = [("corpus", d, 3) for d in inclusion_corpus()[1]]
+    cases += [("one-bit profiles", d, 3) for d in inclusion_corpus()[1]]
+    cases += [(label, d, 3) for label, d in wide_and_positional_targets()]
+    cases += [("two cycles", two_cycles(), 3)] + [("big", d, 6) for d in big_dfas()]
+    merged: Counter = Counter()
+    for label, d, top_k in cases:
+        target = _normalize(d)
+        for k in range(1, top_k + 1):
+            with monkeypatch.context() as patched:
+                if label == "period 65":
+                    patched.setattr(closure, "_PROFILE_BITS", NARROW_PROFILES)
+                if label == "one-bit profiles":
+                    patched.setattr(closure, "_PROFILE_BITS", 1)
+                raw, recorded, pattern, keys, sig = keyed_pattern(target, k, 100_000)
+            want = minimize(raw)
+            assert minimize(pattern) == want, (label, k)
+            assert pattern.n_states == want.n_states, (label, k)
+            image = [-1] * raw.n_states
+            image[raw.start] = pattern.start
             todo = [raw.start]
             for r in todo:
                 m = image[r]
-                assert (r in raw.accepting) == (m in pattern.accepting), (d, k)
+                assert (r in raw.accepting) == (m in pattern.accepting), (label, k)
                 for t, u in zip(raw.delta[r], pattern.delta[m]):
-                    if t not in image:
+                    if image[t] < 0:
                         image[t] = u
                         todo.append(t)
-                    assert image[t] == u, (d, k)
-            assert len(image) == raw.n_states
-            assert [image[r] for r in rep] == list(range(pattern.n_states)), (d, k)
+                    assert image[t] == u, (label, k)
+            assert len(todo) == raw.n_states
+            raw_of = {key: r for r, key in enumerate(recorded)}
+            assert [image[raw_of[key]] for key in keys] == list(range(pattern.n_states))
+            assert sig == pin_counts(pattern, pattern.letter_index(BOX), k), (label, k)
+            for cycle in box_cycles(raw):
+                merged[label, len({image[r] for r in cycle}) < len(cycle)] += 1
+    # box cycles of raw states with distinct classes, and of some with one
+    assert merged["two cycles", False] and merged["one-bit profiles", True], merged
+
+
+def box_cycles(d: Dfa) -> list[list[int]]:
+    """The cycles of d's last column, the box of a pattern automaton."""
+    box_of = [row[-1] for row in d.delta]
+    seen = [False] * d.n_states
+    cycles = []
+    for s in range(d.n_states):
+        path = []
+        while not seen[s]:
+            seen[s] = True
+            path.append(s)
+            s = box_of[s]
+        if s in path:
+            cycles.append(path[path.index(s):])
+    return cycles
+
+
+def test_minimal_pattern_refuses_a_transition_across_the_layers():
+    # State 2 is the dead state, the key (0, 0).  A letter must lead to a
+    # higher layer, also when its target is classed first, and the box
+    # must stay in its layer, up or down.
+    from diffchain.closure import BOX, _minimal_pattern
+
+    looping = Dfa(("a", BOX), [[0, 0]], 0, [0])
+    with pytest.raises(ValueError, match=r"^a letter from pattern state 0 to 0 stays in layer 1 "):
+        _minimal_pattern(looping, [(1, 1)])
+    sideways = Dfa(("a", BOX), [[2, 0], [0, 1], [2, 2]], 1, [0])
+    with pytest.raises(ValueError, match=r"^a letter from pattern state 1 to 0 stays in layer 1 "):
+        _minimal_pattern(sideways, [(1, 1), (1, 2), (0, 0)])
+    for layer in (0, 2):
+        leaving = Dfa(("a", BOX), [[2, 1], [2, 1], [2, 2]], 0, [1])
+        with pytest.raises(ValueError, match=r"^the box from pattern state 0 leaves layer 1$"):
+            _minimal_pattern(leaving, [(1, 1), (layer, 1), (0, 0)])
+
+
+def test_least_rotation_is_the_least_of_all_rotations():
+    from diffchain.closure import _least_rotation
+
+    rng = random.Random(1980)
+    for _ in range(2_000):
+        word = [rng.randrange(rng.randint(1, 3)) for _ in range(rng.randint(1, 30))]
+        r = _least_rotation(word)
+        assert 0 <= r < len(word)
+        assert word[r:] + word[:r] == min(word[i:] + word[:i] for i in range(len(word))), word
 
 
 def key_kind(key: tuple[int, int], n: int, k: int) -> str:
@@ -628,7 +700,7 @@ def test_keys_prove_only_true_inclusions(monkeypatch):
     for label, d in wide_and_positional_targets():
         target = _normalize(d)
         for k in (1, 2, 3):
-            _, pattern, keys, _ = labelled_keyed_pattern(monkeypatch, label, target, k)
+            _, _, pattern, keys, _ = labelled_keyed_pattern(monkeypatch, label, target, k)
             inclusions = fixpoint_inclusions if label == "period 65" else rerooted_inclusions
             expected = inclusions(pattern)
             cases.append((label, k, pattern, expected, keys, target.n_states))
@@ -684,15 +756,15 @@ def test_profile_keys_pass_only_against_profile_keys():
 def test_plain_letters_lower_the_top_pin_count(monkeypatch):
     # the layers that _inclusion_table's search relies on, also where the
     # top layer keeps subset states
-    from diffchain.closure import BOX, _normalize, _pin_counts
+    from diffchain.closure import BOX, _normalize
 
     patterns = [(k, pattern) for k, pattern, _, _ in minimal_patterns()]
     target = _normalize(period_65_counter())
     for k in (1, 2, 3):
-        patterns.append((k, labelled_keyed_pattern(monkeypatch, "period 65", target, k)[1]))
+        patterns.append((k, labelled_keyed_pattern(monkeypatch, "period 65", target, k)[2]))
     for k, pattern in patterns:
         box = pattern.letter_index(BOX)
-        top = [bits.bit_length() for bits in _pin_counts(pattern, box, k)]
+        top = [bits.bit_length() for bits in pin_counts(pattern, box, k)]
         for p, row in enumerate(pattern.delta):
             assert top[row[box]] <= top[p], (p, k)
             for t in row[:box]:
@@ -706,7 +778,7 @@ def test_universal_projection_refuses_a_letter_that_keeps_the_pin_count():
     looping = Dfa(("a", BOX), [[0, 0]], 0, [0])
     for k in (1, 2, 3):
         with pytest.raises(ValueError, match=r"^a letter from pattern state 0 to 0 "):
-            _universal_projection(looping, k, 100, identity_keys(1))
+            _universal_projection(looping, k, 100, identity_keys(1), pin_counts(looping, 1, k))
 
 
 def reference_projection(pattern: Dfa, letters, k: int, explored=None) -> Dfa:
@@ -768,7 +840,8 @@ def projected_runs(monkeypatch, pattern: Dfa, k: int, keys):
 
     with monkeypatch.context() as patch:
         patch.setattr(closure, "_explore", recording)
-        got = _universal_projection(pattern, k, 10_000, keys)
+        sig = pin_counts(pattern, pattern.letter_index(closure.BOX), k)
+        got = _universal_projection(pattern, k, 10_000, keys, sig)
     shift = k.bit_length()
     pins = (1 << shift) - 1
     return got, [{(run >> shift, run & pins) for run in state} for state in explored]
@@ -778,7 +851,7 @@ def check_against_the_reference(monkeypatch, target: Dfa, k: int) -> Dfa:
     """The projection of the target's minimal pattern automaton, with its
     keys and with identity keys, has the reference's automaton and the
     reference's runs in every state."""
-    _, pattern, keys, _ = keyed_pattern(target, k)
+    _, _, pattern, keys, _ = keyed_pattern(target, k)
     explored = []
     want = reference_projection(pattern, target.alphabet, k, explored)
     for given in (identity_keys(pattern.n_states), keys):
@@ -817,6 +890,37 @@ def test_universal_projection_matches_the_reference_runs_above_the_cap(monkeypat
 
 
 # ----- chains of closures ------------------------------------------------
+
+
+def test_count_languages_need_the_count_chains_pairs(monkeypatch):
+    # Known answers with m >= 2, a conjecture checked here only.  L_S holds
+    # the words whose number of a's lies in S, a count of t meaning t or
+    # more.  Its least k is 1 + the last j where membership changes between
+    # j and j + 1 (1 when it never does), and there its chain has the pairs
+    # of S's canonical chain on the count chain t < ... < 1 < 0.  Every S
+    # with t <= 5 runs, 124 sets, up to k = 5 past the variable cap.
+    from itertools import combinations
+
+    from diffchain import FinPoset, canonical_chain
+    from diffchain.oracle import count_language
+
+    monkeypatch.setattr(closure, "DEFAULT_K_CAP", 5)
+    found: Counter = Counter()
+    for t in range(1, 6):
+        counts = FinPoset.from_covers([(j + 1, j) for j in range(t)], t + 1)
+        for size in range(t + 2):
+            for members in combinations(range(t + 1), size):
+                d = count_language(members, t)
+                changes = [j for j in range(t) if (j in members) != (j + 1 in members)]
+                k = 1 + changes[-1] if changes else 1
+                m = canonical_chain(counts, members).pairs
+                trace = chain_trace(d, k, 8)
+                assert trace.succeeded and trace.pair_count == m, (members, t, k)
+                if k > 1:
+                    assert not chain_trace(d, k - 1, 8).succeeded, (members, t, k)
+                found[k, m] += 1
+    assert sum(found.values()) == 124
+    assert found[4, 3] and found[5, 3] and max(m for _, m in found) == 3, found
 
 
 def test_chain_trace_for_contains_b():

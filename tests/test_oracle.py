@@ -29,6 +29,7 @@ from diffchain.oracle import (
     brute_degree,
     brute_pi1_closure_member,
     closure_slice,
+    count_language,
     family_chains,
     forward_lp_image,
     increasing_sequences,
@@ -110,6 +111,18 @@ def test_the_chain_recurrence_knows_no_automata():
 
 
 # ----- word enumeration --------------------------------------------------
+
+
+def test_count_language_counts_the_first_letter_up_to_t():
+    # a count of t stands for t or more; the other letters do not count,
+    # and the empty word has count 0
+    d = count_language({0, 1, 3}, 3, ("c", "a", "b"))
+    for word in [()] + list(words_upto(("a", "b", "c"), 5)):
+        count = min(word.count("c"), 3)
+        assert d.accepts(word) == (count in {0, 1, 3}), word
+    for members, t in (({4}, 3), ({-1}, 2), (set(), -1)):
+        with pytest.raises(ValueError, match="^counts must lie in 0.."):
+            count_language(members, t)
 
 
 def test_words_upto_counts_and_order():

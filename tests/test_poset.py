@@ -145,6 +145,46 @@ def test_direct_constructor_validates_order_axioms():
         FinPoset([frozenset({0, 5})])
 
 
+def test_direct_constructor_reads_the_covers_off_the_upsets():
+    # Every poset of at most 5 elements keeps only its Hasse covers.  Every
+    # relation on at most 3 elements that is not a partial order gets the
+    # error the whole relation shows: CycleError naming an element on a
+    # cycle, else ValueError at the first element whose upset is not its
+    # reflexive, transitive closure.
+    from diffchain.oracle import all_posets_upto
+
+    for p in all_posets_upto(5):
+        up = p.up
+        hasse = {(i, j) for i in range(p.n) for j in up[i] - {i}
+                 if not any(j in up[x] for x in up[i] - {i, j})}
+        q = FinPoset(up)
+        assert q == p and q.covers() == sorted(hasse), up
+        assert {(i, j) for j, below in enumerate(q.lower) for i in below} == hasse, up
+    for n in range(4):
+        pairs = [(i, j) for i in range(n) for j in range(n)]
+        for relation in range(1 << len(pairs)):
+            up = [set() for _ in range(n)]
+            for b, (i, j) in enumerate(pairs):
+                if relation >> b & 1:
+                    up[i].add(j)
+            reach = [up[i] - {i} for i in range(n)]
+            for _ in range(n):
+                reach = [r.union(*(reach[j] for j in r)) for r in reach]
+            on_cycle = {x for x in range(n) if x in reach[x]}
+            if on_cycle:
+                with pytest.raises(CycleError, match=r"^covers contain a cycle through \d+$") as err:
+                    FinPoset(up)
+                assert int(str(err.value).split()[-1]) in on_cycle, up
+                continue
+            bad = next((i for i in range(n) if up[i] != reach[i] | {i}), None)
+            if bad is None:
+                assert FinPoset(up).up == tuple(map(frozenset, up))
+            else:
+                axiom = "transitive" if bad in up[bad] else "reflexive"
+                with pytest.raises(ValueError, match=f"^order not {axiom} at {bad}$"):
+                    FinPoset(up)
+
+
 def test_equality_and_hash_follow_the_relation():
     assert chain3() == chain3()
     assert hash(chain3()) == hash(chain3())
