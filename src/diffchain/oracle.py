@@ -8,14 +8,20 @@ closure algorithms it is used to check.
 Words are checked a length slice at a time.  ``accepted_slice`` finds the
 acceptance of every length-n word in one layered walk over an automaton,
 the words in lexicographic order over its alphabet, which ``Dfa`` keeps in
-canonical order, as in ``words_upto``; ``lang_eq_upto`` compares two
-automata slice by slice.  The closure has two reference routes.
-``closure_slice`` reads a whole slice of it off the definition by position
-profiles: each word is an int with a fixed bit field per letter, its
-letters on a set P of positions are one AND with P's mask, and a word
-belongs iff on every P of min(k, n) positions it matches the profile of
-some accepted word of its length.  The second is the paper's literal
-marked-alphabet construction (``marked_pi1_closure``).  Alternation
+canonical order, as in ``words_upto``; ``accepted_slices`` reads every
+length up to a bound off the layers of one walk, and ``lang_eq_upto``
+compares two automata slice by slice, one walk each.  The closure has two
+reference routes.  ``closure_slice`` reads a whole slice of it off the
+definition by position profiles: each word is an int, its code, with a
+fixed bit field per letter, its letters on a set P of positions are one
+AND with P's mask, and a word belongs iff on every P of min(k, n)
+positions it matches the profile of some accepted word of its length.
+``profile_closure`` is that check on one length's codes, for any set of
+them; ``closure_slices`` runs it on every length up to a bound, from one
+walk and with each length's codes built from the last.  The second route
+is the paper's literal marked-alphabet construction
+(``marked_pi1_closure``), whose marked alphabet, structures automaton and
+projection are built once per (letters, variables) pair.  Alternation
 degrees have one: ``sequence_degrees`` reads every element's degree for
 one subset off a poset's table of ``increasing_sequences``, listed once.
 ``brute_pi1_closure_member`` and ``brute_degree`` read one entry of a
@@ -37,6 +43,7 @@ often one letter occurs, the known-answer targets of the closure's chains.
 from __future__ import annotations
 
 import random
+from functools import lru_cache
 from itertools import combinations, compress, islice, product as iter_product
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -81,41 +88,102 @@ def accepted_slice(d: Dfa, n: int) -> list[bool]:
     return [q in accepting for q in layer]
 
 
+def accepted_slices(d: Dfa, max_len: int) -> list[list[bool]]:
+    """``accepted_slice(d, n)`` for every n from 0 to max_len, entry n, read
+    off the layers of one walk."""
+    delta = d.delta
+    accepting = d.accepting
+    layer = [d.start]
+    slices = [[d.start in accepting]]
+    for _ in range(max_len):
+        layer = [t for q in layer for t in delta[q]]
+        slices.append([q in accepting for q in layer])
+    return slices
+
+
+def _code_width(d: Dfa) -> int:
+    """Bits per letter of a word code over d's alphabet: a word is an int
+    with the index of its first letter in the highest field, so the codes
+    of one length ascend in ``accepted_slice``'s order."""
+    return max(1, (len(d.alphabet) - 1).bit_length())
+
+
+def _longer_codes(codes: Sequence[int], size: int, b: int) -> list[int]:
+    """The codes of the words one letter longer than ``codes``, over an
+    alphabet of ``size`` letters and ``b`` bits per letter, in order."""
+    digits = range(size)
+    return [c << b | i for c in codes for i in digits]
+
+
+def profile_closure(
+    codes: Sequence[int], language: Sequence[int], k: int, n: int, b: int
+) -> list[int]:
+    """The codes in ``codes`` that lie in the k-variable universal closure
+    of ``language``, in order: ``codes`` lists length-n words of b bits per
+    letter, ascending, and ``language`` those of them in the language.
+
+    A word's profile on a set P of positions is one AND with P's mask; the
+    profiles of the language on P form a set S_P, and a word belongs iff
+    its profile lies in S_P for every P of min(k, n) positions.  Needs
+    n >= 1.
+    """
+    fields = [((1 << b) - 1) << b * (n - 1 - p) for p in range(n)]
+    inside = codes
+    for positions in combinations(fields, min(k, n)):
+        if len(inside) == len(language):
+            break  # L lies inside the closure, so nothing more can go
+        mask = sum(positions)
+        profiles = set(map(mask.__and__, language))
+        inside = list(compress(inside, map(profiles.__contains__, map(mask.__and__, inside))))
+    return inside
+
+
+def _member_flags(
+    codes: Sequence[int], accepted: Sequence[bool], k: int, n: int, b: int
+) -> list[bool]:
+    """``profile_closure`` of the accepted codes, as one flag per code."""
+    language = list(compress(codes, accepted))
+    inside = profile_closure(codes, language, k, n, b)
+    if len(inside) == len(language):
+        return list(accepted)  # the slice is closed
+    inside = set(inside)
+    return [c in inside for c in codes]
+
+
 def closure_slice(d: Dfa, k: int, n: int) -> list[bool]:
     """Membership of every length-n word in the k-variable universal closure
     of d's language, in ``accepted_slice``'s order, read off the definition
-    by position profiles.
+    by position profiles (``profile_closure``).
 
     A word belongs iff for every set P of min(k, n) of its positions some
-    accepted word of length n carries the same letters on P.  A word is an
-    int of b = max(1, (|A| - 1).bit_length()) bits per letter, the first
-    letter highest, so its profile on P is one AND with P's mask; the
-    profiles of the accepted words on P form a set S_P, and a word belongs
-    iff its profile lies in S_P for every P.  The empty word belongs to no
-    closure.
+    accepted word of length n carries the same letters on P.  The empty
+    word belongs to no closure.
     """
     if k < 1:
         raise ValueError("need at least one variable")
     if n == 0:
         return [False]
-    digits = range(len(d.alphabet))
-    b = max(1, (len(digits) - 1).bit_length())
+    b = _code_width(d)
     codes = [0]
     for _ in range(n):
-        codes = [c << b | i for c in codes for i in digits]
-    language = list(compress(codes, accepted_slice(d, n)))
-    field = (1 << b) - 1
-    inside = codes
-    for positions in combinations(range(n), min(k, n)):
-        if len(inside) == len(language):
-            break  # L lies inside the closure, so nothing more can go
-        mask = 0
-        for p in positions:
-            mask |= field << b * (n - 1 - p)
-        profiles = set(map(mask.__and__, language))
-        inside = list(compress(inside, map(profiles.__contains__, map(mask.__and__, inside))))
-    inside = set(inside)
-    return [c in inside for c in codes]
+        codes = _longer_codes(codes, len(d.alphabet), b)
+    return _member_flags(codes, accepted_slice(d, n), k, n, b)
+
+
+def closure_slices(d: Dfa, k: int, max_len: int) -> list[list[bool]]:
+    """``closure_slice(d, k, n)`` for every n from 0 to max_len, entry n:
+    one walk over d, and the length n + 1 codes built from the length n
+    ones."""
+    if k < 1:
+        raise ValueError("need at least one variable")
+    accepted = accepted_slices(d, max_len)
+    b = _code_width(d)
+    codes = [0]
+    slices = [[False]]
+    for n in range(1, max_len + 1):
+        codes = _longer_codes(codes, len(d.alphabet), b)
+        slices.append(_member_flags(codes, accepted[n], k, n, b))
+    return slices
 
 
 def brute_pi1_closure_member(d: Dfa, k: int, word: Sequence[Letter]) -> bool:
@@ -152,15 +220,17 @@ def lang_eq_upto(
     d1: Dfa, d2: Dfa, max_len: int
 ) -> tuple[bool, tuple[Letter, ...] | None]:
     """Compare two automata on every nonempty word of length <= max_len,
-    one length slice at a time.
+    one length slice at a time, each automaton read in one walk
+    (``accepted_slices``).
 
     Returns (True, None) on agreement, else (False, first disagreeing word
     in ``words_upto`` order).
     """
     if d1.alphabet != d2.alphabet:
         raise AlphabetMismatchError("cannot compare automata over different alphabets")
+    left, right = accepted_slices(d1, max_len), accepted_slices(d2, max_len)
     for n in range(1, max_len + 1):
-        word = slice_difference(accepted_slice(d1, n), accepted_slice(d2, n), d1.alphabet, n)
+        word = slice_difference(left[n], right[n], d1.alphabet, n)
         if word is not None:
             return False, word
     return True, None
@@ -414,6 +484,15 @@ def count_language(members: Iterable[int], t: int, letters: Sequence[Letter] = (
 # and the universal/existential images along projection are computed with
 # standard automata constructions (complement, relabel-then-determinize,
 # product).  The marked alphabet has 2^k letters per base letter.
+#
+# The marked alphabet, the structures automaton and the projection depend on
+# the letters and variables alone, so each is built once per (letters,
+# variables) pair and shared: all three are immutable.  The arguments are
+# checked before the lookup, so a bad call raises however often a good one
+# came first.  The caches start empty, and ``bench/one_pass`` checks that
+# they still are when its timed loop begins.
+
+_MARKED_CACHE_SIZE = 64
 
 
 def check_variables(variables: Sequence[str]) -> tuple[str, ...]:
@@ -446,8 +525,15 @@ def marked_alphabet(
     base_letters: Sequence[str], variables_: Sequence[str], with_erased: bool = False
 ) -> tuple[Marked, ...]:
     """All letters (base, mark set); optionally also the erased letters."""
-    base_letters = check_base_letters(base_letters)
-    variables_ = check_variables(variables_)
+    return _marked_alphabet(
+        check_base_letters(base_letters), check_variables(variables_), with_erased
+    )
+
+
+@lru_cache(maxsize=_MARKED_CACHE_SIZE)
+def _marked_alphabet(
+    base_letters: tuple[str, ...], variables_: tuple[str, ...], with_erased: bool
+) -> tuple[Marked, ...]:
     bases: list[str | None] = list(base_letters)
     if with_erased:
         bases.append(None)
@@ -546,9 +632,12 @@ def structures_dfa(base_letters: Sequence[str], variables_: Sequence[str]) -> Df
     """Words over the marked alphabet where each variable marks exactly one
     position: the states track the set of variables seen, plus a sink for
     duplicates."""
-    base_letters = check_base_letters(base_letters)
-    variables_ = check_variables(variables_)
-    alphabet = marked_alphabet(base_letters, variables_)
+    return _structures_dfa(check_base_letters(base_letters), check_variables(variables_))
+
+
+@lru_cache(maxsize=_MARKED_CACHE_SIZE)
+def _structures_dfa(base_letters: tuple[str, ...], variables_: tuple[str, ...]) -> Dfa:
+    alphabet = _marked_alphabet(base_letters, variables_, False)
     subsets = mark_subsets(variables_)
     index = {s: i for i, s in enumerate(subsets)}
     sink = len(subsets)
@@ -568,9 +657,13 @@ def structures_dfa(base_letters: Sequence[str], variables_: Sequence[str]) -> Df
 
 def projection_hom(base_letters: Sequence[str], variables_: Sequence[str]) -> LpHom:
     """Forget the marks: (a, S) goes to a."""
-    source = marked_alphabet(base_letters, variables_)
-    target = tuple(sorted(check_base_letters(base_letters)))
-    return LpHom(source, target, {letter: letter.base for letter in source})
+    return _projection_hom(check_base_letters(base_letters), check_variables(variables_))
+
+
+@lru_cache(maxsize=_MARKED_CACHE_SIZE)
+def _projection_hom(base_letters: tuple[str, ...], variables_: tuple[str, ...]) -> LpHom:
+    source = _marked_alphabet(base_letters, variables_, False)
+    return LpHom(source, tuple(sorted(base_letters)), {letter: letter.base for letter in source})
 
 
 def erasing_hom(base_letters: Sequence[str], variables_: Sequence[str]) -> LpHom:

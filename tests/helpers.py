@@ -7,8 +7,9 @@ against a plain word predicate so the rest of the suite can trust them.
 The chain checks below (``difference_union``, ``nested_difference``,
 ``closure_terms``, ``family_monotonicity``) are for tests only; the library
 does not need them.  ``closure_miss`` compares a closure automaton with the
-oracle's length slices of the closure.  ``moore_closure`` turns a Moore
-family from ``diffchain.oracle.moore_families`` into the closure operator that
+oracle's length slices of the closure, one walk over each automaton.
+``moore_closure`` turns a Moore family from
+``diffchain.oracle.moore_families`` into the closure operator that
 ``diffchain.chains.canonical_pairs`` takes, so one recurrence is checked on
 every closure system on a few points; ``upset_closure_of`` and
 ``mask_minus`` give it the upsets of a poset.  ``identity_keys`` are the
@@ -36,7 +37,7 @@ from diffchain import (
 from diffchain import closure
 from diffchain.automata import DEFAULT_STATE_CAP
 from diffchain.chains import canonical_terms
-from diffchain.oracle import accepted_slice, closure_slice, slice_difference, words_upto
+from diffchain.oracle import accepted_slices, closure_slices, slice_difference, words_upto
 
 AB = ("a", "b")
 
@@ -135,11 +136,12 @@ def closure_terms(
 def closure_miss(closed: Dfa, d: Dfa, k: int, max_len: int) -> tuple[str, ...] | None:
     """The first word of length at most ``max_len``, shortest first, on
     which ``closed`` and the k-variable closure of d's language disagree,
-    the closure read one length at a time off ``oracle.closure_slice``."""
+    each read in one walk: ``closed`` by ``oracle.accepted_slices``, the
+    closure by ``oracle.closure_slices``."""
+    got = accepted_slices(closed, max_len)
+    want = closure_slices(d, k, max_len)
     for n in range(1, max_len + 1):
-        word = slice_difference(
-            accepted_slice(closed, n), closure_slice(d, k, n), d.alphabet, n
-        )
+        word = slice_difference(got[n], want[n], d.alphabet, n)
         if word is not None:
             return word
     return None

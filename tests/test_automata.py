@@ -772,6 +772,33 @@ def test_projection_hom_forgets_marks():
     assert proj.target == ("a", "b")
 
 
+def test_marked_constructions_are_built_once_per_letters_and_variables():
+    for xs in (("x1",), ("x1", "x2")):
+        for with_erased in (False, True):
+            alphabet = marked_alphabet(list(AB), list(xs), with_erased)
+            assert alphabet == marked_alphabet(AB, xs, with_erased)
+            assert alphabet is marked_alphabet(AB, xs, with_erased)
+        s = structures_dfa(list(AB), list(xs))
+        assert s == structures_dfa(AB, xs) and s is structures_dfa(AB, xs)
+        proj, again = projection_hom(list(AB), list(xs)), projection_hom(AB, xs)
+        assert (proj.source, proj.target) == (again.source, again.target)
+        images = [again.letter_image(a) for a in again.source]
+        assert [proj.letter_image(a) for a in proj.source] == images
+        assert proj is again
+
+
+@pytest.mark.parametrize("build", [marked_alphabet, structures_dfa, projection_hom])
+def test_marked_constructions_check_their_arguments_after_a_good_call(build):
+    build(AB, ("x1",))
+    for letters, xs, message in (
+        (("a", "a"), ("x1",), "must be distinct"),
+        (("a", "eps"), ("x1",), "'eps' is reserved"),
+        (AB, (), "need at least one variable"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            build(letters, xs)
+
+
 # ----- the transition monoid's automaton ---------------------------------
 
 

@@ -715,6 +715,23 @@ def first_poset_failure(size):
     return None
 
 
+def first_adjunction_failure(seed, cases):
+    rng = random.Random(seed)
+    vs = oracle.variables(1)
+    marked = oracle.marked_alphabet(AB, vs)
+    nonempty = dfa_nonempty_words(AB)
+    for case in range(cases):
+        lang = automata.minimize(automata.intersect(oracle.random_dfa(rng, 3, AB), nonempty))
+        upper = oracle.random_dfa(rng, 3, marked)
+        left = automata.subset_of(oracle.tensor(lang, vs), upper)
+        right = automata.subset_of(
+            lang, oracle.forall_adjoint(upper, vs, AB, automata.DEFAULT_STATE_CAP)
+        )
+        if left != right:
+            return f"case {case}: adjunction sides disagree"
+    return None
+
+
 def assert_mismatch(capsys, argv, suite, detail):
     assert detail is not None
     assert main(argv) == 1
@@ -750,6 +767,19 @@ def test_verify_images_names_the_first_wrong_word(monkeypatch, capsys, seed):
     detail = first_image_failure(seed, 5, 6)
     assert_mismatch(capsys, ["verify", "--suite", "images", "--max-len", "6",
                              "--cases", "5", "--seed", str(seed)], "images", detail)
+
+
+@pytest.mark.parametrize("seed", [2, 7, 271828])
+def test_verify_adjunction_names_the_first_disagreeing_case(monkeypatch, capsys, seed):
+    # the empty language as the universal adjoint: only an empty language
+    # lies inside it, and a tensor lies inside some constraints
+    monkeypatch.setattr(
+        oracle, "forall_adjoint",
+        lambda d, vs, base, state_cap=automata.DEFAULT_STATE_CAP: automata.dfa_no_words(base),
+    )
+    detail = first_adjunction_failure(seed, 10)
+    assert_mismatch(capsys, ["verify", "--suite", "adjunction", "--cases", "10",
+                             "--seed", str(seed)], "adjunction", detail)
 
 
 def test_verify_poset_chains_names_the_first_wrong_subset(monkeypatch, capsys):
@@ -791,11 +821,14 @@ def test_state_cap_env_is_honored(tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().err == "error: subset construction passed 8 states\n"
     monkeypatch.setenv("DIFFCHAIN_STATE_CAP", "16")
     assert main(adjunction) == 0
+    monkeypatch.setenv("DIFFCHAIN_STATE_CAP", " 8\n")
+    assert main(adjunction) == 2
+    assert capsys.readouterr().err == "error: subset construction passed 8 states\n"
 
 
 def test_state_cap_env_must_be_a_positive_integer(tmp_path, monkeypatch, capsys):
     path = dfa_file(tmp_path, "contains_a.json", contains("a"))
-    for raw in ("0", "-3", "many"):
+    for raw in ("0", "-3", "many", "1_0", "+5", "\u0665"):
         monkeypatch.setenv("DIFFCHAIN_STATE_CAP", raw)
         assert main(["lang", "closure", "--dfa", str(path), "--k", "1"]) == 2
         err = capsys.readouterr().err

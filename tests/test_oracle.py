@@ -24,11 +24,13 @@ from diffchain import (
 from diffchain.oracle import (
     LpHom,
     accepted_slice,
+    accepted_slices,
     all_posets,
     all_posets_upto,
     brute_degree,
     brute_pi1_closure_member,
     closure_slice,
+    closure_slices,
     count_language,
     family_chains,
     forward_lp_image,
@@ -154,6 +156,16 @@ def test_accepted_slice_lists_words_upto_order():
                 assert accepted_slice(walked, n) == [d.accepts(w) for w in words]
 
 
+def test_accepted_slices_are_the_slices_of_one_length_each():
+    rng = random.Random(1602)
+    for d in [a_plus(), contains("b"), literal("ab")] + [
+            random_dfa(rng, 4, ("a", "b", "c")) for _ in range(20)]:
+        for walked in (d, with_columns(d, d.alphabet[::-1])):
+            slices = accepted_slices(walked, 5)
+            assert slices == [accepted_slice(walked, n) for n in range(6)]
+    assert accepted_slices(contains("a"), 0) == [[False]]
+
+
 def test_slice_difference_names_the_first_differing_word():
     assert slice_difference([True, False], [True, False], AB, 1) is None
     left = accepted_slice(a_plus(), 3)
@@ -267,10 +279,23 @@ def test_closure_slice_matches_the_marked_route():
     assert checked > 55_000 and short and empty
 
 
+def test_closure_slices_are_the_slices_of_one_length_each():
+    # words up to 8 letters over two, up to 6 over three: the 3^8 words of
+    # length 8 would take the test from under a second to about nine
+    for d, _ in closure_slice_corpus():
+        max_len = 8 if len(d.alphabet) == 2 else 6
+        for k in (1, 2, 3):
+            slices = closure_slices(d, k, max_len)
+            assert slices == [closure_slice(d, k, n) for n in range(max_len + 1)], (d, k)
+            assert closure_slices(d, k, 0) == [[False]]
+
+
 def test_closure_slice_checks_its_arguments():
     for k in (0, -1):
         with pytest.raises(ValueError, match="need at least one variable"):
             closure_slice(a_plus(), k, 2)
+        with pytest.raises(ValueError, match="need at least one variable"):
+            closure_slices(a_plus(), k, 2)
 
 
 # ----- alternation degree ------------------------------------------------

@@ -1,11 +1,14 @@
 """The package's public surface and what it imports: every exported name
 exists once, README's module table is the package's, the library needs only
-the standard library, and everything the benchmark calls exists."""
+the standard library, everything the benchmark calls exists, and the
+oracle's caches start empty, as the benchmark requires."""
 
 from __future__ import annotations
 
 import ast
+import os
 import re
+import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
@@ -76,3 +79,25 @@ def test_every_verify_suite_the_bench_runs_exists():
                     suites.update([found] if isinstance(found, str) else found)
     assert suites  # the scan finds the corpus's verify cases
     assert suites - set(cli._SUITES) == set()
+
+
+def test_the_oracle_caches_start_empty():
+    # the benchmark times a pass only when warm_caches finds every library
+    # cache empty; it reads each cache's cache_info, so it must see the
+    # oracle's memos of the marked constructions empty after the import,
+    # and filled after one call
+    code = (
+        "import sys\n"
+        "import diffchain.cli\n"
+        "from diffchain import oracle\n"
+        f"sys.path.insert(0, {str(BENCH)!r})\n"
+        "from one_pass import warm_caches\n"
+        "cold = warm_caches()\n"
+        "oracle.projection_hom(('a', 'b'), ('x1',))\n"
+        "warm = warm_caches()\n"
+        "print(cold, warm)\n"
+        "sys.exit(0 if cold == [] and 'diffchain.oracle._projection_hom' in warm else 1)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stdout + done.stderr
