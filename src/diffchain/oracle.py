@@ -5,12 +5,12 @@ enumeration or by a structurally different construction, so the two routes
 can be compared in tests.  Nothing in this module calls the chain or
 closure algorithms it is used to check.
 
-Words are checked a length slice at a time.  ``accepted_slice`` finds the
-acceptance of every length-n word in one layered walk over an automaton,
-the words in lexicographic order over its alphabet, which ``Dfa`` keeps in
-canonical order, as in ``words_upto``; ``accepted_slices`` reads every
-length up to a bound off the layers of one walk, and ``lang_eq_upto``
-compares two automata slice by slice, one walk each.  The closure has two
+Words are checked a length slice at a time.  ``accepted_slices`` finds the
+acceptance of every word up to a length bound in one layered walk over an
+automaton, slice n listing the length-n words in lexicographic order over
+its alphabet, which ``Dfa`` keeps in canonical order, as in ``words_upto``;
+``accepted_slice`` is one slice of it, and ``lang_eq_upto`` compares two
+automata slice by slice, one walk each.  The closure has two
 reference routes.  ``closure_slice`` reads a whole slice of it off the
 definition by position profiles: each word is an int, its code, with a
 fixed bit field per letter, its letters on a set P of positions are one
@@ -75,22 +75,16 @@ def words_upto(alphabet: Sequence[Letter], max_len: int) -> Iterator[tuple[Lette
 def accepted_slice(d: Dfa, n: int) -> list[bool]:
     """Acceptance of every length-n word over d's alphabet, listed in the
     order of ``iter_product(d.alphabet, repeat=n)``: lexicographic in the
-    canonical letter order, as in ``words_upto``.
+    canonical letter order, as in ``words_upto``."""
+    return accepted_slices(d, n)[n]
+
+
+def accepted_slices(d: Dfa, max_len: int) -> list[list[bool]]:
+    """``accepted_slice(d, n)`` for every n from 0 to max_len, entry n.
 
     One layered walk: layer p lists the state each length-p word reaches,
     and layer p + 1 the successors of those states, column by column.
     """
-    delta = d.delta
-    layer = [d.start]
-    for _ in range(n):
-        layer = [t for q in layer for t in delta[q]]
-    accepting = d.accepting
-    return [q in accepting for q in layer]
-
-
-def accepted_slices(d: Dfa, max_len: int) -> list[list[bool]]:
-    """``accepted_slice(d, n)`` for every n from 0 to max_len, entry n, read
-    off the layers of one walk."""
     delta = d.delta
     accepting = d.accepting
     layer = [d.start]
@@ -492,8 +486,6 @@ def count_language(members: Iterable[int], t: int, letters: Sequence[Letter] = (
 # came first.  The caches start empty, and ``bench/one_pass`` checks that
 # they still are when its timed loop begins.
 
-_MARKED_CACHE_SIZE = 64
-
 
 def check_variables(variables: Sequence[str]) -> tuple[str, ...]:
     variables = tuple(variables)
@@ -530,7 +522,7 @@ def marked_alphabet(
     )
 
 
-@lru_cache(maxsize=_MARKED_CACHE_SIZE)
+@lru_cache(maxsize=None)
 def _marked_alphabet(
     base_letters: tuple[str, ...], variables_: tuple[str, ...], with_erased: bool
 ) -> tuple[Marked, ...]:
@@ -635,7 +627,7 @@ def structures_dfa(base_letters: Sequence[str], variables_: Sequence[str]) -> Df
     return _structures_dfa(check_base_letters(base_letters), check_variables(variables_))
 
 
-@lru_cache(maxsize=_MARKED_CACHE_SIZE)
+@lru_cache(maxsize=None)
 def _structures_dfa(base_letters: tuple[str, ...], variables_: tuple[str, ...]) -> Dfa:
     alphabet = _marked_alphabet(base_letters, variables_, False)
     subsets = mark_subsets(variables_)
@@ -660,7 +652,7 @@ def projection_hom(base_letters: Sequence[str], variables_: Sequence[str]) -> Lp
     return _projection_hom(check_base_letters(base_letters), check_variables(variables_))
 
 
-@lru_cache(maxsize=_MARKED_CACHE_SIZE)
+@lru_cache(maxsize=None)
 def _projection_hom(base_letters: tuple[str, ...], variables_: tuple[str, ...]) -> LpHom:
     source = _marked_alphabet(base_letters, variables_, False)
     return LpHom(source, tuple(sorted(base_letters)), {letter: letter.base for letter in source})

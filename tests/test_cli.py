@@ -828,7 +828,7 @@ def test_state_cap_env_is_honored(tmp_path, monkeypatch, capsys):
 
 def test_state_cap_env_must_be_a_positive_integer(tmp_path, monkeypatch, capsys):
     path = dfa_file(tmp_path, "contains_a.json", contains("a"))
-    for raw in ("0", "-3", "many", "1_0", "+5", "\u0665"):
+    for raw in ("0", "-3", "many", "1_0", "+5", "\u0665", "9" * 5000):
         monkeypatch.setenv("DIFFCHAIN_STATE_CAP", raw)
         assert main(["lang", "closure", "--dfa", str(path), "--k", "1"]) == 2
         err = capsys.readouterr().err
