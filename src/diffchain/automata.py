@@ -311,6 +311,66 @@ def difference(d1: Dfa, d2: Dfa) -> Dfa:
     return _product(d1, d2, lambda a, b: a and not b)
 
 
+def reverse(d: Dfa, state_cap: int = DEFAULT_STATE_CAP) -> Dfa:
+    """The words of d's language read backwards: the subset construction on
+    d with every transition turned round, its accepting states as the start
+    set.  A subset accepts when it holds d's start state.  Raises
+    CapacityError past ``state_cap`` subset states.
+
+    When every state of d is reachable, the result is the minimal automaton
+    of the reversed language (Brzozowski, *Canonical regular expressions and
+    minimal state graphs for definite events*, 1962), in ``minimize``'s
+    numbering: both number breadth-first from the start, letters in order.
+    """
+    n = d.n_states
+    width = len(d.alphabet)
+    # predecessors of one state, every letter side by side in one int
+    # (letter i in bits i*n .. i*n+n-1), ORed together 4 bits of a subset
+    # at a time
+    preds = [0] * n
+    for p, row in enumerate(d.delta):
+        for i, t in enumerate(row):
+            preds[t] |= 1 << (i * n + p)
+    tables = _nibble_tables(preds)
+    full = (1 << n) - 1
+
+    def step(subset: int) -> list[int]:
+        both = _or_nibbles(tables, subset)
+        return [both >> (i * n) & full for i in range(width)]
+
+    return _explore(
+        d.alphabet, sum(1 << q for q in d.accepting), step,
+        lambda subset: subset >> d.start & 1,
+        state_cap, f"reversal passed {state_cap} states",
+    )
+
+
+def _nibble_tables(values: list[int]) -> list[list[int]]:
+    """Per 4 bits of a subset of ``range(len(values))``, the OR of the
+    values of every subset of those bits, for ``_or_nibbles``.  Tables of 8
+    bits held 16 times the entries: on profiles of about 1 000 bits, 200 KB
+    for 40 states, and 0.1 to 0.2 MB more peak memory on the
+    decompose-corpus benchmark, with no faster lookups on the closure-big
+    one."""
+    tables = []
+    for low_state in range(0, len(values), 4):
+        table = [0] * (1 << min(4, len(values) - low_state))
+        for nibble in range(1, len(table)):
+            low = nibble & -nibble
+            table[nibble] = table[nibble ^ low] | values[low_state + low.bit_length() - 1]
+        tables.append(table)
+    return tables
+
+
+def _or_nibbles(tables: list[list[int]], subset: int) -> int:
+    """The OR of the values of the members of ``subset``, 4 bits at a time."""
+    out = 0
+    for table in tables:
+        out |= table[subset & 15]
+        subset >>= 4
+    return out
+
+
 def is_empty_lang(d: Dfa) -> bool:
     seen = {d.start}
     queue = [d.start]

@@ -206,13 +206,23 @@ def canonical_pairs(
     is the closure of a nonempty part of L, which odd ∩ L contains, so the
     next odd term C(odd ∩ L) lies between odd and C(odd) = odd: the pair
     repeats forever, its terms meet L, and no chain of any length gives L.
+
+    A repeat shows one closure early, when an odd term equals the even
+    term before it.  Say C(2i+1) = C(2i).  C(2i) = C(C(2i-1) \ L) lies
+    between C(2i-1) \ L and C(2i-1), so C(2i) \ L = C(2i-1) \ L, and
+    C(2i+2) = C(C(2i+1) \ L) = C(C(2i) \ L) = C(C(2i-1) \ L) = C(2i) =
+    C(2i+1): the next pair repeats, and is not computed.
     """
     if is_empty(target):
         return [], 0
     terms = canonical_terms(close, minus, meet, target)
     comps: list = []
+    even = None
     for pair in range(1, max_m + 1):
-        odd, even = next(terms), next(terms)
+        odd = next(terms)
+        if odd == even:
+            break
+        even = next(terms)
         if odd == even:
             break
         comps += [odd, even]

@@ -32,6 +32,21 @@ the pattern automaton's states bottom-up over its pin layers
   letter always leads to a lower layer of pin counts, and each search
   walks one box chain of state pairs, settling every pair on it.
 
+The closure commutes with reversal: C_k(Lᴿ) = C_k(L)ᴿ, since reading a
+word backwards maps its positions one to one and keeps its length, so it
+maps the sets of at most k pinned positions onto each other.  The subset
+construction on the reversal of an automaton whose states are all
+reachable gives the minimal automaton of the reversed language
+(Brzozowski, *Canonical regular expressions and minimal state graphs for
+definite events*, 1962).  So the closure can also be built as the reversal
+of the closure of Lᴿ, from the minimal automaton of Lᴿ; the result is the
+same minimal automaton.  That route's projection can be far smaller, but
+reversal is generically super-polynomial on random automata (De Felice and
+Nicaud, *Brzozowski algorithm is generically super-polynomial for
+deterministic automata*, DLT 2013), so it is only tried, under caps set by
+the forward route, when the forward pattern automaton is large for its
+target (``_MIRROR_ABOVE``), and given up at the first cap it passes.
+
 ``diffchain.oracle.marked_pi1_closure`` is the paper's literal construction
 over marked alphabets, kept as the independent reference route.  All
 semantics are over nonempty words: the input language is normalized by
@@ -54,7 +69,10 @@ from .automata import (
     intersect,
     is_empty_lang,
     minimize,
+    reverse,
     _explore,
+    _nibble_tables,
+    _or_nibbles,
     _plain_alphabet,
 )
 from .chains import canonical_pairs
@@ -82,6 +100,16 @@ _SIGNATURE_BITS = 128
 # projection took 2-3 % longer (0.240 to 0.244 s and 0.263 to 0.271 s,
 # medians of 21 alternations; subset states faster in 12 and 14 of 21).
 _PROFILE_BITS = 1024
+# The closure is tried from the reversed target when the forward pattern
+# automaton has more than this many raw states per state of the target and
+# per pin count, 0 .. k.  Closing the 218 decompose-corpus and the 320
+# verify closure inputs in-process (2-vCPU Xeon VM, Python 3.11, min of 5),
+# the reversed route off took 423 and 70 ms.  At 1.5 it was tried on 36 and
+# 3 of them, closed 35 and 0, and took 299 and 64 ms; at 1.0 it was tried on
+# 73 and 72, closed 61 and 17, and took 280 and 72 ms; at 0, 311 and 75 ms;
+# at 2 and 3, 344 to 348 ms on decompose.  The closure-big targets stay
+# below 1.5.
+_MIRROR_ABOVE = 1.5
 
 
 def _normalize(d: Dfa) -> Dfa:
@@ -105,12 +133,35 @@ def pi1_closure(d: Dfa, k: int, state_cap: int = DEFAULT_STATE_CAP) -> Dfa:
 
     Raises CapacityError when k exceeds ``DEFAULT_K_CAP`` or when the pattern
     automaton or the universal projection passes ``state_cap`` states; the
-    message names the stage and k.
+    message names the stage and k.  Where the forward pattern automaton is
+    large for its target, the closure is first tried from the reversed
+    target (``_mirrored_closure``), and the forward route goes on only if
+    that passes a cap.
     """
     _check_variables(k)
     target = _normalize(d)
-    pattern, keys, sig = _keyed_pattern(target, k, state_cap)
+    recorded: list[tuple[int, int]] = []
+    raw = _pattern_automaton(target, k, state_cap, recorded)
+    if raw.n_states > _MIRROR_ABOVE * (k + 1) * target.n_states:
+        try:
+            mirror = reverse(target, raw.n_states)
+            if mirror != target:  # on Lᴿ = L the route would repeat this one
+                return _mirrored_closure(mirror, k, state_cap, raw.n_states - 1)
+        except CapacityError:
+            pass  # the forward route goes on
+    pattern, keys, sig = _minimal_pattern(raw, recorded)
+    del raw, recorded  # the raw automaton is not kept through the projection
     return minimize(_universal_projection(pattern, k, state_cap, keys, sig))
+
+
+def _mirrored_closure(mirror: Dfa, k: int, state_cap: int, pattern_cap: int) -> Dfa:
+    """The closure of the language whose reversal ``mirror`` accepts, as
+    C_k(L) = C_k(Lᴿ)ᴿ: the closure of ``mirror``, minimized, then reversed.
+    Raises CapacityError when the pattern automaton passes ``pattern_cap``
+    states, or the projection or the reversal ``state_cap``."""
+    pattern, keys, sig = _keyed_pattern(mirror, k, pattern_cap)
+    closed = minimize(_universal_projection(pattern, k, state_cap, keys, sig))
+    return reverse(closed, state_cap)
 
 
 def _keyed_pattern(
@@ -511,32 +562,6 @@ def _pattern_automaton(
         lambda s: s[1] & (1 if s[0] >= first_collapsed else accepting),
         state_cap, f"pattern automaton passed {state_cap} states at k={k}",
     )
-
-
-def _nibble_tables(values: list[int]) -> list[list[int]]:
-    """Per 4 bits of a subset of ``range(len(values))``, the OR of the
-    values of every subset of those bits, for ``_or_nibbles``.  Tables of 8
-    bits held 16 times the entries: on profiles of about 1 000 bits, 200 KB
-    for 40 states, and 0.1 to 0.2 MB more peak memory on the
-    decompose-corpus benchmark, with no faster lookups on the closure-big
-    one."""
-    tables = []
-    for low_state in range(0, len(values), 4):
-        table = [0] * (1 << min(4, len(values) - low_state))
-        for nibble in range(1, len(table)):
-            low = nibble & -nibble
-            table[nibble] = table[nibble ^ low] | values[low_state + low.bit_length() - 1]
-        tables.append(table)
-    return tables
-
-
-def _or_nibbles(tables: list[list[int]], subset: int) -> int:
-    """The OR of the values of the members of ``subset``, 4 bits at a time."""
-    out = 0
-    for table in tables:
-        out |= table[subset & 15]
-        subset >>= 4
-    return out
 
 
 def _reaching(target: Dfa, accepting: int) -> tuple[list[int], int, int] | None:

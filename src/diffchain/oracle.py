@@ -603,14 +603,17 @@ def forward_lp_image(d: Dfa, h: LpHom, state_cap: int = DEFAULT_STATE_CAP) -> Df
     if set(h.source) != set(d.alphabet):
         raise AlphabetMismatchError("hom source and automaton alphabet differ")
     letters = tuple(sorted(h.target, key=letter_key))
-    sources: dict[Letter, list[int]] = {b: [] for b in letters}
-    for i, a in enumerate(d.alphabet):
-        sources[h.letter_image(a)].append(i)
-    columns = [sources[b] for b in letters]
+    column = {b: j for j, b in enumerate(letters)}
+    images = [column[h.letter_image(a)] for a in d.alphabet]
+    # per target letter, each state's set of successors, tabled once
+    successors: list[list[set[int]]] = [[set() for _ in d.delta] for _ in letters]
+    for q, row in enumerate(d.delta):
+        for j, t in zip(images, row):
+            successors[j][q].add(t)
     return _explore(
         letters, frozenset([d.start]),
         lambda subset: [
-            frozenset(d.delta[q][c] for q in subset for c in cols) for cols in columns
+            frozenset().union(*[sets[q] for q in subset]) for sets in successors
         ],
         lambda subset: subset & d.accepting,
         state_cap, f"subset construction passed {state_cap} states",

@@ -102,6 +102,12 @@ def a_star_b() -> Dfa:
     return Dfa(AB, [[0, 1], [2, 2], [2, 2]], 0, [1])
 
 
+def nth_letter_is_a(n: int) -> Dfa:
+    """The words of length at least n whose n-th letter is a."""
+    delta = [[q + 1, q + 1] for q in range(n - 1)]
+    return Dfa(AB, delta + [[n, n + 1], [n, n], [n + 1, n + 1]], 0, [n])
+
+
 def difference_union(trace) -> Dfa:
     """Union of the odd-even differences of a ``ChainTrace``'s chain, and
     of its last term when the chain has odd length."""

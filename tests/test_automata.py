@@ -69,6 +69,7 @@ from helpers import (
     contains,
     identity_keys,
     literal,
+    nth_letter_is_a,
     pin_counts,
 )
 
@@ -421,6 +422,30 @@ def test_subset_of_matches_word_inclusion(d1, d2):
         level = fresh
     brute = all(d2.accepts(w) for w in reaching.values() if d1.accepts(w))
     assert claim == brute
+
+
+@given(dfas(max_states=5))
+def test_reversal_accepts_the_reversed_words(d):
+    r = automata.reverse(d)
+    for w in all_words(8):
+        assert r.accepts(w) == d.accepts(w[::-1])
+    # a minimal automaton reaches all its states, so its reversal is
+    # minimal, and numbered as minimize numbers it
+    assert automata.reverse(minimize(d)) == minimize(r)
+
+
+def test_reversal_stops_promptly_at_its_cap():
+    # read backwards, the n-th letter is a needs the last n letters: 2^n states
+    assert [automata.reverse(nth_letter_is_a(n)).n_states for n in (1, 2, 5, 10)] == [
+        2, 4, 32, 1_024]
+    d = nth_letter_is_a(10)
+    assert automata.reverse(d, state_cap=1_024) == automata.reverse(d)
+    with pytest.raises(CapacityError, match=r"^reversal passed 1023 states$"):
+        automata.reverse(d, state_cap=1_023)
+    begin = time.perf_counter()
+    with pytest.raises(CapacityError, match=r"^reversal passed 1000 states$"):
+        automata.reverse(nth_letter_is_a(60), state_cap=1_000)
+    assert time.perf_counter() - begin < 1
 
 
 def test_shortest_word_prefers_short_and_is_deterministic():

@@ -283,3 +283,18 @@ def test_canonical_pairs_stops_at_the_target_the_bound_or_a_repeat():
     ops = (lambda s: 0b11 if s else 0, mask_minus, operator.and_, operator.not_)
     assert canonical_pairs(*ops, 0b01, 5) == ([], None)
     assert canonical_pairs(*ops, 0b11, 5) == ([0b11, 0], 1)
+
+
+def test_canonical_pairs_stops_when_an_odd_term_equals_the_even_one_before():
+    # closed sets {}, {0, 1} and {0, 1, 2}; L = {0, 2}: C1 = {0, 1, 2},
+    # C2 = C({1}) = {0, 1} and C3 = C({0}) = {0, 1}, so the second pair
+    # would repeat and its even term is never asked for
+    closed = []
+
+    def close(s):
+        closed.append(s)
+        return 0 if not s else 0b011 if not s & ~0b011 else 0b111
+
+    ops = (close, mask_minus, operator.and_, operator.not_)
+    assert canonical_pairs(*ops, 0b101, 5) == ([0b111, 0b011], None)
+    assert closed == [0b101, 0b010, 0b001]

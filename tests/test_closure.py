@@ -49,6 +49,7 @@ from helpers import (
     letters_plus,
     literal,
     nested_difference,
+    nth_letter_is_a,
     pin_counts,
 )
 
@@ -311,12 +312,6 @@ def test_pattern_automaton_minimizes_to_the_forward_subset_construction(monkeypa
         check(target)
 
 
-def nth_letter_is_a(n: int) -> Dfa:
-    """The words of length at least n whose n-th letter is a."""
-    delta = [[q + 1, q + 1] for q in range(n - 1)]
-    return Dfa(AB, delta + [[n, n + 1], [n, n], [n + 1, n + 1]], 0, [n])
-
-
 def test_closure_of_a_positional_language_stays_small():
     # Read backwards, these patterns must remember where their pinned b's
     # sit among the last n - 1 letters: a determinized reversal needs at
@@ -331,6 +326,136 @@ def test_closure_of_a_positional_language_stays_small():
             assert cl == minimize(d), (n, k)
     d = nth_letter_is_a(90)
     assert pi1_closure(d, 3, state_cap=1_000) == minimize(d)
+
+
+# ----- the closure from the reversed target --------------------------------
+
+
+def forward_only(monkeypatch, d: Dfa, k: int, state_cap: int = 100_000) -> Dfa:
+    """``pi1_closure`` with the reversed route switched off."""
+    with monkeypatch.context() as patched:
+        patched.setattr(closure, "_MIRROR_ABOVE", float("inf"))
+        return pi1_closure(d, k, state_cap)
+
+
+def mirrored_calls(monkeypatch) -> list:
+    """Each ``_mirrored_closure`` call's outcome, in order: the closure,
+    or the CapacityError that sent ``pi1_closure`` back to the forward
+    route."""
+    outcomes = []
+    real = closure._mirrored_closure
+
+    def spied(*args):
+        try:
+            outcomes.append(real(*args))
+        except CapacityError as err:
+            outcomes.append(err)
+            raise
+        return outcomes[-1]
+
+    monkeypatch.setattr(closure, "_mirrored_closure", spied)
+    return outcomes
+
+
+LONG_CHAINS = (1, 2, 6, 7, 12, 14, 29)
+
+
+def long_chain_closure_inputs(
+    monkeypatch, max_m: int, targets=LONG_CHAINS
+) -> list[tuple[Dfa, Dfa]]:
+    """``(input, closure)`` of every closure of the k = 3 traces, up to
+    ``max_m`` pairs, of decompose-corpus targets, by default the seven
+    whose chains run past 8 pairs (``random_dfa(Random(5), 5, AB)``, the
+    i-th draw)."""
+    rng = random.Random(5)
+    corpus = [random_dfa(rng, 5, AB) for _ in range(30)]
+    calls = []
+    real = closure.pi1_closure
+
+    def recorded(d, k, *args):
+        calls.append((d, real(d, k, *args)))
+        return calls[-1][1]
+
+    with monkeypatch.context() as patched:
+        patched.setattr(closure, "pi1_closure", recorded)
+        for i in targets:
+            chain_trace(corpus[i], 3, max_m)
+    return calls
+
+
+def test_closure_from_the_reversed_target_agrees_with_the_reference(monkeypatch):
+    outcomes = mirrored_calls(monkeypatch)
+    calls = long_chain_closure_inputs(monkeypatch, 3)
+    assert len(calls) == 42
+    assert len(outcomes) == 19 and all(isinstance(c, Dfa) for c in outcomes)
+    for d, cl in calls:
+        assert closure_miss(cl, d, 3, 8) is None, d
+        assert cl == forward_only(monkeypatch, d, 3), d
+
+
+def test_the_reversed_route_projects_far_fewer_raw_states(monkeypatch):
+    # the last closure of a long chain at k = 3, up to 4 pairs: 1 068 raw
+    # pattern states and 1 267 raw projection states forwards, 149 and 43
+    # from the reversed target, which has 40 states to the target's 39
+    from diffchain.automata import reverse
+    from diffchain.closure import _normalize, _universal_projection
+
+    d = long_chain_closure_inputs(monkeypatch, 4, [12])[-1][0]
+    target = _normalize(d)
+    counts = []
+    for start in (target, reverse(target)):
+        raw, _, pattern, keys, sig = keyed_pattern(start, 3)
+        projection = _universal_projection(pattern, 3, 10_000, keys, sig)
+        counts.append((start.n_states, raw.n_states, projection.n_states))
+    assert counts == [(39, 1_068, 1_267), (40, 149, 43)]
+    outcomes = mirrored_calls(monkeypatch)
+    assert pi1_closure(d, 3) == forward_only(monkeypatch, d, 3)
+    assert len(outcomes) == 1 and isinstance(outcomes[0], Dfa)
+
+
+def test_both_routes_give_one_closure_when_every_closure_tries_both(monkeypatch):
+    monkeypatch.setattr(closure, "_MIRROR_ABOVE", 0)
+    outcomes = mirrored_calls(monkeypatch)
+    rng = random.Random(33)
+    for case in range(120):
+        alphabet = AB if case % 2 else ("a", "b", "c")
+        k = 1 + case % 3
+        d = random_dfa(rng, 8, alphabet)
+        assert pi1_closure(d, k) == forward_only(monkeypatch, d, k), (case, k)
+    # 43 of the 120 targets are not their own reversal, and the route
+    # closes 22 of them under its caps
+    assert sum(isinstance(c, Dfa) for c in outcomes) >= 20
+
+
+def test_a_language_that_is_its_own_reversal_takes_the_forward_route(monkeypatch):
+    monkeypatch.setattr(closure, "_MIRROR_ABOVE", 0)
+    outcomes = mirrored_calls(monkeypatch)
+    for d in (contains("a"), a_plus_or_b_plus(), literal("aba"), period_65_counter()):
+        pi1_closure(d, 2)
+    assert outcomes == []
+    pi1_closure(a_star_b(), 2)
+    assert len(outcomes) == 1
+
+
+def test_the_forward_route_takes_over_when_the_reversed_one_passes_a_cap(monkeypatch):
+    # forwards: 49 raw pattern states, 93 raw projection states; from the
+    # 14-state reversed target: 48 and 111
+    monkeypatch.setattr(closure, "_MIRROR_ABOVE", 0)
+    outcomes = mirrored_calls(monkeypatch)
+    d = Dfa(AB, [[1, 1], [2, 2], [3, 3], [0, 1]], 0, [1])
+    want = forward_only(monkeypatch, d, 3)
+    assert pi1_closure(d, 3, state_cap=93) == want
+    assert str(outcomes.pop()) == "universal projection passed 93 states at k=3"
+    assert pi1_closure(d, 3, state_cap=111) == want
+    assert isinstance(outcomes.pop(), Dfa)
+    # past both projections' caps, the error is the forward route's
+    with pytest.raises(CapacityError, match=r"^universal projection passed 92 states at k=3$"):
+        pi1_closure(d, 3, state_cap=92)
+    assert str(outcomes.pop()) == "universal projection passed 92 states at k=3"
+    # a reversed target larger than the forward pattern automaton stops there
+    d = Dfa(AB, [[1, 1], [3, 0], [1, 0], [2, 2]], 0, [2, 3])
+    assert pi1_closure(d, 1) == forward_only(monkeypatch, d, 1)
+    assert outcomes == []  # 13 reversed states against 12 raw pattern states
 
 
 def test_language_below_matches_subset_of_on_normalized_targets():
@@ -990,7 +1115,8 @@ def test_chain_traces_decrease_and_stay_inside_the_target():
     [
         (contains("b"), 1, 8, "success", 1, False),
         (Dfa(AB, [[2, 0], [1, 3], [1, 2], [1, 2]], 0, [0, 1, 3]), 2, 8, "success", 2, False),
-        # the second pair's difference is empty
+        # the second pair's difference is empty, and its odd term equals
+        # the first pair's even term, so its even term is not asked for
         (a_plus_or_b_plus(), 1, 8, "exhausted", 2, True),
         # three pairs, none of which reaches the target
         (Dfa(AB, [[1, 1], [0, 1]], 0, [0]), 2, 3, "exhausted", 3, False),
@@ -1010,7 +1136,7 @@ def test_chain_trace_asks_for_no_closure_it_does_not_use(
     monkeypatch.setattr(closure, "pi1_closure", counted)
     trace = chain_trace(d, k, max_m)
     assert trace.status == status
-    assert calls == 2 * computed
+    assert calls == 2 * computed - stabilized
     calls = 0
     closure_terms(d, k, 2 * computed - 1)
     assert calls == 2 * computed - 1
@@ -1188,9 +1314,12 @@ def test_decompose_asks_one_then_max_k(asked_k, d, max_k, asked, k, status):
 
 
 def test_decompose_raises_the_cap_of_max_k_when_nothing_below_succeeds(asked_k):
-    # k = 1 and k = 2 exhaust under 200 states; k = 3 does not fit
+    # k = 1 and k = 2 exhaust under 200 states; k = 3 does not fit.  The
+    # k = 3 trace of Dfa(AB, [[1, 1], [0, 1]], 0, [0]) fits since its
+    # closures can be built from the reversed target
+    d = Dfa(AB, [[0, 1], [2, 1], [1, 1]], 0, [0, 2])
     with pytest.raises(CapacityError, match="universal projection passed 200 states at k=3"):
-        decompose_bpi1(Dfa(AB, [[1, 1], [0, 1]], 0, [0]), max_k=3, max_m=3, state_cap=200)
+        decompose_bpi1(d, max_k=3, max_m=3, state_cap=200)
     assert asked_k == [1, 3, 2]
 
 
