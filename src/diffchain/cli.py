@@ -91,7 +91,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "decompose", help="search for a difference chain of closures"
     )
     decompose_cmd.add_argument("--dfa", required=True, help="automaton JSON file")
-    decompose_cmd.add_argument("--max-k", type=int, default=closure.DEFAULT_K_CAP)
+    decompose_cmd.add_argument("--max-k", type=int, default=closure.DEFAULT_MAX_K)
     decompose_cmd.add_argument("--max-m", type=int, default=closure.DEFAULT_MAX_M)
     decompose_cmd.add_argument("--out", help="write JSON here instead of stdout")
     decompose_cmd.set_defaults(handler=_cmd_lang_decompose)

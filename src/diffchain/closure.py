@@ -79,7 +79,7 @@ from .chains import canonical_pairs
 from .errors import CapacityError
 from .poset import bits
 
-DEFAULT_K_CAP = 3
+DEFAULT_MAX_K = 3
 DEFAULT_MAX_M = 8
 
 # The pattern letter of an unpinned position: the erased letter.
@@ -108,7 +108,8 @@ _PROFILE_BITS = 1024
 # 3 of them, closed 35 and 0, and took 299 and 64 ms; at 1.0 it was tried on
 # 73 and 72, closed 61 and 17, and took 280 and 72 ms; at 0, 311 and 75 ms;
 # at 2 and 3, 344 to 348 ms on decompose.  The closure-big targets stay
-# below 1.5.
+# below 1.5.  The reversal stops past (k + 1)·n states: the 35 closures the
+# route closes on decompose-corpus have reversed targets of ≤ 0.47·(k + 1)·n.
 _MIRROR_ABOVE = 1.5
 
 
@@ -123,28 +124,33 @@ def _normalize(d: Dfa) -> Dfa:
 def _check_variables(k: int) -> None:
     if k < 1:
         raise ValueError("need at least one variable")
-    if k > DEFAULT_K_CAP:
-        raise CapacityError(f"k={k} exceeds the variable cap {DEFAULT_K_CAP}")
 
 
 def pi1_closure(d: Dfa, k: int, state_cap: int = DEFAULT_STATE_CAP) -> Dfa:
     """Least language containing d's that a k-variable universal sentence
-    can define, over nonempty words.
+    can define, over nonempty words, for any k >= 1.
 
-    Raises CapacityError when k exceeds ``DEFAULT_K_CAP`` or when the pattern
-    automaton or the universal projection passes ``state_cap`` states; the
-    message names the stage and k.  Where the forward pattern automaton is
-    large for its target, the closure is first tried from the reversed
-    target (``_mirrored_closure``), and the forward route goes on only if
-    that passes a cap.
+    Raises CapacityError, naming the stage and k, when the pattern
+    automaton or the universal projection passes ``state_cap`` states, or
+    the projection's run tables would: they pair each pattern state with
+    each pin count 0 .. k, and an accepting pattern of P pins, the most,
+    passes P + 1 states.  Where the forward pattern automaton is large for
+    its target, the closure is first tried from the reversed target
+    (``_mirrored_closure``), and the forward route goes on only if that
+    passes a cap.
     """
     _check_variables(k)
     target = _normalize(d)
     recorded: list[tuple[int, int]] = []
     raw = _pattern_automaton(target, k, state_cap, recorded)
+    runs = (k + 1) * (max((recorded[q][0] for q in raw.accepting), default=0) + 1)
+    if runs > state_cap:
+        raise CapacityError(
+            f"universal projection needs {runs} runs, more than {state_cap}, at k={k}"
+        )
     if raw.n_states > _MIRROR_ABOVE * (k + 1) * target.n_states:
         try:
-            mirror = reverse(target, raw.n_states)
+            mirror = reverse(target, min(raw.n_states, (k + 1) * target.n_states))
             if mirror != target:  # on Lᴿ = L the route would repeat this one
                 return _mirrored_closure(mirror, k, state_cap, raw.n_states - 1)
         except CapacityError:
@@ -159,21 +165,12 @@ def _mirrored_closure(mirror: Dfa, k: int, state_cap: int, pattern_cap: int) -> 
     C_k(L) = C_k(Lᴿ)ᴿ: the closure of ``mirror``, minimized, then reversed.
     Raises CapacityError when the pattern automaton passes ``pattern_cap``
     states, or the projection or the reversal ``state_cap``."""
-    pattern, keys, sig = _keyed_pattern(mirror, k, pattern_cap)
+    recorded: list[tuple[int, int]] = []
+    raw = _pattern_automaton(mirror, k, pattern_cap, recorded)
+    pattern, keys, sig = _minimal_pattern(raw, recorded)
+    del raw, recorded  # as in pi1_closure
     closed = minimize(_universal_projection(pattern, k, state_cap, keys, sig))
     return reverse(closed, state_cap)
-
-
-def _keyed_pattern(
-    target: Dfa, k: int, state_cap: int
-) -> tuple[Dfa, list[tuple[int, int]], list[int]]:
-    """The minimal pattern automaton, and for each of its states the key of
-    a raw state with its language and its pin-count signature, as
-    ``_minimal_pattern`` finds them.  The raw automaton, the other keys and
-    the class tables are dropped on return, before the projection."""
-    recorded: list[tuple[int, int]] = []
-    raw = _pattern_automaton(target, k, state_cap, recorded)
-    return _minimal_pattern(raw, recorded)
 
 
 def _minimal_pattern(
@@ -224,6 +221,9 @@ def _minimal_pattern(
     for q in raw.accepting:
         accepts[q] = 1
     cls = [-1] * n  # -2: on the box path being walked
+    # the classes of the layers done so far, the only ones a letter may lead to
+    known = [-1] * n
+    done = known.__getitem__
     first: list[int] = []  # per class, the raw state it was opened at
     reach: list[int] = []  # per class, its signature less acceptance
     # (acceptance, letter classes, box class) -> class
@@ -236,15 +236,13 @@ def _minimal_pattern(
             layers[c].append(q)
         else:
             # the dead state: a box loop on the empty language's local signature
-            cls[q] = len(first)
+            cls[q] = known[q] = len(first)
             first.append(q)
             reach.append(0)
             signature = (0,) + (cls[q],) * box
             off_cycle[signature + (cls[q],)] = cycles[(signature,)] = cls[q]
 
     for c in range(len(layers) - 1, -1, -1):
-        # the classes known before this layer: its letters must lead there
-        done = cls.copy().__getitem__
         for p in layers[c]:
             if cls[p] != -1:
                 continue
@@ -298,6 +296,8 @@ def _minimal_pattern(
                         counts |= reach[y]
                     reach.append(counts << 1 | reach[b])
                 cls[q] = x
+        for q in layers[c]:
+            known[q] = cls[q]
 
     # rows built last lie together in memory: built during the walks, in
     # among the dict keys, they raised the decompose benchmark's peak RSS
@@ -934,8 +934,8 @@ def chain_trace(
     differences reconstruct the target, or ``max_m`` pairs were computed
     (``chains.canonical_pairs`` with the k-variable closure).  An empty
     target succeeds with the empty chain.  Raises ValueError when k or
-    ``max_m`` is below 1, and CapacityError when k exceeds
-    ``DEFAULT_K_CAP``, whatever the target.
+    ``max_m`` is below 1, and CapacityError when a closure passes
+    ``state_cap`` (see ``pi1_closure``).
 
     The chain is canonical: a success's pair count is the least at k, and
     "exhausted" proves that no chain of k-closed languages gives L in at
@@ -957,7 +957,7 @@ def chain_trace(
 
 def decompose_bpi1(
     d: Dfa,
-    max_k: int = DEFAULT_K_CAP,
+    max_k: int = DEFAULT_MAX_K,
     max_m: int = DEFAULT_MAX_M,
     state_cap: int = DEFAULT_STATE_CAP,
 ) -> ChainTrace:
@@ -967,8 +967,9 @@ def decompose_bpi1(
     Returns the successful trace of the least k; on failure, the exhausted
     trace at ``max_k``, which proves that no chain of at most ``max_m``
     pairs exists at any k <= ``max_k``.  Raises ValueError when a bound is
-    below 1, and CapacityError when ``max_k`` exceeds ``DEFAULT_K_CAP``,
-    whatever the target.
+    below 1.  ``max_k`` bounds the search, not the work: on a target that
+    does not decompose, a ``max_k`` whose trace passes ``state_cap`` sends
+    the search up from k = 2 until a trace passes it too.
 
     Success is upward closed in k (see ``chain_trace``), so the search asks
     k = 1 first, the cheapest trace, and then ``max_k``: a failure there
@@ -981,7 +982,6 @@ def decompose_bpi1(
     """
     if max_k < 1 or max_m < 1:
         raise ValueError("bounds must be at least 1")
-    _check_variables(max_k)
     first = chain_trace(d, 1, max_m, state_cap)
     if first.succeeded or max_k == 1:
         return first

@@ -448,8 +448,11 @@ def test_lang_closure_output(tmp_path, capsys):
 def test_lang_closure_rejects_bad_k(tmp_path, capsys):
     path = dfa_file(tmp_path, "branches.json", a_plus_or_b_plus())
     assert main(["lang", "closure", "--dfa", str(path), "--k", "0"]) == 2
-    assert main(["lang", "closure", "--dfa", str(path), "--k", "9"]) == 2
-    assert capsys.readouterr().err.count("error:") == 2
+    # no k is too large as such, but at k = 316 the projection would need
+    # (k + 1)² runs, more than the default state cap
+    assert main(["lang", "closure", "--dfa", str(path), "--k", "316"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("error:") == 2 and "100489 runs, more than 100000, at k=316" in err
 
 
 def test_lang_decompose_success(tmp_path, capsys):
@@ -469,14 +472,17 @@ def test_lang_decompose_exhaustion_exit_code(tmp_path, capsys):
     assert obj["status"] == "exhausted" and "m" not in obj
 
 
-@pytest.mark.parametrize("dfa", [contains("b"), a_plus_or_b_plus()], ids=["k1", "k2"])
-def test_lang_decompose_names_a_max_k_above_the_variable_cap(tmp_path, capsys, dfa):
-    # the target would decompose at a smaller k, but max_k itself is refused
+@pytest.mark.parametrize(
+    "dfa, k", [(contains("b"), 1), (a_plus_or_b_plus(), 2)], ids=["k1", "k2"]
+)
+def test_lang_decompose_names_a_max_k_above_the_variable_cap(tmp_path, capsys, dfa, k):
+    # a max_k above the default 3 is searched like any other
     path = dfa_file(tmp_path, "lang.json", dfa)
     code = main(["lang", "decompose", "--dfa", str(path), "--max-k", "5"])
-    assert code == 2
+    assert code == 0
     out, err = capsys.readouterr()
-    assert out == "" and err == "error: k=5 exceeds the variable cap 3\n"
+    obj = json.loads(out)
+    assert err == "" and (obj["status"], obj["k"]) == ("success", k)
 
 
 def test_lang_eq(tmp_path, capsys):

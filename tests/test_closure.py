@@ -7,6 +7,7 @@ import inspect
 import json
 import random
 import sys
+import time
 from collections import Counter
 
 import pytest
@@ -115,13 +116,10 @@ def test_closure_matches_positionwise_oracle():
             assert closure_miss(pi1_closure(d, k), d, k, 4) is None, (d, k)
 
 
-def test_closure_guards(monkeypatch):
+def test_closure_guards():
     with pytest.raises(ValueError):
         pi1_closure(a_plus(), 0)
-    with pytest.raises(CapacityError):
-        pi1_closure(a_plus(), 4)  # above the default variable cap
-    monkeypatch.setattr(closure, "DEFAULT_K_CAP", 4)
-    assert pi1_closure(a_plus(), 4) is not None
+    assert pi1_closure(a_plus(), 4) == minimize(a_plus())
     with pytest.raises(CapacityError, match=r"^pattern automaton passed 3 states at k=2$"):
         pi1_closure(contains("a"), 2, state_cap=3)
     # 18 raw pattern states fit under the cap; the projection needs 24
@@ -129,6 +127,37 @@ def test_closure_guards(monkeypatch):
     with pytest.raises(CapacityError, match=r"universal projection .*k=2"):
         pi1_closure(lopsided, 2, state_cap=18)
     assert pi1_closure(lopsided, 2, state_cap=24) is not None
+
+
+def parity() -> Dfa:
+    """Words with an even number of a's."""
+    return Dfa(AB, [[1, 0], [0, 1]], 0, [0])
+
+
+@pytest.mark.parametrize(
+    "k, message",
+    [
+        (316, "universal projection needs 100489 runs, more than 100000, at k=316"),
+        (2**62, f"pattern automaton passed 100000 states at k={2**62}"),
+    ],
+)
+@pytest.mark.parametrize("d", [a_plus(), parity()], ids=["a_plus", "parity"])
+def test_closure_stops_promptly_at_any_k(d, k, message):
+    # Their patterns hold up to k pins, so the projection's run tables need
+    # (k + 1)² runs, past the default cap from k = 316 on.  At k = 2⁶² the
+    # pattern automaton, a few states per pin count, passes the cap first
+    start = time.perf_counter()
+    with pytest.raises(CapacityError, match=f"^{message}$"):
+        pi1_closure(d, k)
+    assert time.perf_counter() - start < 20
+
+
+def test_closures_at_four_to_six_variables_match_the_reference_slices():
+    rng = random.Random(4646)
+    for _ in range(20):
+        d = random_dfa(rng, 5, AB)
+        for k in (4, 5, 6):
+            assert closure_miss(pi1_closure(d, k), d, k, 10) is None, (d, k)
 
 
 def test_closure_agrees_with_the_marked_route():
@@ -275,8 +304,7 @@ def forward_patterns(target: Dfa, k: int) -> Dfa:
 
 def test_pattern_automaton_minimizes_to_the_forward_subset_construction(monkeypatch):
     # The inclusion pruning and the profiles change the raw automaton, never
-    # its language; k = 4 and 5 are past the variable cap, which only
-    # pi1_closure checks.  k = 5 runs on the two-letter targets, where
+    # its language.  k = 5 runs on the two-letter targets, where
     # forward_patterns stays under its 100 000 cap (past it, it raises
     # CapacityError).  The positional targets with n = 21 and 22 have
     # one-pin profiles of 990 and 1 081 bits, one on each side of
@@ -709,11 +737,10 @@ def test_minimal_pattern_agrees_with_hopcroft(monkeypatch):
     # have one language, each kept key is the key of a raw state of its
     # class, and the signatures are the backward pass's pin counts.  The
     # period-65 counter runs with subset states in every layer, two_cycles
-    # has box cycles of 1 147 states, and the big DFAs run up to k = 6,
-    # past the variable cap, which only pi1_closure checks.  Profiles of at
-    # most one bit keep subset states in nearly every layer, where some box
-    # cycles hold two raw states of one language: their words of local
-    # signatures are not primitive.
+    # has box cycles of 1 147 states, and the big DFAs run up to k = 6.
+    # Profiles of at most one bit keep subset states in nearly every layer,
+    # where some box cycles hold two raw states of one language: their
+    # words of local signatures are not primitive.
     from diffchain.closure import BOX, _normalize
 
     cases = [("corpus", d, 3) for d in inclusion_corpus()[1]]
@@ -1001,10 +1028,10 @@ def test_universal_projection_matches_the_reference_runs(monkeypatch):
 
 
 def test_universal_projection_matches_the_reference_runs_above_the_cap(monkeypatch):
-    # k = 4 and 5 nest the inclusion search deeper than the default cap allows
+    # k = 4 and 5, above the default max_k of decompose_bpi1, nest the
+    # inclusion search deeper than k <= 3 does
     from diffchain.closure import _normalize
 
-    monkeypatch.setattr(closure, "DEFAULT_K_CAP", 5)
     rng = random.Random(4242)
     for _ in range(10):
         d = random_dfa(rng, 5, AB)
@@ -1017,19 +1044,18 @@ def test_universal_projection_matches_the_reference_runs_above_the_cap(monkeypat
 # ----- chains of closures ------------------------------------------------
 
 
-def test_count_languages_need_the_count_chains_pairs(monkeypatch):
+def test_count_languages_need_the_count_chains_pairs():
     # Known answers with m >= 2, a conjecture checked here only.  L_S holds
     # the words whose number of a's lies in S, a count of t meaning t or
     # more.  Its least k is 1 + the last j where membership changes between
     # j and j + 1 (1 when it never does), and there its chain has the pairs
     # of S's canonical chain on the count chain t < ... < 1 < 0.  Every S
-    # with t <= 5 runs, 124 sets, up to k = 5 past the variable cap.
+    # with t <= 5 runs, 124 sets, at k up to 5.
     from itertools import combinations
 
     from diffchain import FinPoset, canonical_chain
     from diffchain.oracle import count_language
 
-    monkeypatch.setattr(closure, "DEFAULT_K_CAP", 5)
     found: Counter = Counter()
     for t in range(1, 6):
         counts = FinPoset.from_covers([(j + 1, j) for j in range(t)], t + 1)
@@ -1046,6 +1072,19 @@ def test_count_languages_need_the_count_chains_pairs(monkeypatch):
                 found[k, m] += 1
     assert sum(found.values()) == 124
     assert found[4, 3] and found[5, 3] and max(m for _, m in found) == 3, found
+
+
+def test_the_count_set_0_2_4_6_needs_four_pairs_at_six_variables():
+    # the count family's first m = 4: the least k is 6, as the last change
+    # of membership is between 5 and 6
+    from diffchain.oracle import count_language
+
+    d = count_language({0, 2, 4, 6}, 6)
+    trace = chain_trace(d, 6, 8)
+    assert trace.succeeded and trace.pair_count == 4
+    assert not chain_trace(d, 5, 8).succeeded
+    trace = decompose_bpi1(d, max_k=6, max_m=8)
+    assert (trace.k, trace.pair_count) == (6, 4)
 
 
 def test_chain_trace_for_contains_b():
@@ -1198,6 +1237,9 @@ def test_decompose_escalates_to_two_variables():
     trace = decompose_bpi1(a_plus_or_b_plus(), max_k=2)
     assert trace.succeeded and trace.k == 2 and trace.pair_count == 1
     assert equivalent(trace.chain[0], minimize(a_plus_or_b_plus()))
+    # the trace at k = 10⁶ stops at the state cap, and the search goes on
+    # up from k = 2
+    assert trace_to_json(decompose_bpi1(a_plus_or_b_plus(), max_k=10**6)) == trace_to_json(trace)
 
 
 def test_decompose_reports_exhaustion_honestly():
@@ -1216,10 +1258,6 @@ def test_chain_trace_checks_its_bounds_whatever_the_target():
             chain_trace(d, 0)
         with pytest.raises(ValueError, match="at least one variable"):
             pi1_closure(d, 0)
-        with pytest.raises(CapacityError, match=r"k=9 exceeds the variable cap 3"):
-            chain_trace(d, 9)
-        with pytest.raises(CapacityError, match=r"k=99 exceeds the variable cap 3"):
-            pi1_closure(d, 99)
         for max_m in (0, -3):
             with pytest.raises(ValueError):
                 chain_trace(d, 1, max_m=max_m)
@@ -1251,10 +1289,7 @@ def test_success_is_upward_closed_in_the_number_of_variables():
 
 
 def _ascending(d: Dfa, max_k: int, max_m: int, state_cap: int) -> str:
-    """decompose_bpi1 as the plain search with k = 1, 2, ... in turn, after
-    the check of ``max_k`` against the variable cap."""
-    if max_k > closure.DEFAULT_K_CAP:
-        return f"capacity: k={max_k} exceeds the variable cap {closure.DEFAULT_K_CAP}"
+    """decompose_bpi1 as the plain search with k = 1, 2, ... in turn."""
     for k in range(1, max_k + 1):
         try:
             trace = chain_trace(d, k, max_m, state_cap)
@@ -1328,10 +1363,11 @@ def test_decompose_raises_the_cap_of_max_k_when_nothing_below_succeeds(asked_k):
     "d", [contains("b"), Dfa(AB, [[1, 1], [0, 1]], 0, [0])], ids=["k1", "none"]
 )
 def test_decompose_rejects_max_k_above_the_variable_cap(asked_k, d, max_k):
-    # whether the target decomposes at k = 1 or at no k, the error names max_k
-    with pytest.raises(CapacityError, match=f"^k={max_k} exceeds the variable cap 3$"):
-        decompose_bpi1(d, max_k=max_k, max_m=3)
-    assert asked_k == []
+    # no k is refused: above the default max_k the search asks k = 1, then
+    # max_k, and ends as the ascending search does
+    got = trace_to_json(decompose_bpi1(d, max_k=max_k, max_m=3))
+    assert asked_k == ([1] if d == contains("b") else [1, max_k])
+    assert got == _ascending(d, max_k, 3, closure.DEFAULT_STATE_CAP)
 
 
 def test_chain_terms_without_stopping():
